@@ -1,11 +1,11 @@
 """Seed-and-extend text alignment for one candidate document pair.
 
-Both documents are chunked into overlapping word n-grams; n-grams with equal
-hashes (re-verified by token equality) become seeds, and seeds whose
-character gap is at most ``max_gap`` on *both* sides are merged transitively
-into reuse cases. A case's spans are the bounding intervals of its member
-seeds, so reordered or interleaved reuse still collapses into one case per
-coherent region.
+Both documents are chunked into overlapping word n-grams, hashed into one flat
+``uint64`` table per document; n-grams with equal hashes (re-verified by token
+equality) become seeds, and seeds whose character gap is at most ``max_gap``
+on *both* sides are merged transitively into reuse cases. A case's spans are
+the bounding intervals of its member seeds, so reordered or interleaved reuse
+still collapses into one case per coherent region.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import hashlib
 import uuid
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from . import spans as sp
 from .ingest import Document
@@ -97,25 +99,42 @@ def ngram_hash(tokens: Sequence[str]) -> int:
     return int.from_bytes(hashlib.blake2b(joined, digest_size=8).digest(), "big")
 
 
-def chunk_ngrams(doc: Document, ngram_size: int = 8, ngram_overlap: int = 7) -> list[NGram]:
-    """Sliding n-gram windows with stride ngram_size - ngram_overlap."""
+def _window_starts(n_tokens: int, ngram_size: int, ngram_overlap: int) -> range:
+    """Token offsets of the sliding windows; window ``i`` starts at ``i * stride``."""
     if ngram_size < 1:
         raise ValueError("ngram_size must be >= 1")
     if not 0 <= ngram_overlap < ngram_size:
         raise ValueError("ngram_overlap must satisfy 0 <= overlap < ngram_size")
-    stride = ngram_size - ngram_overlap
-    grams = []
-    for start in range(0, len(doc.tokens) - ngram_size + 1, stride):
-        window = doc.tokens[start : start + ngram_size]
-        grams.append(
-            NGram(
-                doi=doc.doi,
-                start_token=start,
-                char_span=(doc.token_spans[start][0], doc.token_spans[start + ngram_size - 1][1]),
-                hash=ngram_hash(window),
-            )
-        )
-    return grams
+    return range(0, n_tokens - ngram_size + 1, ngram_size - ngram_overlap)
+
+
+def _window_span(doc: Document, start: int, ngram_size: int) -> tuple[int, int]:
+    return (doc.token_spans[start][0], doc.token_spans[start + ngram_size - 1][1])
+
+
+def window_hashes(doc: Document, ngram_size: int = 8, ngram_overlap: int = 7) -> np.ndarray:
+    """``ngram_hash`` of every sliding window, one ``uint64`` per window.
+
+    Entry ``i`` belongs to the window starting at token ``i * stride`` with
+    stride ngram_size - ngram_overlap.
+    """
+    starts = _window_starts(len(doc.tokens), ngram_size, ngram_overlap)
+    tokens = doc.tokens
+    return np.fromiter(
+        (ngram_hash(tokens[start : start + ngram_size]) for start in starts),
+        dtype=np.uint64,
+        count=len(starts),
+    )
+
+
+def chunk_ngrams(doc: Document, ngram_size: int = 8, ngram_overlap: int = 7) -> list[NGram]:
+    """Sliding n-gram windows with stride ngram_size - ngram_overlap."""
+    starts = _window_starts(len(doc.tokens), ngram_size, ngram_overlap)
+    hashes = window_hashes(doc, ngram_size, ngram_overlap).tolist()
+    return [
+        NGram(doc.doi, start, _window_span(doc, start, ngram_size), value)
+        for start, value in zip(starts, hashes)
+    ]
 
 
 def seed_matches(
@@ -123,22 +142,53 @@ def seed_matches(
     b: Document,
     ngram_size: int = 8,
     ngram_overlap: int = 7,
+    *,
+    hashes_a: np.ndarray | None = None,
+    hashes_b: np.ndarray | None = None,
 ) -> list[Seed]:
     """All n-gram occurrence pairs with equal hashes and equal tokens.
 
-    Hash lookup makes this linear in the combined document length plus the
-    number of matches; token re-comparison discards residual hash collisions.
+    ``hashes_a``/``hashes_b`` are the documents' ``window_hashes`` for the
+    same window parameters; a side left out is hashed here. Token
+    re-comparison discards residual hash collisions.
     """
-    by_hash: dict[int, list[NGram]] = {}
-    for gram in chunk_ngrams(a, ngram_size, ngram_overlap):
-        by_hash.setdefault(gram.hash, []).append(gram)
+    if hashes_a is None:
+        hashes_a = window_hashes(a, ngram_size, ngram_overlap)
+    if hashes_b is None:
+        hashes_b = window_hashes(b, ngram_size, ngram_overlap)
+    return _join_seeds(a, b, hashes_a, hashes_b, ngram_size, ngram_overlap)
+
+
+def _join_seeds(
+    a: Document,
+    b: Document,
+    hashes_a: np.ndarray,
+    hashes_b: np.ndarray,
+    ngram_size: int,
+    ngram_overlap: int,
+) -> list[Seed]:
+    """Join two window-hash tables on equal hashes, verifying tokens.
+
+    A sort of side a plus a binary search per window of side b finds, for
+    each b window, the run of a windows with the same hash; a pair sharing
+    no hash costs no Python-level work.
+    """
+    order_a = np.argsort(hashes_a, kind="stable")
+    sorted_a = hashes_a[order_a]
+    first = np.searchsorted(sorted_a, hashes_b, side="left")
+    last = np.searchsorted(sorted_a, hashes_b, side="right")
+    rows_b = np.flatnonzero(first < last)
+    if rows_b.size == 0:
+        return []
+    stride = ngram_size - ngram_overlap
     seeds = []
-    for gram_b in chunk_ngrams(b, ngram_size, ngram_overlap):
-        for gram_a in by_hash.get(gram_b.hash, ()):
-            tokens_a = a.tokens[gram_a.start_token : gram_a.start_token + ngram_size]
-            tokens_b = b.tokens[gram_b.start_token : gram_b.start_token + ngram_size]
-            if tokens_a == tokens_b:
-                seeds.append(Seed(gram_a.char_span, gram_b.char_span))
+    for row_b in rows_b.tolist():
+        start_b = row_b * stride
+        tokens_b = b.tokens[start_b : start_b + ngram_size]
+        for row_a in order_a[first[row_b] : last[row_b]].tolist():
+            start_a = row_a * stride
+            if a.tokens[start_a : start_a + ngram_size] == tokens_b:
+                seeds.append(Seed(_window_span(a, start_a, ngram_size), _window_span(b, start_b, ngram_size)))
     seeds.sort()
     return seeds
 
@@ -223,14 +273,21 @@ def align_pair(
     b: Document,
     params: AlignmentParams | None = None,
     namespace: uuid.UUID = _CASE_NAMESPACE_ROOT,
+    *,
+    hashes_a: np.ndarray | None = None,
+    hashes_b: np.ndarray | None = None,
 ) -> list[ReuseCase]:
     """Detect all reuse cases between two documents.
 
     Callers supply the pair in canonical (doi_a < doi_b) order; the output
     labels sides by argument position and is sorted by (begin_a, begin_b).
+    Precomputed ``window_hashes`` of either side are passed on to
+    ``seed_matches``, which hashes a side left out.
     """
     params = params or AlignmentParams()
-    seeds = seed_matches(a, b, params.ngram_size, params.ngram_overlap)
+    seeds = seed_matches(
+        a, b, params.ngram_size, params.ngram_overlap, hashes_a=hashes_a, hashes_b=hashes_b
+    )
     merged = extend(seeds, params.max_gap, params.min_seeds)
     return [_materialize(a, b, span_a, span_b, namespace) for span_a, span_b in merged]
 

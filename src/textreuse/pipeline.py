@@ -8,6 +8,7 @@ final outputs are produced by deterministic sorts, so identical
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -20,7 +21,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .alignment import AlignmentParams, ReuseCase, align_pair, case_namespace, case_record
+import numpy as np
+
+from .alignment import AlignmentParams, ReuseCase, align_pair, case_namespace, case_record, window_hashes
 from .ingest import Document, length_filter, load_corpus_report, normalize
 from .jsonl import scan_jsonl, write_jsonl
 from .retrieval import (
@@ -136,12 +139,28 @@ def run_retrieval(docs: Sequence[Document], config: RunConfig) -> list[Candidate
     return sorted(pairs, key=lambda p: p.key)
 
 
-def _align_batch(payload: tuple) -> list[ReuseCase]:
-    pairs, params, namespace_hex = payload
+# Per-run alignment tables ({doi: Document}, {doi: window hashes}), installed
+# once in each pool worker by the pool initializer.
+_worker_tables: tuple[dict[str, Document], dict[str, np.ndarray]] | None = None
+
+
+def _install_tables(docs: dict[str, Document], hashes: dict[str, np.ndarray]) -> None:
+    global _worker_tables
+    _worker_tables = (docs, hashes)
+
+
+def _align_batch(payload: tuple, tables: tuple | None = None) -> list[ReuseCase]:
+    """Align a batch of doi pairs against ``tables``, or the worker's tables."""
+    doi_pairs, params, namespace_hex = payload
+    docs, hashes = tables or _worker_tables
     namespace = uuid.UUID(hex=namespace_hex)
     cases: list[ReuseCase] = []
-    for doc_a, doc_b in pairs:
-        cases.extend(align_pair(doc_a, doc_b, params, namespace))
+    for doi_a, doi_b in doi_pairs:
+        cases.extend(
+            align_pair(
+                docs[doi_a], docs[doi_b], params, namespace, hashes_a=hashes[doi_a], hashes_b=hashes[doi_b]
+            )
+        )
     return cases
 
 
@@ -156,9 +175,8 @@ def _batch_with_retry(fn: Callable, payload: tuple, label: str) -> list[ReuseCas
             raise PipelineError(f"alignment failed for candidate pairs {label}") from exc2
 
 
-def _batch_label(pairs: Sequence[tuple[Document, Document]]) -> str:
-    first = (pairs[0][0].doi, pairs[0][1].doi)
-    last = (pairs[-1][0].doi, pairs[-1][1].doi)
+def _batch_label(doi_pairs: Sequence[tuple[str, str]]) -> str:
+    first, last = doi_pairs[0], doi_pairs[-1]
     return f"{first[0]}/{first[1]} .. {last[0]}/{last[1]}"
 
 
@@ -166,31 +184,46 @@ def run_alignment(
     docs: Sequence[Document],
     pairs: Sequence[CandidatePair],
     config: RunConfig,
+    counts: dict | None = None,
 ) -> list[ReuseCase]:
-    """Align all candidate pairs; output sorted by (doi_a, doi_b, begin_a)."""
+    """Align all candidate pairs; output sorted by (doi_a, doi_b, begin_a).
+
+    Every document in a candidate pair has its n-grams hashed once, before
+    any pair is aligned; the documents and their hash tables reach each pool
+    worker once, and batches carry only doi pairs. ``counts``, if given,
+    receives ``documents_hashed``.
+    """
     by_doi = {doc.doi: doc for doc in docs}
     params = config.alignment_params()
     namespace_hex = case_namespace(config.seed).hex
-    ordered = sorted(pairs, key=lambda p: p.key)
-    doc_pairs = []
-    for pair in ordered:
-        if pair.doi_a not in by_doi or pair.doi_b not in by_doi:
-            raise PipelineError(f"candidate pair {pair.key} references unknown documents")
-        doc_pairs.append((by_doi[pair.doi_a], by_doi[pair.doi_b]))
+    doi_pairs = [pair.key for pair in sorted(pairs, key=lambda p: p.key)]
+    for doi_a, doi_b in doi_pairs:
+        if doi_a not in by_doi or doi_b not in by_doi:
+            raise PipelineError(f"candidate pair {(doi_a, doi_b)} references unknown documents")
+
+    involved = {doi: by_doi[doi] for doi in sorted({doi for key in doi_pairs for doi in key})}
+    hashes = {
+        doi: window_hashes(doc, params.ngram_size, params.ngram_overlap) for doi, doc in involved.items()
+    }
+    if counts is not None:
+        counts["documents_hashed"] = len(hashes)
+    if not doi_pairs:
+        return []
 
     workers = config.effective_workers()
-    if not doc_pairs:
-        return []
-    batch_size = max(1, math.ceil(len(doc_pairs) / (workers * 4)))
-    batches = [doc_pairs[i : i + batch_size] for i in range(0, len(doc_pairs), batch_size)]
+    batch_size = max(1, math.ceil(len(doi_pairs) / (workers * 4)))
+    batches = [doi_pairs[i : i + batch_size] for i in range(0, len(doi_pairs), batch_size)]
     payloads = [(batch, params, namespace_hex) for batch in batches]
+    align_here = functools.partial(_align_batch, tables=(involved, hashes))
 
     results: list[list[ReuseCase]] = []
     if workers == 1 or len(batches) == 1:
         for batch, payload in zip(batches, payloads):
-            results.append(_batch_with_retry(_align_batch, payload, _batch_label(batch)))
+            results.append(_batch_with_retry(align_here, payload, _batch_label(batch)))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_install_tables, initargs=(involved, hashes)
+        ) as pool:
             futures = [pool.submit(_align_batch, payload) for payload in payloads]
             for batch, payload, future in zip(batches, payloads, futures):
                 label = _batch_label(batch)
@@ -198,7 +231,7 @@ def run_alignment(
                     results.append(future.result())
                 except Exception as exc:
                     log.warning("alignment batch %s failed in worker (%s); retrying", label, exc)
-                    results.append(_batch_with_retry(_align_batch, payload, label))
+                    results.append(_batch_with_retry(align_here, payload, label))
 
     cases = [case for chunk in results for case in chunk]
     cases.sort(key=lambda c: (c.doi_a, c.doi_b, c.begin_a, c.begin_b))
@@ -295,8 +328,9 @@ def run_pipeline(config: RunConfig, stop_after: str | None = None) -> PipelineRe
     if stop_after is not None:
         raise ValueError("stop_after must be None or 'retrieve'")
 
-    cases = run_alignment(docs, pairs, config)
+    cases = run_alignment(docs, pairs, config, counts)
     counts["cases"] = len(cases)
+    counts["pairs_with_cases"] = len({case.pair_key for case in cases})
 
     include_text = config.output_mode == "full"
     cases_path = out_dir / "cases.jsonl"

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,17 +16,18 @@ from textreuse.alignment import (
     chunk_ngrams,
     extend,
     seed_matches,
+    window_hashes,
 )
 from textreuse.spans import bounding, gap, merge, overlaps, total_length
 
 from conftest import alpha_words, doc_from_tokens
 
 
-def brute_force_seeds(a, b, n):
-    """All-pairs n-gram comparison oracle."""
+def brute_force_seeds(a, b, n, stride=1):
+    """All-pairs n-gram comparison oracle over windows starting at multiples of stride."""
     seeds = []
-    for i in range(len(a.tokens) - n + 1):
-        for j in range(len(b.tokens) - n + 1):
+    for i in range(0, len(a.tokens) - n + 1, stride):
+        for j in range(0, len(b.tokens) - n + 1, stride):
             if a.tokens[i : i + n] == b.tokens[j : j + n]:
                 seeds.append(
                     Seed(
@@ -181,6 +183,47 @@ class TestSeedMatches:
         a = doc_from_tokens([rng.choice(small_vocab) for _ in range(30)], doi="a")
         b = doc_from_tokens([rng.choice(small_vocab) for _ in range(30)], doi="b")
         assert seed_matches(a, b, 3, 2) == brute_force_seeds(a, b, 3)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_at_any_stride(self, data):
+        vocab = alpha_words("v", data.draw(st.integers(4, 8), label="vocab size"))
+        token_lists = st.lists(st.sampled_from(vocab), max_size=40)
+        a = doc_from_tokens(data.draw(token_lists, label="tokens a"), doi="a")
+        b = doc_from_tokens(data.draw(token_lists, label="tokens b"), doi="b")
+        size = data.draw(st.integers(1, 8), label="ngram_size")
+        overlap = data.draw(st.integers(0, size - 1), label="ngram_overlap")
+        assert seed_matches(a, b, size, overlap) == brute_force_seeds(a, b, size, size - overlap)
+
+    def test_precomputed_hashes_give_the_same_seeds(self):
+        rng = random.Random(11)
+        small_vocab = alpha_words("v", 4)
+        a = doc_from_tokens([rng.choice(small_vocab) for _ in range(50)], doi="a")
+        b = doc_from_tokens([rng.choice(small_vocab) for _ in range(50)], doi="b")
+        hashes_a = window_hashes(a, 3, 1)
+        hashes_b = window_hashes(b, 3, 1)
+        assert hashes_a.dtype == np.uint64 and len(hashes_a) == len(chunk_ngrams(a, 3, 1))
+        expected = seed_matches(a, b, 3, 1)
+        assert expected
+        assert seed_matches(a, b, 3, 1, hashes_a=hashes_a, hashes_b=hashes_b) == expected
+        assert seed_matches(a, b, 3, 1, hashes_a=hashes_a) == expected
+
+
+class TestWindowHashes:
+    def test_agrees_with_chunk_ngrams(self):
+        doc = doc_from_tokens(alpha_words("w", 25))
+        grams = chunk_ngrams(doc, 8, 4)
+        assert window_hashes(doc, 8, 4).tolist() == [g.hash for g in grams]
+        assert [g.start_token for g in grams] == [0, 4, 8, 12, 16]
+
+    def test_below_window_is_empty(self):
+        hashes = window_hashes(doc_from_tokens(alpha_words("w", 7)), 8, 7)
+        assert hashes.dtype == np.uint64 and hashes.size == 0
+
+    def test_invalid_overlap(self):
+        with pytest.raises(ValueError):
+            window_hashes(doc_from_tokens(alpha_words("w", 10)), 8, 8)
 
 
 class TestExtend:

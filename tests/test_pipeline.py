@@ -1,8 +1,14 @@
+import itertools
 import json
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import textreuse.alignment as alignment
+from textreuse.alignment import align_pair, case_namespace
 from textreuse.ingest import document_record
 from textreuse.jsonl import write_jsonl
 from textreuse.pipeline import (
@@ -10,13 +16,14 @@ from textreuse.pipeline import (
     PipelineError,
     RunConfig,
     _batch_with_retry,
+    run_alignment,
     run_pipeline,
     summarize_cases,
 )
 from textreuse.retrieval import CandidatePair, read_candidates, write_candidates
 from textreuse.synthgen import GenSpec, generate
 
-from conftest import alpha_words
+from conftest import alpha_words, doc_from_tokens
 
 
 def write_corpus(path, raw_docs):
@@ -225,6 +232,118 @@ class TestRunPipeline:
         result = run_pipeline(base_config(path, tmp_path / "out", min_words=0))
         assert result.manifest["counts"]["documents_used"] == 2
         assert result.manifest["counts"]["cases"] == 0
+
+
+class TestManifestAlignmentCounters:
+    def test_shared_paragraph(self, tmp_path):
+        corpus_path, _, _ = shared_paragraph_corpus(tmp_path)
+        counts = run_pipeline(base_config(corpus_path, tmp_path / "out")).manifest["counts"]
+        assert counts["documents_hashed"] == 2
+        assert counts["pairs_with_cases"] == 1
+        assert counts["cases"] == 1
+
+    def test_synthetic_corpus(self, tmp_path):
+        corpus_path, _, _ = synthetic_corpus_file(tmp_path)
+        config = base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(tmp_path / "ckpt"))
+        result = run_pipeline(config)
+        counts = result.manifest["counts"]
+        records = [json.loads(line) for line in result.cases_path.read_text().splitlines()]
+        pairs = read_candidates(result.candidates_path)
+        assert counts["pairs_with_cases"] == len({(r["doi_a"], r["doi_b"]) for r in records}) > 0
+        assert counts["documents_hashed"] == len({doi for pair in pairs for doi in pair.key})
+
+
+def alignment_config(**overrides):
+    values = dict(input="unused", output_dir="unused", ngram_size=3, ngram_overlap=2, max_gap=20, min_seeds=1)
+    values.update(overrides)
+    return RunConfig(**values)
+
+
+def align_loop(docs, pairs, config):
+    """Oracle: align_pair over the candidate pairs, one by one, in key order."""
+    by_doi = {doc.doi: doc for doc in docs}
+    namespace = case_namespace(config.seed)
+    cases = [
+        case
+        for pair in sorted(pairs, key=lambda p: p.key)
+        for case in align_pair(by_doi[pair.doi_a], by_doi[pair.doi_b], config.alignment_params(), namespace)
+    ]
+    return sorted(cases, key=lambda c: (c.doi_a, c.doi_b, c.begin_a, c.begin_b))
+
+
+def small_vocab_docs(rng, count, length=60, vocab_size=5):
+    vocab = alpha_words("v", vocab_size)
+    return [
+        doc_from_tokens([rng.choice(vocab) for _ in range(length)], doi=f"d{k}")
+        for k in range(count)
+    ]
+
+
+def all_pairs(docs):
+    return [CandidatePair(a.doi, b.doi) for a, b in itertools.combinations(docs, 2)]
+
+
+class TestRunAlignment:
+    def test_each_involved_document_hashed_once(self, monkeypatch):
+        involved = small_vocab_docs(random.Random(3), 4)
+        outsider = doc_from_tokens(alpha_words("zz", 60), doi="z-outsider")
+        pairs = all_pairs(involved)  # every involved document is in three pairs
+        hashed = []
+        real_hash = alignment.ngram_hash
+
+        def counting_hash(tokens):
+            hashed.append(tuple(tokens))
+            return real_hash(tokens)
+
+        monkeypatch.setattr(alignment, "ngram_hash", counting_hash)
+        counts = {}
+        cases = run_alignment(involved + [outsider], pairs, alignment_config(workers=1), counts)
+        windows = sum(len(doc.tokens) - 3 + 1 for doc in involved)  # 3-grams at stride 1
+        assert cases
+        assert len(hashed) == windows  # not 2 * len(pairs) * 58
+        assert not any(window[0].startswith("zz") for window in hashed)
+        assert counts == {"documents_hashed": 4}
+
+    def test_constant_hash_gives_the_same_cases(self, monkeypatch):
+        docs = small_vocab_docs(random.Random(5), 4, length=40)
+        pairs = all_pairs(docs)
+        config = alignment_config(workers=1)
+        expected = run_alignment(docs, pairs, config)
+        assert expected
+        monkeypatch.setattr(alignment, "ngram_hash", lambda tokens: 0)
+        assert run_alignment(docs, pairs, config) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_consecutive_runs_do_not_share_state(self, workers):
+        config = alignment_config(workers=workers)
+        # Same dois, different texts: stale tables would give the first run's cases.
+        first = small_vocab_docs(random.Random(1), 4)
+        second = small_vocab_docs(random.Random(2), 4)
+        first_cases = run_alignment(first, all_pairs(first), config)
+        second_cases = run_alignment(second, all_pairs(second), config)
+        assert first_cases == align_loop(first, all_pairs(first), config)
+        assert second_cases == align_loop(second, all_pairs(second), config)
+        assert first_cases != second_cases
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_matches_align_pair_loop_at_one_and_two_workers(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="corpus seed")
+        docs = small_vocab_docs(
+            random.Random(seed),
+            data.draw(st.integers(2, 6), label="documents"),
+            length=data.draw(st.integers(0, 50), label="tokens"),
+            vocab_size=data.draw(st.integers(4, 8), label="vocab size"),
+        )
+        candidates = all_pairs(docs)
+        pairs = data.draw(st.lists(st.sampled_from(candidates), unique=True), label="pairs")
+        size = data.draw(st.integers(1, 4), label="ngram_size")
+        overlap = data.draw(st.integers(0, size - 1), label="ngram_overlap")
+        config = alignment_config(ngram_size=size, ngram_overlap=overlap, workers=1)
+        expected = align_loop(docs, pairs, config)
+        assert run_alignment(docs, pairs, config) == expected
+        config.workers = 2
+        assert run_alignment(docs, pairs, config) == expected
 
 
 class TestCandidateSpill:
