@@ -1,10 +1,29 @@
-"""Line-delimited JSON record helpers."""
+"""Line-delimited JSON record helpers and whole-file writes."""
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import IO, Any, Iterable, Iterator, Mapping
+
+
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[IO[str]]:
+    """Open ``path`` for writing text so that it appears whole or not at all.
+
+    Writes go to a temporary file in the same directory, renamed over
+    ``path`` when the block exits normally and removed when it raises.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .alignment import AlignmentParams, ReuseCase, align_pair, case_namespace, case_record, window_hashes
 from .ingest import Document, length_filter, load_corpus_report, normalize
-from .jsonl import scan_jsonl, write_jsonl
+from .jsonl import atomic_open, scan_jsonl, write_jsonl
 from .retrieval import (
     CandidatePair,
     build_index,
@@ -128,13 +128,22 @@ def load_documents(config: RunConfig) -> tuple[list[Document], dict]:
     return docs, counts
 
 
-def run_retrieval(docs: Sequence[Document], config: RunConfig) -> list[CandidatePair]:
-    """Candidate pairs for the configured mode, sorted canonically."""
+def run_retrieval(
+    docs: Sequence[Document], config: RunConfig, counts: dict | None = None
+) -> list[CandidatePair]:
+    """Candidate pairs for the configured mode, sorted canonically.
+
+    ``counts``, if given, receives ``hash_postings`` and ``dropped_hashes``
+    in minhash mode.
+    """
     if config.retrieval_mode == "exact":
         pairs = retrieve_candidates_exact(docs, config.passage_size, config.min_shared_terms)
     else:
         sketches = sketch_corpus(docs, config.passage_size, config.num_hashes, config.seed)
         index = build_index(sketches, config.df_cap)
+        if counts is not None:
+            counts["hash_postings"] = len(index.postings)
+            counts["dropped_hashes"] = index.dropped_hashes
         pairs = retrieve_candidates(index)
     return sorted(pairs, key=lambda p: p.key)
 
@@ -296,27 +305,31 @@ def run_pipeline(config: RunConfig, stop_after: str | None = None) -> PipelineRe
 
     checkpoint_dir = Path(config.checkpoint_dir) if config.checkpoint_dir else None
     candidates_path = checkpoint_dir / CANDIDATES_FILE if checkpoint_dir else None
+    state_path = checkpoint_dir / CHECKPOINT_STATE_FILE if checkpoint_dir else None
     pairs: list[CandidatePair] | None = None
-    if checkpoint_dir is not None:
-        state_path = checkpoint_dir / CHECKPOINT_STATE_FILE
-        if state_path.exists() and candidates_path.exists():
-            state = json.loads(state_path.read_text(encoding="utf-8"))
-            if state.get("fingerprint") != fingerprint:
-                raise CheckpointMismatch(
-                    "checkpoint was written by a different configuration or corpus; refusing to resume"
-                )
-            pairs = read_candidates(candidates_path)
-            log.info("resumed %d candidate pairs from %s", len(pairs), candidates_path)
+    if checkpoint_dir is not None and state_path.exists() and candidates_path.exists():
+        state = json.loads(state_path.read_text(encoding="utf-8"))
+        if state.get("fingerprint") != fingerprint:
+            raise CheckpointMismatch(
+                "checkpoint was written by a different configuration or corpus; refusing to resume"
+            )
+        pairs = read_candidates(candidates_path)
+        counts.update(state.get("counts", {}))
+        log.info("resumed %d candidate pairs from %s", len(pairs), candidates_path)
 
     if pairs is None:
-        pairs = run_retrieval(docs, config)
+        retrieval_counts: dict = {}
+        pairs = run_retrieval(docs, config, retrieval_counts)
+        counts.update(retrieval_counts)
         if checkpoint_dir is not None:
+            # The state file vouches for the candidate file, so it is removed
+            # before the candidates are rewritten and written only after them.
             checkpoint_dir.mkdir(parents=True, exist_ok=True)
+            state_path.unlink(missing_ok=True)
             write_candidates(candidates_path, pairs)
-            state = {"fingerprint": fingerprint, "candidate_pairs": len(pairs)}
-            (checkpoint_dir / CHECKPOINT_STATE_FILE).write_text(
-                json.dumps(state, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            state = {"fingerprint": fingerprint, "candidate_pairs": len(pairs), "counts": retrieval_counts}
+            with atomic_open(state_path) as fh:
+                fh.write(json.dumps(state, sort_keys=True) + "\n")
 
     total_pairs = math.comb(len(docs), 2)
     counts["candidate_pairs"] = len(pairs)

@@ -4,8 +4,10 @@ local bag-of-words similarity.
 Documents are split into consecutive fixed-size passages; each passage's
 distinct-term set is sketched with a family of seeded min-hashes, and an
 inverted index over sketch values surfaces every document pair whose sketches
-collide. This touches each sketch entry a bounded number of times, so the
-whole stage is linear in corpus size (plus output).
+collide. Collision evidence is one sparse product of the posting-by-document
+count matrix with itself, so its cost grows with the candidate pairs it
+outputs, not with the corpus alone: on Zipfian text frequent words win the
+min-hashes and nearly every document pair survives.
 
 MinHash collisions are probabilistic: a single hash function collides with
 probability equal to the passage-pair Jaccard similarity, so low-similarity
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -29,6 +31,7 @@ import numpy as np
 from scipy import sparse
 
 from .ingest import Document
+from .jsonl import atomic_open
 
 log = logging.getLogger(__name__)
 
@@ -204,15 +207,45 @@ def build_index(sketches: Iterable[PassageSketch], df_cap: int = 1000) -> Passag
 def retrieve_candidates(index: PassageIndex) -> set[CandidatePair]:
     """All unordered document pairs co-occurring in at least one posting.
 
-    Evidence counts distinct (hash value, passage pair) co-occurrences.
+    Evidence counts distinct (hash value, passage pair) co-occurrences. With
+    ``C[r, d]`` the number of posting ``r``'s entries from document ``d``,
+    a pair's evidence is ``(C.T @ C)[a, b]``, read off the strict upper
+    triangle (columns in doi order).
     """
-    evidence: Counter[tuple[str, str]] = Counter()
-    for entries in index.postings.values():
-        for i, (doi_i, _) in enumerate(entries):
-            for doi_j, _ in entries[i + 1 :]:
-                if doi_i != doi_j:
-                    evidence[(doi_i, doi_j)] += 1
-    return {CandidatePair(a, b, n) for (a, b), n in evidence.items()}
+    entry_dois = [doi for entries in index.postings.values() for doi, _ in entries]
+    dois = sorted(set(entry_dois))
+    column = {doi: i for i, doi in enumerate(dois)}
+    rows = np.repeat(np.arange(len(index.postings)), [len(entries) for entries in index.postings.values()])
+    cols = [column[doi] for doi in entry_dois]
+    counts = sparse.csr_matrix(
+        (np.ones(len(cols), dtype=np.int64), (rows, cols)),
+        shape=(len(index.postings), len(dois)),
+    )
+    shared = sparse.triu(counts.T @ counts, k=1).tocoo()
+    return _candidate_set(dois, shared.row, shared.col, shared.data)
+
+
+def _candidate_set(
+    dois: Sequence[str], doc_a: np.ndarray, doc_b: np.ndarray, weights: np.ndarray
+) -> set[CandidatePair]:
+    """Candidate pairs from parallel arrays of indices into ``dois``.
+
+    Each pair is put in canonical doi order, and the weights of repeated
+    pairs are summed into that pair's evidence.
+    """
+    names = sorted(set(dois))
+    rank = {doi: i for i, doi in enumerate(names)}
+    to_rank = np.array([rank[doi] for doi in dois], dtype=np.int64)
+    a, b = to_rank[doc_a], to_rank[doc_b]
+    summed = sparse.coo_matrix(
+        (np.asarray(weights, dtype=np.int64), (np.minimum(a, b), np.maximum(a, b))),
+        shape=(len(names), len(names)),
+    )
+    summed.sum_duplicates()
+    return {
+        CandidatePair(names[i], names[j], n)
+        for i, j, n in zip(summed.row.tolist(), summed.col.tolist(), summed.data.tolist())
+    }
 
 
 def retrieve_candidates_exact(
@@ -253,7 +286,8 @@ def retrieve_candidates_exact(
     )
     transposed = matrix.T.tocsc()
     owner_arr = np.asarray(owner, dtype=np.int64)
-    evidence: Counter[tuple[str, str]] = Counter()
+    doc_a: list[np.ndarray] = []
+    doc_b: list[np.ndarray] = []
     block = 4096
     for lo in range(0, len(owner), block):
         hi = min(lo + block, len(owner))
@@ -265,18 +299,21 @@ def retrieve_candidates_exact(
         row_global, col = row_global[upper], col[upper]
         doc_i, doc_j = owner_arr[row_global], owner_arr[col]
         cross = doc_i != doc_j
-        for i, j in zip(doc_i[cross], doc_j[cross]):
-            doi_i, doi_j = dois[i], dois[j]
-            evidence[(doi_i, doi_j) if doi_i < doi_j else (doi_j, doi_i)] += 1
-    return {CandidatePair(a, b, n) for (a, b), n in evidence.items()}
+        doc_a.append(doc_i[cross])
+        doc_b.append(doc_j[cross])
+    pair_a, pair_b = np.concatenate(doc_a), np.concatenate(doc_b)
+    return _candidate_set(dois, pair_a, pair_b, np.ones_like(pair_a))
 
 
 def write_candidates(path: str | Path, pairs: Iterable[CandidatePair]) -> int:
-    """Spill candidate pairs to a tab-separated checkpoint file, sorted."""
+    """Spill candidate pairs to a tab-separated checkpoint file, sorted.
+
+    The file appears whole or not at all (see ``atomic_open``).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for pair in sorted(pairs, key=lambda p: p.key):
             fh.write(f"{pair.doi_a}\t{pair.doi_b}\t{pair.evidence}\n")
             count += 1

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -34,6 +35,18 @@ def alpha_words(prefix, count):
             n //= 26
         out.append(prefix + suffix)
     return out
+
+
+def brute_force_posting_pairs(index):
+    """Oracle for minhash evidence: every pair of entries with different dois
+    in every posting, counted per canonical doi pair."""
+    evidence = Counter()
+    for entries in index.postings.values():
+        for i, (doi_i, _) in enumerate(entries):
+            for doi_j, _ in entries[i + 1 :]:
+                if doi_i != doi_j:
+                    evidence[min(doi_i, doi_j), max(doi_i, doi_j)] += 1
+    return dict(evidence)
 
 
 def detect_cases(corpus, retrieval_mode="exact", passage_size=50, min_shared_terms=9,

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import textreuse.alignment as alignment
+import textreuse.pipeline as pipeline
 from textreuse.alignment import align_pair, case_namespace
-from textreuse.ingest import document_record
+from textreuse.ingest import document_record, normalize
 from textreuse.jsonl import write_jsonl
 from textreuse.pipeline import (
     CheckpointMismatch,
@@ -20,7 +21,13 @@ from textreuse.pipeline import (
     run_pipeline,
     summarize_cases,
 )
-from textreuse.retrieval import CandidatePair, read_candidates, write_candidates
+from textreuse.retrieval import (
+    CandidatePair,
+    build_index,
+    read_candidates,
+    sketch_corpus,
+    write_candidates,
+)
 from textreuse.synthgen import GenSpec, generate
 
 from conftest import alpha_words, doc_from_tokens
@@ -215,6 +222,54 @@ class TestRunPipeline:
         with pytest.raises(CheckpointMismatch):
             run_pipeline(config)
 
+    def test_candidate_write_dying_partway_is_not_resumed(self, tmp_path, monkeypatch):
+        corpus_path, _, _ = synthetic_corpus_file(tmp_path)
+        checkpoint = tmp_path / "ckpt"
+        config = base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(checkpoint))
+        first = run_pipeline(config)
+        candidates = (checkpoint / "candidates.tsv").read_bytes()
+        assert first.manifest["counts"]["candidate_pairs"] >= 2
+        (checkpoint / "candidates.tsv").unlink()  # the state file stays behind
+
+        real_retrieval = pipeline.run_retrieval
+
+        def retrieval_with_unwritable_pair(*args, **kwargs):
+            pairs = real_retrieval(*args, **kwargs)
+            middle = pairs[len(pairs) // 2]
+            return pairs + [_UnwritablePair(middle.doi_a, middle.doi_b)]
+
+        monkeypatch.setattr(pipeline, "run_retrieval", retrieval_with_unwritable_pair)
+        with pytest.raises(OSError):
+            run_pipeline(config)
+        monkeypatch.undo()
+
+        rerun = run_pipeline(config)
+        assert (checkpoint / "candidates.tsv").read_bytes() == candidates
+        assert rerun.manifest == first.manifest
+        assert rerun.cases_path.read_bytes() == first.cases_path.read_bytes()
+        assert sorted(p.name for p in checkpoint.iterdir()) == ["candidates.tsv", "retrieval.json"]
+
+    def test_candidates_without_state_file_are_recomputed(self, tmp_path, monkeypatch):
+        corpus_path, _, _ = synthetic_corpus_file(tmp_path)
+        checkpoint = tmp_path / "ckpt"
+        config = base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(checkpoint))
+        expected = run_pipeline(config, stop_after="retrieve").manifest
+        (checkpoint / "candidates.tsv").unlink()
+
+        # a run under another configuration dies between its candidates and its state file
+        def no_state(path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline, "atomic_open", no_state)
+        with pytest.raises(OSError):
+            run_pipeline(
+                base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(checkpoint), min_shared_terms=3)
+            )
+        monkeypatch.undo()
+        assert not (checkpoint / "retrieval.json").exists()
+
+        assert run_pipeline(config, stop_after="retrieve").manifest == expected
+
     def test_invalid_config_rejected(self, tmp_path):
         corpus_path, _, _ = synthetic_corpus_file(tmp_path)
         with pytest.raises(ValueError):
@@ -251,6 +306,40 @@ class TestManifestAlignmentCounters:
         pairs = read_candidates(result.candidates_path)
         assert counts["pairs_with_cases"] == len({(r["doi_a"], r["doi_b"]) for r in records}) > 0
         assert counts["documents_hashed"] == len({doi for pair in pairs for doi in pair.key})
+
+
+class TestManifestRetrievalCounters:
+    def test_minhash_counts_match_the_index(self, tmp_path):
+        corpus_path, corpus, _ = synthetic_corpus_file(tmp_path)
+        config = base_config(
+            corpus_path,
+            tmp_path / "out",
+            retrieval_mode="minhash",
+            df_cap=1,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        result = run_pipeline(config)
+        docs = [normalize(raw) for raw in corpus]
+        sketches = sketch_corpus(docs, config.passage_size, config.num_hashes, config.seed)
+        index = build_index(sketches, config.df_cap)
+        counts = json.loads(result.manifest_path.read_text())["counts"]
+        assert counts["hash_postings"] == len(index.postings) > 0
+        assert counts["dropped_hashes"] == index.dropped_hashes > 0
+
+        config.output_dir = str(tmp_path / "resumed")
+        assert run_pipeline(config).manifest["counts"] == counts
+
+
+class _UnwritablePair:
+    """Sorts with the candidate pair of the same key; fails when written."""
+
+    def __init__(self, doi_a, doi_b):
+        self.doi_a, self.doi_b = doi_a, doi_b
+        self.key = (doi_a, doi_b)
+
+    @property
+    def evidence(self):
+        raise OSError("disk full")
 
 
 def alignment_config(**overrides):

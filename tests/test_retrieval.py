@@ -2,6 +2,8 @@ import logging
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from textreuse.ingest import normalize
 from textreuse.retrieval import (
@@ -17,11 +19,12 @@ from textreuse.retrieval import (
 )
 from textreuse.synthgen import GenSpec, generate
 
-from conftest import alpha_words, doc_from_tokens, random_words
+from conftest import alpha_words, brute_force_posting_pairs, doc_from_tokens, random_words
 
 
 def brute_force_candidates(docs, passage_size, min_shared_terms):
-    """O(docs^2 * passages^2) oracle over distinct-term overlap."""
+    """O(docs^2 * passages^2) oracle over distinct-term overlap: the number of
+    qualifying passage pairs per document pair."""
     term_sets = {
         doc.doi: [
             frozenset(doc.tokens[i : i + passage_size])
@@ -29,17 +32,33 @@ def brute_force_candidates(docs, passage_size, min_shared_terms):
         ]
         for doc in docs
     }
-    pairs = set()
+    pairs = {}
     dois = sorted(term_sets)
     for i, doi_a in enumerate(dois):
         for doi_b in dois[i + 1 :]:
-            if any(
+            qualifying = sum(
                 len(x & y) >= min_shared_terms
                 for x in term_sets[doi_a]
                 for y in term_sets[doi_b]
-            ):
-                pairs.add((doi_a, doi_b))
+            )
+            if qualifying:
+                pairs[(doi_a, doi_b)] = qualifying
     return pairs
+
+
+def sketch_lists():
+    """Hand-built sketches over 1-8 dois; few passage indices and hash values,
+    so entries repeat and postings often hold a single document."""
+    def sketches(doi_count):
+        sketch = st.builds(
+            PassageSketch,
+            st.sampled_from([f"d{k}" for k in range(doi_count)]),
+            st.integers(0, 2),
+            st.frozensets(st.integers(0, 15), min_size=1, max_size=6),
+        )
+        return st.lists(sketch, max_size=25)
+
+    return st.integers(1, 8).flatmap(sketches)
 
 
 class TestChunkPassages:
@@ -183,6 +202,16 @@ class TestRetrieveCandidates:
         with pytest.raises(ValueError):
             CandidatePair("a", "a")
 
+    @settings(max_examples=200, deadline=None)
+    @given(sketches=sketch_lists(), df_cap=st.integers(1, 4))
+    @example(sketches=[], df_cap=1)
+    def test_matches_posting_pair_oracle(self, sketches, df_cap):
+        index = build_index(sketches, df_cap)
+        pairs = retrieve_candidates(index)
+        got = {p.key: p.evidence for p in pairs}
+        assert len(got) == len(pairs)
+        assert got == brute_force_posting_pairs(index)
+
     def test_evidence_counts_hash_passage_cooccurrences(self):
         sketches = [
             PassageSketch("a", 0, frozenset({1, 2})),
@@ -219,7 +248,7 @@ class TestExactMode:
             for i in range(50)
         ]
         for threshold in (3, 6, 12):
-            got = {p.key for p in retrieve_candidates_exact(docs, 50, threshold)}
+            got = {p.key: p.evidence for p in retrieve_candidates_exact(docs, 50, threshold)}
             assert got == brute_force_candidates(docs, 50, threshold)
 
     def test_empty_corpus(self):
@@ -227,6 +256,23 @@ class TestExactMode:
 
 
 class TestMinhashVsExactAgreement:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_minhash_keys_within_exact_oracle(self, data):
+        """A shared min-hash value means a shared term, so every minhash
+        candidate has a passage pair sharing at least one term."""
+        vocab = alpha_words("v", data.draw(st.integers(2, 40), label="vocab_size"))
+        docs = [
+            doc_from_tokens(data.draw(st.lists(st.sampled_from(vocab), max_size=80)), doi=f"d{k}")
+            for k in range(data.draw(st.integers(2, 6), label="doc_count"))
+        ]
+        passage_size = data.draw(st.integers(2, 30), label="passage_size")
+        num_hashes = data.draw(st.integers(1, 10), label="num_hashes")
+        index = build_index(sketch_corpus(docs, passage_size, num_hashes, seed=data.draw(st.integers(0, 3))))
+        minhash = {p.key for p in retrieve_candidates(index)}
+        exact = {p.key for p in retrieve_candidates_exact(docs, passage_size, 1)}
+        assert minhash <= exact
+
     def test_high_jaccard_pairs_agree(self):
         """MinHash retrieval finds >= 95% of the pairs exact mode finds at
         passage Jaccard >= 0.2, measured on generated corpora."""
