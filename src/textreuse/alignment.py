@@ -108,8 +108,12 @@ def _window_starts(n_tokens: int, ngram_size: int, ngram_overlap: int) -> range:
     return range(0, n_tokens - ngram_size + 1, ngram_size - ngram_overlap)
 
 
-def _window_span(doc: Document, start: int, ngram_size: int) -> tuple[int, int]:
-    return (doc.token_spans[start][0], doc.token_spans[start + ngram_size - 1][1])
+def _window_spans(doc: Document, starts: Sequence[int], ngram_size: int) -> list[tuple[int, int]]:
+    """Character span of each window starting at a token in ``starts``, as Python ints."""
+    starts = np.asarray(starts, dtype=np.int64)
+    begins = doc.token_spans[starts, 0].tolist()
+    ends = doc.token_spans[starts + (ngram_size - 1), 1].tolist()
+    return list(zip(begins, ends))
 
 
 def window_hashes(doc: Document, ngram_size: int = 8, ngram_overlap: int = 7) -> np.ndarray:
@@ -132,8 +136,8 @@ def chunk_ngrams(doc: Document, ngram_size: int = 8, ngram_overlap: int = 7) -> 
     starts = _window_starts(len(doc.tokens), ngram_size, ngram_overlap)
     hashes = window_hashes(doc, ngram_size, ngram_overlap).tolist()
     return [
-        NGram(doc.doi, start, _window_span(doc, start, ngram_size), value)
-        for start, value in zip(starts, hashes)
+        NGram(doc.doi, start, span, value)
+        for start, span, value in zip(starts, _window_spans(doc, starts, ngram_size), hashes)
     ]
 
 
@@ -181,14 +185,20 @@ def _join_seeds(
     if rows_b.size == 0:
         return []
     stride = ngram_size - ngram_overlap
-    seeds = []
+    starts_a: list[int] = []
+    starts_b: list[int] = []
     for row_b in rows_b.tolist():
         start_b = row_b * stride
         tokens_b = b.tokens[start_b : start_b + ngram_size]
         for row_a in order_a[first[row_b] : last[row_b]].tolist():
             start_a = row_a * stride
             if a.tokens[start_a : start_a + ngram_size] == tokens_b:
-                seeds.append(Seed(_window_span(a, start_a, ngram_size), _window_span(b, start_b, ngram_size)))
+                starts_a.append(start_a)
+                starts_b.append(start_b)
+    seeds = [
+        Seed(span_a, span_b)
+        for span_a, span_b in zip(_window_spans(a, starts_a, ngram_size), _window_spans(b, starts_b, ngram_size))
+    ]
     seeds.sort()
     return seeds
 

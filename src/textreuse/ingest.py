@@ -11,23 +11,24 @@ to this normalized text, so the rules here are part of the output contract:
 * everything between tokens collapses to a single space, with no leading or
   trailing whitespace;
 * normalizing already-normalized text is the identity.
+
+A normalized ``Document`` keeps its tokens' offsets, in the normalized and
+in the raw text, as two ``(n, 2)`` integer arrays rather than per-token
+tuples.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
-import re
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .jsonl import scan_jsonl
 
 log = logging.getLogger(__name__)
-
-# Superset of alphabetic runs (word chars minus digits and underscore); the
-# rare wordish-but-not-alphabetic characters (numeric letters etc.) are
-# stripped by the slow path in normalize().
-_WORDISH = re.compile(r"[^\W\d_]+")
 
 _METADATA_LISTS = ("field", "area", "discipline")
 
@@ -54,19 +55,21 @@ class RawDocument:
                 raise ValueError(f"{name} contains an empty string")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Document:
     """Normalized document with per-token offset maps.
 
-    ``token_spans`` index into ``normalized_text``; ``raw_token_spans`` index
-    into the original raw text, which lets external (raw-offset) annotations
-    be carried over to normalized coordinates.
+    ``token_spans`` and ``raw_token_spans`` are ``(n, 2)`` ``int64`` arrays
+    of ``[begin, end)`` offsets, one row per token. ``token_spans`` index
+    into ``normalized_text``; ``raw_token_spans`` index into the original raw
+    text, which lets external (raw-offset) annotations be carried over to
+    normalized coordinates. Documents compare by identity.
     """
 
     doi: str
     tokens: tuple[str, ...]
-    token_spans: tuple[tuple[int, int], ...]
-    raw_token_spans: tuple[tuple[int, int], ...]
+    token_spans: np.ndarray
+    raw_token_spans: np.ndarray
     normalized_text: str
     year: int | None = None
     field: tuple[str, ...] | None = None
@@ -81,60 +84,43 @@ class Document:
 def normalize(raw: RawDocument) -> Document:
     """Normalize a raw document into lowercase alphabetic tokens.
 
-    The fast path handles runs that are purely alphabetic before and after
-    lowercasing (virtually all text); the slow path re-splits runs around
-    wordish-but-not-alphabetic characters and lowercase expansions.
+    Tokens are found by whole-text operations: every non-alphabetic
+    character is translated to a space (so positions are kept), and the
+    raw spans are the edges of the resulting alphabetic mask. The tokens are
+    the lowercased text split on spaces when every alphabetic character of
+    the text lowercases to exactly one alphabetic character (virtually all
+    text); otherwise each run is folded on its own and runs that fold to
+    nothing are dropped with their spans.
     """
     if not isinstance(raw.text, str):
         raise TypeError("raw.text must be decoded text, not bytes")
-    tokens: list[str] = []
-    raw_spans: list[tuple[int, int]] = []
-    for match in _WORDISH.finditer(raw.text):
-        run = match.group()
-        if run.isalpha():
-            lowered = run.lower()
-            if lowered.isalpha():
-                tokens.append(lowered)
-                raw_spans.append((match.start(), match.end()))
-                continue
-        _normalize_run(run, match.start(), tokens, raw_spans)
+    chars = set(raw.text)
+    letters = {c for c in chars if c.isalpha()}
+    spaced = raw.text.translate({ord(c): " " for c in chars - letters})
+    mask = np.zeros(len(spaced) + 2, dtype=bool)
+    mask[1:-1] = np.frombuffer(spaced.encode("utf-32-le"), dtype=np.uint32) != 32
+    raw_spans = np.flatnonzero(mask[1:] != mask[:-1]).reshape(-1, 2)
 
-    normalized_text = " ".join(tokens)
-    token_spans = []
-    pos = 0
-    for token in tokens:
-        token_spans.append((pos, pos + len(token)))
-        pos += len(token) + 1
+    if all(len(low := c.lower()) == 1 and low.isalpha() for c in letters):
+        tokens = spaced.lower().split()
+    else:
+        folded = ["".join(c for c in run.lower() if c.isalpha()) for run in spaced.split()]
+        raw_spans = raw_spans[np.fromiter(map(bool, folded), dtype=bool, count=len(folded))]
+        tokens = [token for token in folded if token]
+
+    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    ends = np.cumsum(lengths) + np.arange(len(tokens))
     return Document(
         doi=raw.doi,
         tokens=tuple(tokens),
-        token_spans=tuple(token_spans),
-        raw_token_spans=tuple(raw_spans),
-        normalized_text=normalized_text,
+        token_spans=np.column_stack((ends - lengths, ends)),
+        raw_token_spans=raw_spans.astype(np.int64, copy=False),
+        normalized_text=" ".join(tokens),
         year=raw.year,
         field=raw.field,
         area=raw.area,
         discipline=raw.discipline,
     )
-
-
-def _normalize_run(run: str, base: int, tokens: list[str], raw_spans: list[tuple[int, int]]) -> None:
-    """Slow path: split a wordish run on non-alphabetic characters."""
-    i = 0
-    while i < len(run):
-        if run[i].isalpha():
-            j = i + 1
-            while j < len(run) and run[j].isalpha():
-                j += 1
-            token = run[i:j].lower()
-            if not token.isalpha():
-                token = "".join(c for c in token if c.isalpha())
-            if token:
-                tokens.append(token)
-                raw_spans.append((base + i, base + j))
-            i = j
-        else:
-            i += 1
 
 
 def length_filter(doc: Document, min_words: int = 1000, max_words: int = 60000) -> bool:
@@ -144,10 +130,14 @@ def length_filter(doc: Document, min_words: int = 1000, max_words: int = 60000) 
 
 @dataclass
 class LoadReport:
+    """What loading a corpus saw; ``digest`` is the sha256 of each file's
+    name followed by its bytes, over the files in load order."""
+
     files: int = 0
     records: int = 0
     malformed: int = 0
     duplicates: int = 0
+    digest: str = ""
 
 
 def parse_record(record: dict) -> RawDocument:
@@ -196,6 +186,8 @@ def load_corpus_report(path: str | Path) -> tuple[list[RawDocument], LoadReport]
 
     Malformed lines are logged with their line number and skipped; duplicate
     dois are logged and the last record wins. An unreadable file is fatal.
+    Each file is read once: the bytes parsed are the bytes hashed into
+    ``report.digest``.
     """
     path = Path(path)
     if path.is_dir():
@@ -206,9 +198,11 @@ def load_corpus_report(path: str | Path) -> tuple[list[RawDocument], LoadReport]
         files = [path]
 
     report = LoadReport(files=len(files))
+    digest = hashlib.sha256()
     by_doi: dict[str, RawDocument] = {}
     for file in files:
-        for lineno, record, error in scan_jsonl(file):
+        digest.update(file.name.encode("utf-8"))
+        for lineno, record, error in scan_jsonl(file, digest):
             if error is None:
                 try:
                     doc = parse_record(record)
@@ -223,4 +217,5 @@ def load_corpus_report(path: str | Path) -> tuple[list[RawDocument], LoadReport]
                 report.duplicates += 1
                 log.warning("%s:%d: duplicate doi %r (last record wins)", file, lineno, doc.doi)
             by_doi[doc.doi] = doc
+    report.digest = digest.hexdigest()
     return list(by_doi.values()), report

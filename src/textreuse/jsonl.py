@@ -34,14 +34,17 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
         yield record
 
 
-def scan_jsonl(path: str | Path) -> Iterator[tuple[int, dict | None, str | None]]:
+def scan_jsonl(path: str | Path, digest: Any = None) -> Iterator[tuple[int, dict | None, str | None]]:
     """Lenient reader yielding (lineno, record, error); exactly one of record/error is set.
 
     The file is read as bytes so a single undecodable line is reported
-    per-line instead of aborting the whole file.
+    per-line instead of aborting the whole file. ``digest``, if given (a
+    ``hashlib`` object), is updated with every byte read, blank lines included.
     """
     with open(path, "rb") as fh:
         for lineno, blob in enumerate(fh, 1):
+            if digest is not None:
+                digest.update(blob)
             if not blob.strip():
                 continue
             try:
@@ -56,10 +59,11 @@ def scan_jsonl(path: str | Path) -> Iterator[tuple[int, dict | None, str | None]
 
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> int:
+    """Write one JSON object per line; the file appears whole or not at all."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False))
             fh.write("\n")

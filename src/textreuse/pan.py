@@ -11,9 +11,10 @@ span it intersects.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left, bisect_right
 from pathlib import Path
 from xml.etree import ElementTree
+
+import numpy as np
 
 from .ingest import Document, RawDocument, normalize
 from .metrics import GoldAnnotation, GoldSpan
@@ -41,15 +42,14 @@ def _strategy_for(xml_path: Path, feature_obfuscation: str | None) -> str:
 
 def raw_span_to_normalized(doc: Document, begin: int, end: int) -> tuple[int, int] | None:
     """Bounding normalized span of the tokens intersecting raw [begin, end)."""
-    if end <= begin or not doc.raw_token_spans:
+    raw = doc.raw_token_spans
+    if end <= begin or len(raw) == 0:
         return None
-    starts = [span[0] for span in doc.raw_token_spans]
-    ends = [span[1] for span in doc.raw_token_spans]
-    first = bisect_right(ends, begin)  # first token ending after begin
-    last = bisect_left(starts, end) - 1  # last token starting before end
+    first = int(np.searchsorted(raw[:, 1], begin, side="right"))  # first token ending after begin
+    last = int(np.searchsorted(raw[:, 0], end, side="left")) - 1  # last token starting before end
     if first > last or first >= len(doc.tokens):
         return None
-    return (doc.token_spans[first][0], doc.token_spans[last][1])
+    return (int(doc.token_spans[first, 0]), int(doc.token_spans[last, 1]))
 
 
 def load_pan_corpus(base: str | Path) -> tuple[list[RawDocument], list[GoldAnnotation]]:

@@ -107,9 +107,15 @@ class PipelineResult:
     candidates_path: Path | None = None
 
 
-def load_documents(config: RunConfig) -> tuple[list[Document], dict]:
-    """Load, normalize and length-filter the corpus; returns (docs, counts)."""
+def load_documents(config: RunConfig, corpus: dict | None = None) -> tuple[list[Document], dict]:
+    """Load, normalize and length-filter the corpus; returns (docs, counts).
+
+    ``corpus``, if given, receives ``digest``, the hash of the corpus files
+    as read (``LoadReport.digest``), which keys the retrieval checkpoint.
+    """
     raw_docs, report = load_corpus_report(config.input)
+    if corpus is not None:
+        corpus["digest"] = report.digest
     docs = []
     filtered = 0
     for raw in raw_docs:
@@ -124,6 +130,7 @@ def load_documents(config: RunConfig) -> tuple[list[Document], dict]:
         "documents_used": len(docs),
         "records_malformed": report.malformed,
         "duplicate_dois": report.duplicates,
+        "tokens": sum(len(doc.tokens) for doc in docs),
     }
     return docs, counts
 
@@ -134,10 +141,11 @@ def run_retrieval(
     """Candidate pairs for the configured mode, sorted canonically.
 
     ``counts``, if given, receives ``hash_postings`` and ``dropped_hashes``
-    in minhash mode.
+    in minhash mode, and the passage×term matrix shape as ``passages`` and
+    ``terms`` in exact mode.
     """
     if config.retrieval_mode == "exact":
-        pairs = retrieve_candidates_exact(docs, config.passage_size, config.min_shared_terms)
+        pairs = retrieve_candidates_exact(docs, config.passage_size, config.min_shared_terms, counts=counts)
     else:
         sketches = sketch_corpus(docs, config.passage_size, config.num_hashes, config.seed)
         index = build_index(sketches, config.df_cap)
@@ -247,18 +255,6 @@ def run_alignment(
     return cases
 
 
-def _corpus_digest(path: str | Path) -> str:
-    path = Path(path)
-    files = sorted(path.glob("*.jsonl")) if path.is_dir() else [path]
-    digest = hashlib.sha256()
-    for file in files:
-        digest.update(file.name.encode("utf-8"))
-        with open(file, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
-    return digest.hexdigest()
-
-
 _RETRIEVAL_FIELDS = (
     "min_words",
     "max_words",
@@ -300,8 +296,9 @@ def run_pipeline(config: RunConfig, stop_after: str | None = None) -> PipelineRe
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    docs, counts = load_documents(config)
-    fingerprint = _retrieval_fingerprint(config, _corpus_digest(config.input))
+    corpus: dict = {}
+    docs, counts = load_documents(config, corpus)
+    fingerprint = _retrieval_fingerprint(config, corpus["digest"])
 
     checkpoint_dir = Path(config.checkpoint_dir) if config.checkpoint_dir else None
     candidates_path = checkpoint_dir / CANDIDATES_FILE if checkpoint_dir else None
@@ -345,18 +342,20 @@ def run_pipeline(config: RunConfig, stop_after: str | None = None) -> PipelineRe
     counts["cases"] = len(cases)
     counts["pairs_with_cases"] = len({case.pair_key for case in cases})
 
+    # Every output appears whole or not at all; the manifest vouches for the
+    # others, so a stale one is removed first and the new one written last.
     include_text = config.output_mode == "full"
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     cases_path = out_dir / "cases.jsonl"
     write_jsonl(cases_path, (case_record(c, include_text) for c in cases))
     publications_path = out_dir / "publications.jsonl"
     write_jsonl(publications_path, (publication_record(d) for d in sorted(docs, key=lambda d: d.doi)))
     stats_path = out_dir / "stats.json"
-    stats = summarize_cases(cases_path)
-    stats_path.write_text(json.dumps(stats, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(stats_path, summarize_cases(cases_path))
 
     manifest = {"config": asdict(config), "counts": counts}
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(manifest_path, manifest)
     return PipelineResult(
         manifest=manifest,
         manifest_path=manifest_path,
@@ -365,6 +364,11 @@ def run_pipeline(config: RunConfig, stop_after: str | None = None) -> PipelineRe
         stats_path=stats_path,
         candidates_path=candidates_path,
     )
+
+
+def _write_json(path: Path, value: dict) -> None:
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(value, sort_keys=True, indent=2) + "\n")
 
 
 def summarize_cases(path: str | Path) -> dict:

@@ -20,6 +20,7 @@ doubles as the testing oracle for the sketched path.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
@@ -252,6 +253,8 @@ def retrieve_candidates_exact(
     docs: Sequence[Document],
     passage_size: int = 50,
     min_shared_terms: int = 9,
+    *,
+    counts: dict | None = None,
 ) -> set[CandidatePair]:
     """Exact candidate enumeration: pairs with some passage pair sharing
     at least ``min_shared_terms`` distinct terms.
@@ -259,45 +262,55 @@ def retrieve_candidates_exact(
     Implemented as a sparse passage-by-term matrix product computed in row
     blocks; evidence counts qualifying passage pairs. Unlike sketching, all
     passages participate (including short trailing ones), so this mode is
-    sound for downstream alignment at min_shared_terms=1.
+    sound for downstream alignment at min_shared_terms=1. Terms are interned
+    to integer column ids over the whole corpus, and token ``i`` of document
+    ``d`` falls in row ``row_offset[d] + i // passage_size``. ``counts``, if
+    given, receives the matrix shape as ``passages`` and ``terms``.
     """
+    if passage_size < 1:
+        raise ValueError("passage_size must be >= 1")
     if min_shared_terms < 1:
         raise ValueError("min_shared_terms must be >= 1")
-    dois: list[str] = []
-    owner: list[int] = []
-    term_cols: dict[str, int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    for doc_index, doc in enumerate(docs):
-        dois.append(doc.doi)
-        for passage in chunk_passages(doc, passage_size):
-            row = len(owner)
-            owner.append(doc_index)
-            for term in passage.term_set:
-                col = term_cols.setdefault(term, len(term_cols))
-                rows.append(row)
-                cols.append(col)
-    if not owner:
+    dois = [doc.doi for doc in docs]
+    lengths = np.fromiter((len(doc.tokens) for doc in docs), dtype=np.int64, count=len(docs))
+    passages = -(-lengths // passage_size)
+    row_offset = np.cumsum(passages) - passages
+    token_offset = np.cumsum(lengths) - lengths
+    vocab = dict(zip(dict.fromkeys(itertools.chain.from_iterable(doc.tokens for doc in docs)), itertools.count()))
+    if counts is not None:
+        counts["passages"] = int(passages.sum())
+        counts["terms"] = len(vocab)
+    if not vocab:
         return set()
 
-    matrix = sparse.csr_matrix(
-        (np.ones(len(rows), dtype=np.int32), (rows, cols)),
-        shape=(len(owner), len(term_cols)),
+    cols = np.fromiter(
+        map(vocab.__getitem__, itertools.chain.from_iterable(doc.tokens for doc in docs)),
+        dtype=np.int64,
+        count=int(lengths.sum()),
     )
+    doc_of_token = np.repeat(np.arange(len(docs)), lengths)
+    position = np.arange(cols.size) - token_offset[doc_of_token]
+    rows = row_offset[doc_of_token] + position // passage_size
+    owner = np.repeat(np.arange(len(docs), dtype=np.int64), passages)
+    matrix = sparse.csr_matrix(
+        (np.ones(cols.size, dtype=np.int32), (rows, cols)),
+        shape=(owner.size, len(vocab)),
+    )
+    matrix.sum_duplicates()
+    matrix.data[:] = 1  # each distinct term counts once per passage
     transposed = matrix.T.tocsc()
-    owner_arr = np.asarray(owner, dtype=np.int64)
     doc_a: list[np.ndarray] = []
     doc_b: list[np.ndarray] = []
     block = 4096
-    for lo in range(0, len(owner), block):
-        hi = min(lo + block, len(owner))
+    for lo in range(0, owner.size, block):
+        hi = min(lo + block, owner.size)
         shared = (matrix[lo:hi] @ transposed).tocoo()
         keep = shared.data >= min_shared_terms
         row_global = shared.row.astype(np.int64)[keep] + lo
         col = shared.col.astype(np.int64)[keep]
         upper = col > row_global
         row_global, col = row_global[upper], col[upper]
-        doc_i, doc_j = owner_arr[row_global], owner_arr[col]
+        doc_i, doc_j = owner[row_global], owner[col]
         cross = doc_i != doc_j
         doc_a.append(doc_i[cross])
         doc_b.append(doc_j[cross])

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from textreuse.ingest import (
     normalize,
     parse_record,
 )
+from textreuse.pan import raw_span_to_normalized
 
 from conftest import make_doc
 
@@ -36,6 +39,16 @@ def reference_normalize(text):
         if token:
             out.append(token)
     return out
+
+
+def reference_corpus_digest(path):
+    """The checkpoint key as a separate pass over the corpus files computed it."""
+    files = sorted(path.glob("*.jsonl")) if path.is_dir() else [path]
+    digest = hashlib.sha256()
+    for file in files:
+        digest.update(file.name.encode("utf-8"))
+        digest.update(file.read_bytes())
+    return digest.hexdigest()
 
 
 class TestNormalize:
@@ -108,6 +121,44 @@ class TestNormalize:
         assert all(ch.isalpha() and ch == ch.lower() for ch in doc.normalized_text.replace(" ", ""))
         assert "  " not in doc.normalized_text
         assert doc.normalized_text == doc.normalized_text.strip()
+
+
+# Characters near the edges of the fast path: a capital whose lowercase is two
+# characters, final sigma, a titlecase digraph, a ligature, a wordish
+# non-letter, a combining mark, a case-ignorable modifier letter, accents,
+# digits and punctuation.
+_EDGE_ALPHABET = "aZ İΣσς ǅﬁ²\u0345ʰé.'1\t"
+_EDGE_TEXTS = ["İstanbul", "ΟΔΟΣ ΟΔΟΣ.", "ǅemal", "ﬁne", "abc²def", "été", "123 -- 4.5!", ""]
+
+
+def check_offsets(text):
+    """Every token is its raw run folded, and both offset maps agree."""
+    doc = normalize(RawDocument(doi="d", text=text))
+    assert list(doc.tokens) == reference_normalize(text)
+    n = len(doc.tokens)
+    for spans in (doc.token_spans, doc.raw_token_spans):
+        assert isinstance(spans, np.ndarray)
+        assert spans.shape == (n, 2) and spans.dtype == np.int64
+    for i, token in enumerate(doc.tokens):
+        begin, end = doc.raw_token_spans[i]
+        assert "".join(c for c in text[begin:end].lower() if c.isalpha()) == token
+        assert raw_span_to_normalized(doc, *doc.raw_token_spans[i]) == tuple(doc.token_spans[i].tolist())
+
+
+class TestNormalizeSpans:
+    @pytest.mark.parametrize("text", _EDGE_TEXTS)
+    def test_edge_texts_match_reference(self, text):
+        check_offsets(text)
+
+    def test_dotted_capital_i_folds_per_run(self):
+        doc = make_doc("İstanbul Ankara")
+        assert doc.tokens == ("istanbul", "ankara")
+        assert doc.raw_token_spans.tolist() == [[0, 8], [9, 15]]
+
+    @given(st.one_of(st.text(max_size=300), st.text(alphabet=_EDGE_ALPHABET, max_size=60)))
+    @settings(max_examples=300, deadline=None)
+    def test_raw_spans_fold_to_tokens(self, text):
+        check_offsets(text)
 
 
 class TestLengthFilter:
@@ -208,6 +259,23 @@ class TestLoadCorpus:
     def test_unreadable_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
             load_corpus(tmp_path / "missing.jsonl")
+
+    def test_digest_of_a_file_corpus(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        self._write(
+            path,
+            [json.dumps({"doi": "d0", "text": "x"}), "", "{broken", json.dumps({"doi": "d1", "text": "y"})],
+        )
+        _, report = load_corpus_report(path)
+        assert report.digest == reference_corpus_digest(path)
+
+    def test_digest_of_a_directory_corpus(self, tmp_path):
+        self._write(tmp_path / "b.jsonl", [json.dumps({"doi": "d1", "text": "x"})])
+        self._write(tmp_path / "a.jsonl", [json.dumps({"doi": "d0", "text": "x"}), ""])
+        (tmp_path / "c.jsonl").write_bytes(json.dumps({"doi": "d2", "text": "z"}).encode())  # no final newline
+        (tmp_path / "ignored.txt").write_text("not corpus")
+        _, report = load_corpus_report(tmp_path)
+        assert report.digest == reference_corpus_digest(tmp_path)
 
     def test_directory_of_files(self, tmp_path):
         self._write(tmp_path / "b.jsonl", [json.dumps({"doi": "d1", "text": "x"})])

@@ -330,6 +330,82 @@ class TestManifestRetrievalCounters:
         assert run_pipeline(config).manifest["counts"] == counts
 
 
+class TestManifestIngestAndExactCounters:
+    def test_tokens_passages_and_terms(self, tmp_path):
+        corpus_path, corpus, _ = synthetic_corpus_file(tmp_path)
+        config = base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(tmp_path / "ckpt"))
+        result = run_pipeline(config)
+        docs = [normalize(raw) for raw in corpus]
+        counts = json.loads(result.manifest_path.read_text())["counts"]
+        assert counts["tokens"] == sum(len(doc.tokens) for doc in docs) > 0
+        assert counts["passages"] == sum(math.ceil(len(doc.tokens) / config.passage_size) for doc in docs)
+        assert counts["terms"] == len({t for doc in docs for t in doc.tokens})
+        assert "hash_postings" not in counts
+
+        config.output_dir = str(tmp_path / "resumed")
+        assert run_pipeline(config).manifest["counts"] == counts
+
+    def test_tokens_count_only_documents_used(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"doi": "doc-a", "text": " ".join(alpha_words("qa", 120))},
+                {"doi": "doc-b", "text": "too short"},
+            ],
+        )
+        counts = run_pipeline(base_config(path, tmp_path / "out", min_words=50)).manifest["counts"]
+        assert counts["tokens"] == 120
+
+    def test_corpus_is_read_once(self, tmp_path, monkeypatch):
+        corpus_path, _, _ = synthetic_corpus_file(tmp_path)
+        opened = []
+        real_open = open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        run_pipeline(base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(tmp_path / "ckpt")))
+        assert opened.count(str(corpus_path)) == 1
+
+
+class TestAtomicOutputs:
+    def _failing_case_record(self, monkeypatch):
+        real = pipeline.case_record
+        calls = []
+
+        def failing(case, include_text):
+            calls.append(case)
+            if len(calls) == 2:
+                return {"id": case.id, "unserializable": object()}
+            return real(case, include_text)
+
+        monkeypatch.setattr(pipeline, "case_record", failing)
+        return calls
+
+    def test_failed_case_write_leaves_no_cases_and_no_manifest(self, tmp_path, monkeypatch):
+        corpus_path, _, _ = synthetic_corpus_file(tmp_path, case_count=4)
+        out = tmp_path / "out"
+        calls = self._failing_case_record(monkeypatch)
+        with pytest.raises(TypeError):
+            run_pipeline(base_config(corpus_path, out))
+        assert len(calls) == 2
+        assert sorted(p.name for p in out.iterdir()) == []
+
+    def test_failed_rerun_removes_the_old_manifest(self, tmp_path, monkeypatch):
+        corpus_path, _, _ = synthetic_corpus_file(tmp_path, case_count=4)
+        out = tmp_path / "out"
+        first = run_pipeline(base_config(corpus_path, out))
+        assert first.manifest_path.exists()
+        self._failing_case_record(monkeypatch)
+        with pytest.raises(TypeError):
+            run_pipeline(base_config(corpus_path, out))
+        assert not (out / "manifest.json").exists()
+        assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
 class _UnwritablePair:
     """Sorts with the candidate pair of the same key; fails when written."""
 

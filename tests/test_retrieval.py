@@ -61,6 +61,16 @@ def sketch_lists():
     return st.integers(1, 8).flatmap(sketches)
 
 
+@st.composite
+def token_corpora(draw):
+    """0-6 token lists over a vocabulary of 1-24 words, empty ones mixed in,
+    so that terms repeat inside passages and empty documents sit between
+    non-empty ones."""
+    vocab = alpha_words("t", draw(st.integers(1, 24)))
+    doc = st.one_of(st.just([]), st.lists(st.sampled_from(vocab), max_size=200))
+    return draw(st.lists(doc, max_size=6))
+
+
 class TestChunkPassages:
     def test_ceiling_division(self, rng, vocab):
         doc = doc_from_tokens(random_words(rng, 120, vocab))
@@ -253,6 +263,31 @@ class TestExactMode:
 
     def test_empty_corpus(self):
         assert retrieve_candidates_exact([], 50, 9) == set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=token_corpora(), passage_size=st.integers(1, 60), min_shared_terms=st.integers(1, 12))
+    @example(corpus=[[], ["taaa"] * 3, [], ["taaa", "taab"], []], passage_size=1, min_shared_terms=1)
+    @example(corpus=[["taaa"] * 3, ["taaa", "taab"]], passage_size=3, min_shared_terms=2)
+    @example(corpus=[[], []], passage_size=5, min_shared_terms=1)
+    def test_matches_brute_force_on_any_shape(self, corpus, passage_size, min_shared_terms):
+        docs = [doc_from_tokens(tokens, doi=f"d{k}") for k, tokens in enumerate(corpus)]
+        pairs = retrieve_candidates_exact(docs, passage_size, min_shared_terms)
+        got = {p.key: p.evidence for p in pairs}
+        assert len(got) == len(pairs)
+        assert got == brute_force_candidates(docs, passage_size, min_shared_terms)
+
+    def test_counts_record_the_matrix_shape(self, rng, vocab):
+        docs = [
+            doc_from_tokens(random_words(rng, 120, vocab), doi="a"),
+            doc_from_tokens([], doi="b"),
+            doc_from_tokens(random_words(rng, 51, vocab), doi="c"),
+        ]
+        counts = {}
+        retrieve_candidates_exact(docs, 50, 9, counts=counts)
+        assert counts == {
+            "passages": 3 + 0 + 2,
+            "terms": len({t for doc in docs for t in doc.tokens}),
+        }
 
 
 class TestMinhashVsExactAgreement:
