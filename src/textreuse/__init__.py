@@ -18,7 +18,7 @@ from .alignment import (
     extend,
     seed_matches,
 )
-from .ingest import Document, RawDocument, length_filter, load_corpus, normalize
+from .ingest import Document, RawDocument, length_filter, normalize
 from .metrics import (
     EvaluationReport,
     GoldAnnotation,
@@ -39,7 +39,6 @@ from .retrieval import (
     PassageSketch,
     build_index,
     chunk_passages,
-    minhash_sketch,
     retrieve_candidates,
     retrieve_candidates_exact,
 )
@@ -78,9 +77,7 @@ __all__ = [
     "granularity",
     "grid_search",
     "length_filter",
-    "load_corpus",
     "load_gold",
-    "minhash_sketch",
     "normalize",
     "obfuscate_random",
     "retrieve_candidates",

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import uuid
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -160,23 +160,9 @@ def seed_matches(
         hashes_a = window_hashes(a, ngram_size, ngram_overlap)
     if hashes_b is None:
         hashes_b = window_hashes(b, ngram_size, ngram_overlap)
-    return _join_seeds(a, b, hashes_a, hashes_b, ngram_size, ngram_overlap)
-
-
-def _join_seeds(
-    a: Document,
-    b: Document,
-    hashes_a: np.ndarray,
-    hashes_b: np.ndarray,
-    ngram_size: int,
-    ngram_overlap: int,
-) -> list[Seed]:
-    """Join two window-hash tables on equal hashes, verifying tokens.
-
-    A sort of side a plus a binary search per window of side b finds, for
-    each b window, the run of a windows with the same hash; a pair sharing
-    no hash costs no Python-level work.
-    """
+    # A sort of side a plus a binary search per window of side b finds, for
+    # each b window, the run of a windows with the same hash; a pair sharing
+    # no hash costs no Python-level work.
     order_a = np.argsort(hashes_a, kind="stable")
     sorted_a = hashes_a[order_a]
     first = np.searchsorted(sorted_a, hashes_b, side="left")
@@ -335,58 +321,38 @@ def _side_fields(side: str, doc: Document, span: tuple[int, int]) -> dict:
     }
 
 
+_FIELDS = tuple(f.name for f in fields(ReuseCase))
+# Dropped in metadata-only mode; read back as "".
+_TEXT_FIELDS = ("text_a", "before_a", "after_a", "text_b", "before_b", "after_b")
+# Tuples in a case, lists in a record; None and an empty tuple are both [].
+_LIST_FIELDS = ("field_a", "area_a", "discipline_a", "field_b", "area_b", "discipline_b")
+_METADATA_FIELDS = tuple(name for name in _FIELDS if name not in _TEXT_FIELDS)
+_NULLABLE_FIELDS = frozenset(
+    name for name, hint in get_type_hints(ReuseCase).items() if type(None) in get_args(hint)
+)
+
+
 def case_from_record(record: dict) -> ReuseCase:
     """Rebuild a case from an emitted record; text fields may be absent
     (metadata-only files) and come back empty."""
-    def side(side_key: str) -> dict:
-        return {
-            f"text_{side_key}": record.get(f"text_{side_key}", ""),
-            f"before_{side_key}": record.get(f"before_{side_key}", ""),
-            f"after_{side_key}": record.get(f"after_{side_key}", ""),
-            f"begin_{side_key}": record[f"begin_{side_key}"],
-            f"end_{side_key}": record[f"end_{side_key}"],
-            f"doc_length_{side_key}": record[f"doc_length_{side_key}"],
-            f"doi_{side_key}": record[f"doi_{side_key}"],
-            f"year_{side_key}": record.get(f"year_{side_key}"),
-            f"field_{side_key}": tuple(record.get(f"field_{side_key}") or ()) or None,
-            f"area_{side_key}": tuple(record.get(f"area_{side_key}") or ()) or None,
-            f"discipline_{side_key}": tuple(record.get(f"discipline_{side_key}") or ()) or None,
-        }
-
-    return ReuseCase(id=record["id"], **side("a"), **side("b"))
-
-
-_TEXT_KEYS = ("text_a", "before_a", "after_a", "text_b", "before_b", "after_b")
+    values = {}
+    for name in _FIELDS:
+        if name in _TEXT_FIELDS:
+            values[name] = record.get(name, "")
+        elif name in _LIST_FIELDS:
+            values[name] = tuple(record.get(name) or ()) or None
+        elif name in _NULLABLE_FIELDS:
+            values[name] = record.get(name)
+        else:
+            values[name] = record[name]
+    return ReuseCase(**values)
 
 
 def case_record(case: ReuseCase, include_text: bool = True) -> dict:
-    """Emitted record for one case; metadata-only mode omits the text fields."""
-    record = {
-        "id": case.id,
-        "text_a": case.text_a,
-        "before_a": case.before_a,
-        "after_a": case.after_a,
-        "begin_a": case.begin_a,
-        "end_a": case.end_a,
-        "doc_length_a": case.doc_length_a,
-        "doi_a": case.doi_a,
-        "year_a": case.year_a,
-        "field_a": list(case.field_a) if case.field_a else [],
-        "area_a": list(case.area_a) if case.area_a else [],
-        "discipline_a": list(case.discipline_a) if case.discipline_a else [],
-        "text_b": case.text_b,
-        "before_b": case.before_b,
-        "after_b": case.after_b,
-        "begin_b": case.begin_b,
-        "end_b": case.end_b,
-        "doc_length_b": case.doc_length_b,
-        "doi_b": case.doi_b,
-        "year_b": case.year_b,
-        "field_b": list(case.field_b) if case.field_b else [],
-        "area_b": list(case.area_b) if case.area_b else [],
-        "discipline_b": list(case.discipline_b) if case.discipline_b else [],
-    }
-    if not include_text:
-        for key in _TEXT_KEYS:
-            del record[key]
+    """Emitted record for one case, keys in field order; metadata-only mode
+    omits the text fields."""
+    record = {}
+    for name in _FIELDS if include_text else _METADATA_FIELDS:
+        value = getattr(case, name)
+        record[name] = list(value or ()) if name in _LIST_FIELDS else value
     return record

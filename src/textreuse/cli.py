@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .alignment import case_from_record, case_record
 from .ingest import document_record, length_filter, load_corpus_report, normalize
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, write_json, write_jsonl
 from .metrics import evaluate_cases, format_report_table, load_gold, report_records, write_gold
 from .pipeline import (
     OUTPUT_MODES,
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="normalized corpus (jsonl)")
     p.add_argument("--publications", help="optional publication-record output (jsonl)")
-    _word_filter_flags(p, default_min=0)
+    _word_filter_flags(p)
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("retrieve", help="compute candidate document pairs")
@@ -78,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True)
     p.add_argument("--output", required=True, help="case file (jsonl)")
     _word_filter_flags(p)
-    _alignment_flags(p, with_seed=True)
+    _alignment_flags(p)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("pipeline", help="run the full pipeline")
@@ -87,9 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value file with RunConfig entries")
     p.add_argument("--checkpoint-dir")
     p.add_argument("--workers", type=int)
-    _word_filter_flags(p, use_none=True)
-    _retrieval_flags(p, use_none=True)
-    _alignment_flags(p, use_none=True)
+    _word_filter_flags(p)
+    _retrieval_flags(p)
+    _alignment_flags(p)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("evaluate", help="score a case file against gold annotations")
@@ -121,53 +122,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _word_filter_flags(p, default_min: int = 1000, use_none: bool = False) -> None:
-    p.add_argument("--min-words", type=int, default=None if use_none else default_min)
-    p.add_argument("--max-words", type=int, default=None if use_none else 60000)
+# Pipeline-parameter flags default to None, "not given": their defaults are
+# RunConfig's, applied by _config.
+def _word_filter_flags(p) -> None:
+    p.add_argument("--min-words", type=int)
+    p.add_argument("--max-words", type=int)
 
 
-def _retrieval_flags(p, use_none: bool = False) -> None:
-    d = (lambda v: None) if use_none else (lambda v: v)
-    p.add_argument("--retrieval-mode", choices=RETRIEVAL_MODES, default=d("minhash"))
-    p.add_argument("--passage-size", type=int, default=d(50))
-    p.add_argument("--num-hashes", type=int, default=d(10))
-    p.add_argument("--min-shared-terms", type=int, default=d(9))
-    p.add_argument("--df-cap", type=int, default=d(1000))
-    p.add_argument("--seed", type=int, default=d(1))
+def _retrieval_flags(p) -> None:
+    p.add_argument("--retrieval-mode", choices=RETRIEVAL_MODES)
+    p.add_argument("--passage-size", type=int)
+    p.add_argument("--num-hashes", type=int)
+    p.add_argument("--min-shared-terms", type=int)
+    p.add_argument("--df-cap", type=int)
+    p.add_argument("--seed", type=int)
 
 
-def _alignment_flags(p, use_none: bool = False, with_seed: bool = False) -> None:
-    d = (lambda v: None) if use_none else (lambda v: v)
-    p.add_argument("--ngram-size", type=int, default=d(8))
-    p.add_argument("--ngram-overlap", type=int, default=d(7))
-    p.add_argument("--max-gap", type=int, default=d(250))
-    p.add_argument("--min-seeds", type=int, default=d(2))
-    p.add_argument("--output-mode", choices=OUTPUT_MODES, default=d("full"))
-    if with_seed:
-        p.add_argument("--seed", type=int, default=d(1))
+def _alignment_flags(p) -> None:
+    p.add_argument("--ngram-size", type=int)
+    p.add_argument("--ngram-overlap", type=int)
+    p.add_argument("--max-gap", type=int)
+    p.add_argument("--min-seeds", type=int)
+    p.add_argument("--output-mode", choices=OUTPUT_MODES)
 
 
-def _partial_config(args, **overrides) -> RunConfig:
-    """RunConfig for single-stage commands (output_dir unused there)."""
-    values = {}
+def _config(args, **values) -> RunConfig:
+    """Validated RunConfig: ``values`` with every flag given on the command line laid over them."""
     for name in _CONFIG_FIELDS:
-        if name in overrides:
-            values[name] = overrides[name]
-        elif hasattr(args, name) and getattr(args, name) is not None:
+        if getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
+    missing = [name for name in ("input", "output_dir") if not values.get(name)]
+    if missing:
+        raise ValueError(f"missing required option(s): {', '.join(missing)}")
     config = RunConfig(**values)
     config.validate()
     return config
 
 
 def cmd_normalize(args) -> int:
-    raw_docs, report = load_corpus_report(args.input)
+    config = _config(args, output_dir=str(Path(args.output).parent), min_words=0)
+    raw_docs, report = load_corpus_report(config.input)
     normalized_records = []
     publications = []
     kept = 0
     for raw in raw_docs:
         doc = normalize(raw)
-        if not length_filter(doc, args.min_words, args.max_words):
+        if not length_filter(doc, config.min_words, config.max_words):
             continue
         kept += 1
         normalized_records.append(document_record(raw, text=doc.normalized_text))
@@ -183,7 +183,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    config = _partial_config(args, input=args.input, output_dir=str(Path(args.output).parent))
+    config = _config(args, output_dir=str(Path(args.output).parent))
     docs, counts = load_documents(config)
     pairs = run_retrieval(docs, config)
     write_candidates(args.output, pairs)
@@ -197,7 +197,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_align(args) -> int:
-    config = _partial_config(args, input=args.input, output_dir=str(Path(args.output).parent))
+    config = _config(args, output_dir=str(Path(args.output).parent))
     docs, _ = load_documents(config)
     pairs = read_candidates(args.candidates)
     cases = run_alignment(docs, pairs, config)
@@ -229,14 +229,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def cmd_pipeline(args) -> int:
-    values = _read_config_file(args.config) if args.config else {}
-    for name in _CONFIG_FIELDS:
-        if hasattr(args, name) and getattr(args, name) is not None:
-            values[name] = getattr(args, name)
-    missing = [name for name in ("input", "output_dir") if not values.get(name)]
-    if missing:
-        raise ValueError(f"missing required option(s): {', '.join(missing)}")
-    config = RunConfig(**values)
+    config = _config(args, **(_read_config_file(args.config) if args.config else {}))
     result = run_pipeline(config)
     counts = result.manifest["counts"]
     print(
@@ -279,20 +272,17 @@ def cmd_gen_corpus(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_jsonl(out_dir / "corpus.jsonl", (document_record(d) for d in corpus))
     write_gold(out_dir / "gold.jsonl", gold)
-    (out_dir / "genspec.json").write_text(
-        json.dumps(spec_record(spec), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "genspec.json", spec_record(spec))
     print(f"documents={len(corpus)} planted_cases={len(gold)} -> {out_dir}")
     return 0
 
 
 def cmd_stats(args) -> int:
     summary = summarize_cases(args.cases)
-    blob = json.dumps(summary, sort_keys=True, indent=2)
     if args.output:
-        Path(args.output).write_text(blob + "\n", encoding="utf-8")
+        write_json(args.output, summary)
     else:
-        print(blob)
+        print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
 
 

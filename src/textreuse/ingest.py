@@ -175,12 +175,6 @@ def document_record(raw: RawDocument, text: str | None = None) -> dict:
     return record
 
 
-def load_corpus(path: str | Path) -> list[RawDocument]:
-    """Load a corpus file (or directory of ``*.jsonl`` files); see load_corpus_report."""
-    docs, _ = load_corpus_report(path)
-    return docs
-
-
 def load_corpus_report(path: str | Path) -> tuple[list[RawDocument], LoadReport]:
     """Load raw documents in file order.
 

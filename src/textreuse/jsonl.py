@@ -69,3 +69,9 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> int:
             fh.write("\n")
             count += 1
     return count
+
+
+def write_json(path: str | Path, value: Any) -> None:
+    """Write one JSON value, keys sorted and indented; the file appears whole or not at all."""
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(value, sort_keys=True, indent=2) + "\n")

@@ -10,7 +10,7 @@ so its precision is 1.0; a pair with no gold spans has recall 1.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -244,37 +244,26 @@ def grid_search(
 
 
 def gold_record(ann: GoldAnnotation) -> dict:
-    return {
-        "pair_id": ann.pair_id,
-        "doi_a": ann.doi_a,
-        "doi_b": ann.doi_b,
-        "spans": [
-            {"begin_a": s.begin_a, "end_a": s.end_a, "begin_b": s.begin_b, "end_b": s.end_b}
-            for s in ann.spans
-        ],
-        "strategy": ann.strategy,
-    }
+    record = asdict(ann)
+    record["spans"] = list(record["spans"])
+    return record
 
 
 def write_gold(path: str | Path, annotations: Iterable[GoldAnnotation]) -> int:
     return write_jsonl(path, (gold_record(a) for a in annotations))
 
 
+def _from_record(cls, record: dict):
+    """``cls`` built from a record's entries for its fields; other keys are
+    ignored and a field with a default may be absent."""
+    return cls(**{f.name: record[f.name] for f in fields(cls) if f.name in record or f.default is MISSING})
+
+
 def load_gold(path: str | Path) -> list[GoldAnnotation]:
     annotations = []
     for record in read_jsonl(path):
-        spans = tuple(
-            GoldSpan(s["begin_a"], s["end_a"], s["begin_b"], s["end_b"]) for s in record["spans"]
-        )
-        annotations.append(
-            GoldAnnotation(
-                pair_id=record["pair_id"],
-                doi_a=record["doi_a"],
-                doi_b=record["doi_b"],
-                spans=spans,
-                strategy=record.get("strategy", "none"),
-            )
-        )
+        spans = tuple(_from_record(GoldSpan, s) for s in record["spans"])
+        annotations.append(_from_record(GoldAnnotation, {**record, "spans": spans}))
     return annotations
 
 

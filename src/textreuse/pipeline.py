@@ -8,7 +8,6 @@ final outputs are produced by deterministic sorts, so identical
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -17,15 +16,16 @@ import os
 import uuid
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .alignment import AlignmentParams, ReuseCase, align_pair, case_namespace, case_record, window_hashes
 from .ingest import Document, length_filter, load_corpus_report, normalize
-from .jsonl import atomic_open, scan_jsonl, write_jsonl
+from .jsonl import atomic_open, scan_jsonl, write_json, write_jsonl
 from .retrieval import (
     CandidatePair,
     build_index,
@@ -181,20 +181,13 @@ def _align_batch(payload: tuple, tables: tuple | None = None) -> list[ReuseCase]
     return cases
 
 
-def _batch_with_retry(fn: Callable, payload: tuple, label: str) -> list[ReuseCase]:
-    try:
-        return fn(payload)
-    except Exception as exc:
-        log.warning("alignment batch %s failed (%s); retrying", label, exc)
-        try:
-            return fn(payload)
-        except Exception as exc2:
-            raise PipelineError(f"alignment failed for candidate pairs {label}") from exc2
-
-
 def _batch_label(doi_pairs: Sequence[tuple[str, str]]) -> str:
     first, last = doi_pairs[0], doi_pairs[-1]
     return f"{first[0]}/{first[1]} .. {last[0]}/{last[1]}"
+
+
+def _batch_error(doi_pairs: Sequence[tuple[str, str]]) -> PipelineError:
+    return PipelineError(f"alignment failed for candidate pairs {_batch_label(doi_pairs)}")
 
 
 def run_alignment(
@@ -231,24 +224,36 @@ def run_alignment(
     batch_size = max(1, math.ceil(len(doi_pairs) / (workers * 4)))
     batches = [doi_pairs[i : i + batch_size] for i in range(0, len(doi_pairs), batch_size)]
     payloads = [(batch, params, namespace_hex) for batch in batches]
-    align_here = functools.partial(_align_batch, tables=(involved, hashes))
 
-    results: list[list[ReuseCase]] = []
+    def align_here(payload: tuple) -> list[ReuseCase]:
+        try:
+            return _align_batch(payload, tables=(involved, hashes))
+        except Exception as exc:
+            raise _batch_error(payload[0]) from exc
+
+    # An error raised while aligning is deterministic and ends the run; only
+    # a batch lost with a worker process (a broken pool) is re-run, once, here.
     if workers == 1 or len(batches) == 1:
-        for batch, payload in zip(batches, payloads):
-            results.append(_batch_with_retry(align_here, payload, _batch_label(batch)))
+        results = [align_here(payload) for payload in payloads]
     else:
+        results = []
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_install_tables, initargs=(involved, hashes)
         ) as pool:
             futures = [pool.submit(_align_batch, payload) for payload in payloads]
-            for batch, payload, future in zip(batches, payloads, futures):
-                label = _batch_label(batch)
+            for payload, future in zip(payloads, futures):
                 try:
                     results.append(future.result())
+                except BrokenProcessPool as exc:
+                    log.warning(
+                        "alignment batch %s lost with its worker (%s); retrying in this process",
+                        _batch_label(payload[0]),
+                        exc,
+                    )
+                    results.append(align_here(payload))
                 except Exception as exc:
-                    log.warning("alignment batch %s failed in worker (%s); retrying", label, exc)
-                    results.append(_batch_with_retry(align_here, payload, label))
+                    pool.shutdown(cancel_futures=True)
+                    raise _batch_error(payload[0]) from exc
 
     cases = [case for chunk in results for case in chunk]
     cases.sort(key=lambda c: (c.doi_a, c.doi_b, c.begin_a, c.begin_b))
@@ -352,10 +357,10 @@ def run_pipeline(config: RunConfig, stop_after: str | None = None) -> PipelineRe
     publications_path = out_dir / "publications.jsonl"
     write_jsonl(publications_path, (publication_record(d) for d in sorted(docs, key=lambda d: d.doi)))
     stats_path = out_dir / "stats.json"
-    _write_json(stats_path, summarize_cases(cases_path))
+    write_json(stats_path, summarize_cases(cases_path))
 
     manifest = {"config": asdict(config), "counts": counts}
-    _write_json(manifest_path, manifest)
+    write_json(manifest_path, manifest)
     return PipelineResult(
         manifest=manifest,
         manifest_path=manifest_path,
@@ -364,11 +369,6 @@ def run_pipeline(config: RunConfig, stop_after: str | None = None) -> PipelineRe
         stats_path=stats_path,
         candidates_path=candidates_path,
     )
-
-
-def _write_json(path: Path, value: dict) -> None:
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(value, sort_keys=True, indent=2) + "\n")
 
 
 def summarize_cases(path: str | Path) -> dict:

@@ -24,7 +24,6 @@ import itertools
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -142,16 +141,6 @@ class MinHasher:
             passage_index=passage.index,
             hashes=frozenset(int(v) for v in values),
         )
-
-
-@lru_cache(maxsize=8)
-def _hasher(num_hashes: int, seed: int) -> MinHasher:
-    return MinHasher(num_hashes, seed)
-
-
-def minhash_sketch(passage: Passage, num_hashes: int = 10, *, seed: int) -> PassageSketch:
-    """Sketch one passage; rejects empty term sets."""
-    return _hasher(num_hashes, seed).sketch(passage)
 
 
 def sketch_corpus(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .ingest import RawDocument
 from .metrics import GoldAnnotation, GoldSpan
@@ -242,19 +242,4 @@ def generate(spec: GenSpec) -> tuple[list[RawDocument], list[GoldAnnotation]]:
 
 def spec_record(spec: GenSpec) -> dict:
     """Manifest entry capturing the generation recipe."""
-    return {
-        "doc_count": spec.doc_count,
-        "doc_tokens": list(spec.doc_tokens),
-        "vocab_size": spec.vocab_size,
-        "reuse_rate": spec.reuse_rate,
-        "case_count": spec.case_count,
-        "passage_tokens": list(spec.passage_tokens),
-        "obfuscation": spec.obfuscation,
-        "intensity": {
-            "shuffle": spec.intensity.shuffle,
-            "add": spec.intensity.add,
-            "delete": spec.intensity.delete,
-            "replace": spec.intensity.replace,
-        },
-        "seed": spec.seed,
-    }
+    return asdict(spec)

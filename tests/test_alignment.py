@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import textreuse.alignment as alignment
 from textreuse.alignment import (
     AlignmentParams,
+    ReuseCase,
     Seed,
     align_pair,
     case_from_record,
@@ -430,3 +433,35 @@ class TestCaseRecords:
         revived = case_from_record(case_record(case, include_text=False))
         assert (revived.begin_a, revived.end_a, revived.doi_a) == (case.begin_a, case.end_a, case.doi_a)
         assert revived.text_a == ""
+
+
+TEXT_FIELDS = {"text_a", "before_a", "after_a", "text_b", "before_b", "after_b"}
+LIST_FIELDS = ("field_a", "area_a", "discipline_a", "field_b", "area_b", "discipline_b")
+# Metadata lists are None or non-empty; the other fields follow their annotations.
+any_case = st.builds(
+    ReuseCase,
+    **{
+        name: st.none() | st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=3).map(tuple)
+        for name in LIST_FIELDS
+    },
+)
+
+
+class TestCaseCodec:
+    @settings(max_examples=200)
+    @given(any_case)
+    def test_any_case_round_trips_through_json(self, case):
+        record = case_record(case)
+        assert list(record) == [f.name for f in fields(ReuseCase)]
+        assert case_from_record(json.loads(json.dumps(record))) == case
+
+    @settings(max_examples=100)
+    @given(any_case)
+    def test_metadata_only_drops_exactly_the_text_fields(self, case):
+        full = case_record(case)
+        meta = case_record(case, include_text=False)
+        assert list(meta) == [name for name in full if name not in TEXT_FIELDS]
+        assert all(meta[name] == full[name] for name in meta)
+        revived = case_from_record(json.loads(json.dumps(meta)))
+        assert all(getattr(revived, name) == "" for name in TEXT_FIELDS)
+        assert all(getattr(revived, name) == getattr(case, name) for name in meta)

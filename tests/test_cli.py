@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+import textreuse.cli as cli
 from textreuse.cli import main
 from textreuse.jsonl import write_jsonl
 from textreuse.ingest import document_record
+from textreuse.pipeline import RunConfig
 from textreuse.synthgen import GenSpec, generate
+
 
 @pytest.fixture
 def corpus_file(tmp_path):
@@ -91,6 +94,32 @@ class TestStageCommands:
         assert (out_dir / "publications.jsonl").exists()
         assert (out_dir / "stats.json").exists()
         assert "pruning_ratio" in capsys.readouterr().out
+
+
+class _ConfigBuilt(Exception):
+    pass
+
+
+class TestFlagDefaults:
+    @pytest.mark.parametrize(
+        "command, target",
+        [
+            (["retrieve", "--output", "out/candidates.tsv"], "load_documents"),
+            (["align", "--candidates", "c.tsv", "--output", "out/cases.jsonl"], "load_documents"),
+            (["pipeline", "--output-dir", "out"], "run_pipeline"),
+        ],
+    )
+    def test_no_flags_give_the_run_config_defaults(self, monkeypatch, command, target):
+        built = []
+
+        def capture(config, *args):
+            built.append(config)
+            raise _ConfigBuilt
+
+        monkeypatch.setattr(cli, target, capture)
+        with pytest.raises(_ConfigBuilt):
+            main([*command, "--input", "corpus.jsonl"])
+        assert built == [RunConfig(input="corpus.jsonl", output_dir="out")]
 
 
 class TestConfigFile:

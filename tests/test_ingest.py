@@ -11,7 +11,6 @@ from textreuse.ingest import (
     Document,
     RawDocument,
     length_filter,
-    load_corpus,
     load_corpus_report,
     normalize,
     parse_record,
@@ -213,7 +212,7 @@ class TestLoadCorpus:
     def test_three_valid_lines(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         self._write(path, [json.dumps({"doi": f"d{i}", "text": "hello"}) for i in range(3)])
-        docs = load_corpus(path)
+        docs, _ = load_corpus_report(path)
         assert [d.doi for d in docs] == ["d0", "d1", "d2"]
 
     def test_malformed_line_is_skipped_with_diagnostic(self, tmp_path, caplog):
@@ -258,7 +257,7 @@ class TestLoadCorpus:
 
     def test_unreadable_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
-            load_corpus(tmp_path / "missing.jsonl")
+            load_corpus_report(tmp_path / "missing.jsonl")
 
     def test_digest_of_a_file_corpus(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -280,5 +279,5 @@ class TestLoadCorpus:
     def test_directory_of_files(self, tmp_path):
         self._write(tmp_path / "b.jsonl", [json.dumps({"doi": "d1", "text": "x"})])
         self._write(tmp_path / "a.jsonl", [json.dumps({"doi": "d0", "text": "x"})])
-        docs = load_corpus(tmp_path)
+        docs, _ = load_corpus_report(tmp_path)
         assert [d.doi for d in docs] == ["d0", "d1"]

@@ -1,10 +1,14 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textreuse.alignment import ReuseCase
 from textreuse.ingest import normalize
 from textreuse.metrics import (
+    STRATEGIES,
     GoldAnnotation,
     GoldSpan,
     char_precision_recall,
@@ -235,6 +239,32 @@ class TestGoldIO:
         path = tmp_path / "gold.jsonl"
         write_gold(path, gold)
         assert load_gold(path) == gold
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(
+            st.builds(
+                GoldAnnotation,
+                pair_id=st.text(max_size=10),
+                doi_a=st.just("doc-a"),
+                doi_b=st.text(min_size=1, max_size=10).map(lambda s: "doc-b" + s),
+                spans=st.lists(st.builds(GoldSpan, *[st.integers(0, 10**6)] * 4), max_size=3).map(tuple),
+                strategy=st.sampled_from(STRATEGIES),
+            ),
+            max_size=4,
+        )
+    )
+    def test_any_annotations_round_trip(self, tmp_path_factory, gold):
+        path = tmp_path_factory.mktemp("gold") / "gold.jsonl"
+        write_gold(path, gold)
+        assert load_gold(path) == gold
+
+    def test_extra_keys_ignored_and_strategy_defaults(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        span = {"begin_a": 0, "end_a": 10, "begin_b": 5, "end_b": 15, "note": "x"}
+        record = {"pair_id": "p", "doi_a": "a", "doi_b": "b", "spans": [span], "extra": 1}
+        path.write_text(json.dumps(record) + "\n")
+        assert load_gold(path) == [make_gold("a", "b", [((0, 10), (5, 15))], pair_id="p")]
 
     def test_record_shape(self):
         record = gold_record(make_gold("a", "b", [((0, 10), (5, 15))]))

@@ -1,7 +1,11 @@
 import itertools
 import json
+import logging
 import math
+import multiprocessing
+import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +14,12 @@ from hypothesis import strategies as st
 import textreuse.alignment as alignment
 import textreuse.pipeline as pipeline
 from textreuse.alignment import align_pair, case_namespace
-from textreuse.ingest import document_record, normalize
+from textreuse.ingest import RawDocument, document_record, normalize
 from textreuse.jsonl import write_jsonl
 from textreuse.pipeline import (
     CheckpointMismatch,
     PipelineError,
     RunConfig,
-    _batch_with_retry,
     run_alignment,
     run_pipeline,
     summarize_cases,
@@ -526,25 +529,70 @@ class TestCandidateSpill:
             read_candidates(path)
 
 
-class TestRetry:
-    def test_second_attempt_succeeds(self):
-        attempts = []
+# Pool workers see the patched pipeline.align_pair only when they are forked.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork", reason="workers are not forked"
+)
 
-        def flaky(payload):
-            attempts.append(payload)
-            if len(attempts) == 1:
-                raise RuntimeError("transient")
-            return ["ok"]
 
-        assert _batch_with_retry(flaky, ("p",), "doc-a/doc-b .. doc-c/doc-d") == ["ok"]
-        assert len(attempts) == 2
+class TestAlignmentFailures:
+    def _broken_align(self, monkeypatch):
+        calls = []
 
-    def test_persistent_failure_reports_pair_range(self):
-        def broken(payload):
+        def broken(*args, **kwargs):
+            calls.append(os.getpid())
             raise RuntimeError("boom")
 
-        with pytest.raises(PipelineError, match=r"doc-a/doc-b \.\. doc-c/doc-d"):
-            _batch_with_retry(broken, ("p",), "doc-a/doc-b .. doc-c/doc-d")
+        monkeypatch.setattr(pipeline, "align_pair", broken)
+        return calls
+
+    def test_error_is_raised_once_naming_the_pair_range(self, monkeypatch):
+        docs = small_vocab_docs(random.Random(3), 4)
+        calls = self._broken_align(monkeypatch)
+        with pytest.raises(PipelineError, match=re.escape("d0/d1 .. d0/d2")) as info:
+            run_alignment(docs, all_pairs(docs), alignment_config(workers=1))
+        assert calls == [os.getpid()]
+        assert str(info.value.__cause__) == "boom"
+
+    @needs_fork
+    def test_worker_error_is_not_rerun_in_this_process(self, monkeypatch, caplog):
+        docs = small_vocab_docs(random.Random(3), 4)
+        calls = self._broken_align(monkeypatch)
+        with pytest.raises(PipelineError, match=re.escape("d0/d1 .. d0/d1")):
+            run_alignment(docs, all_pairs(docs), alignment_config(workers=2))
+        assert calls == []
+        assert not any("retrying" in r.message for r in caplog.records)
+
+    @needs_fork
+    def test_worker_dying_mid_batch_gives_the_serial_cases(self, tmp_path, monkeypatch, caplog):
+        raw = [
+            RawDocument(doi=doc.doi, text=doc.normalized_text)
+            for doc in small_vocab_docs(random.Random(4), 6, length=40, vocab_size=6)
+        ]
+        write_corpus(tmp_path / "corpus.jsonl", raw)
+        config = dict(min_shared_terms=1, ngram_size=3, ngram_overlap=2, min_seeds=1)
+        serial = run_pipeline(base_config(tmp_path / "corpus.jsonl", tmp_path / "serial", **config))
+
+        parent = os.getpid()
+        real_align = pipeline.align_pair
+        worker_calls = []
+
+        def dying_align(*args, **kwargs):
+            if os.getpid() != parent:
+                worker_calls.append(1)
+                if len(worker_calls) == 2:  # a worker's second pair, inside its first batch
+                    os._exit(1)
+            return real_align(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "align_pair", dying_align)
+        with caplog.at_level(logging.WARNING):
+            pooled = run_pipeline(
+                base_config(tmp_path / "corpus.jsonl", tmp_path / "pooled", workers=2, **config)
+            )
+        assert pooled.manifest["counts"]["candidate_pairs"] == 15
+        assert any("retrying" in r.message for r in caplog.records)
+        assert pooled.cases_path.read_bytes() == serial.cases_path.read_bytes()
+        assert serial.manifest["counts"]["cases"] > 0
 
 
 class TestStats:

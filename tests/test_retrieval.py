@@ -12,7 +12,6 @@ from textreuse.retrieval import (
     PassageSketch,
     build_index,
     chunk_passages,
-    minhash_sketch,
     retrieve_candidates,
     retrieve_candidates_exact,
     sketch_corpus,
@@ -109,13 +108,13 @@ class TestMinHash:
         a = chunk_passages(doc_from_tokens(tokens, doi="a"), 50)[0]
         b = chunk_passages(doc_from_tokens(shuffled, doi="b"), 50)[0]
         assert a.term_set == b.term_set
-        assert minhash_sketch(a, seed=7).hashes == minhash_sketch(b, seed=7).hashes
+        assert MinHasher(10, 7).sketch(a).hashes == MinHasher(10, 7).sketch(b).hashes
 
     def test_disjoint_term_sets_share_nothing(self, rng):
         a = chunk_passages(doc_from_tokens(alpha_words("qa", 50), doi="a"), 50)[0]
         b = chunk_passages(doc_from_tokens(alpha_words("zb", 50), doi="b"), 50)[0]
-        sa = minhash_sketch(a, seed=7)
-        sb = minhash_sketch(b, seed=7)
+        sa = MinHasher(10, 7).sketch(a)
+        sb = MinHasher(10, 7).sketch(b)
         assert not (sa.hashes & sb.hashes)
 
     def test_empty_term_set_rejected(self):
@@ -125,7 +124,7 @@ class TestMinHash:
 
     def test_sketch_size_bounded(self, rng, vocab):
         passage = chunk_passages(doc_from_tokens(random_words(rng, 50, vocab)), 50)[0]
-        assert len(minhash_sketch(passage, num_hashes=10, seed=1).hashes) <= 10
+        assert len(MinHasher(10, 1).sketch(passage).hashes) <= 10
 
     def test_estimator_tracks_jaccard(self):
         # agreement frequency of per-function minima approximates the exact
@@ -152,7 +151,7 @@ class TestBuildIndex:
 
     def test_one_sketch_ten_postings(self, rng, vocab):
         passage = chunk_passages(doc_from_tokens(random_words(rng, 50, vocab)), 50)[0]
-        sketch = minhash_sketch(passage, num_hashes=10, seed=3)
+        sketch = MinHasher(10, 3).sketch(passage)
         index = build_index([sketch])
         assert len(index.postings) == len(sketch.hashes)
         assert all(entries == [("doc-a", 0)] for entries in index.postings.values())

@@ -5,7 +5,7 @@ import pytest
 
 from textreuse.ingest import document_record, normalize
 from textreuse.metrics import char_precision_recall
-from textreuse.synthgen import GenSpec, ObfuscationIntensity, generate, obfuscate_random
+from textreuse.synthgen import GenSpec, ObfuscationIntensity, generate, obfuscate_random, spec_record
 
 from conftest import detect_cases
 
@@ -94,6 +94,29 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return GenSpec(**base)
+
+
+    def test_spec_record_layout(self):
+        spec = GenSpec(
+            doc_count=12,
+            doc_tokens=(250, 400),
+            vocab_size=3000,
+            case_count=3,
+            obfuscation="random",
+            intensity=ObfuscationIntensity(shuffle=0.1, add=0.2, delete=0.05, replace=0.15),
+            seed=9,
+        )
+        assert json.loads(json.dumps(spec_record(spec))) == {
+            "doc_count": 12,
+            "doc_tokens": [250, 400],
+            "vocab_size": 3000,
+            "reuse_rate": None,
+            "case_count": 3,
+            "passage_tokens": [32, 48],
+            "obfuscation": "random",
+            "intensity": {"shuffle": 0.1, "add": 0.2, "delete": 0.05, "replace": 0.15},
+            "seed": 9,
+        }
 
 
 class TestGenerate:
