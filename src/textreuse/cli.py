@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir")
     p.add_argument("--config", help="key=value file with RunConfig entries")
     p.add_argument("--checkpoint-dir")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help="accepted; alignment runs in one process")
     _word_filter_flags(p)
     _retrieval_flags(p)
     _alignment_flags(p)

@@ -1,9 +1,9 @@
 """End-to-end batch pipeline: ingest -> retrieve -> align -> emit cases.
 
 Stages communicate through files so a run can be checkpointed between
-retrieval and alignment. All parallel work is order-insensitive and the
-final outputs are produced by deterministic sorts, so identical
-(config, corpus, seed) runs are byte-identical at any worker count.
+retrieval and alignment. Alignment runs in this process, pair by pair in
+sorted order, and the final outputs are produced by deterministic sorts, so
+identical (config, corpus, seed) runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,11 +12,7 @@ import hashlib
 import json
 import logging
 import math
-import os
-import uuid
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -29,6 +25,7 @@ from .jsonl import atomic_open, scan_jsonl, write_json, write_jsonl
 from .retrieval import (
     CandidatePair,
     build_index,
+    cooccurring_pairs,
     read_candidates,
     retrieve_candidates,
     retrieve_candidates_exact,
@@ -71,7 +68,7 @@ class RunConfig:
     max_gap: int = 250
     min_seeds: int = 2
     output_mode: str = "full"
-    workers: int = 0  # 0 = available hardware parallelism
+    workers: int = 0  # accepted and validated; alignment runs in one process
     seed: int = 1
     checkpoint_dir: str | None = None
 
@@ -92,9 +89,6 @@ class RunConfig:
 
     def alignment_params(self) -> AlignmentParams:
         return AlignmentParams(self.ngram_size, self.ngram_overlap, self.max_gap, self.min_seeds)
-
-    def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
 
 
 @dataclass
@@ -156,40 +150,6 @@ def run_retrieval(
     return sorted(pairs, key=lambda p: p.key)
 
 
-# Per-run alignment tables ({doi: Document}, {doi: window hashes}), installed
-# once in each pool worker by the pool initializer.
-_worker_tables: tuple[dict[str, Document], dict[str, np.ndarray]] | None = None
-
-
-def _install_tables(docs: dict[str, Document], hashes: dict[str, np.ndarray]) -> None:
-    global _worker_tables
-    _worker_tables = (docs, hashes)
-
-
-def _align_batch(payload: tuple, tables: tuple | None = None) -> list[ReuseCase]:
-    """Align a batch of doi pairs against ``tables``, or the worker's tables."""
-    doi_pairs, params, namespace_hex = payload
-    docs, hashes = tables or _worker_tables
-    namespace = uuid.UUID(hex=namespace_hex)
-    cases: list[ReuseCase] = []
-    for doi_a, doi_b in doi_pairs:
-        cases.extend(
-            align_pair(
-                docs[doi_a], docs[doi_b], params, namespace, hashes_a=hashes[doi_a], hashes_b=hashes[doi_b]
-            )
-        )
-    return cases
-
-
-def _batch_label(doi_pairs: Sequence[tuple[str, str]]) -> str:
-    first, last = doi_pairs[0], doi_pairs[-1]
-    return f"{first[0]}/{first[1]} .. {last[0]}/{last[1]}"
-
-
-def _batch_error(doi_pairs: Sequence[tuple[str, str]]) -> PipelineError:
-    return PipelineError(f"alignment failed for candidate pairs {_batch_label(doi_pairs)}")
-
-
 def run_alignment(
     docs: Sequence[Document],
     pairs: Sequence[CandidatePair],
@@ -198,64 +158,42 @@ def run_alignment(
 ) -> list[ReuseCase]:
     """Align all candidate pairs; output sorted by (doi_a, doi_b, begin_a).
 
-    Every document in a candidate pair has its n-grams hashed once, before
-    any pair is aligned; the documents and their hash tables reach each pool
-    worker once, and batches carry only doi pairs. ``counts``, if given,
-    receives ``documents_hashed``.
+    Every document in a candidate pair has its n-grams hashed once. One join
+    over those hash arrays finds the document pairs that share a window
+    hash; only candidate pairs among them reach ``align_pair``, in sorted
+    order. ``seed_matches`` seeds only on equal hashes, so a skipped pair
+    has no case. An error while aligning raises ``PipelineError`` naming
+    the pair. ``counts``, if given, receives ``documents_hashed`` and
+    ``pairs_aligned``.
     """
     by_doi = {doc.doi: doc for doc in docs}
     params = config.alignment_params()
-    namespace_hex = case_namespace(config.seed).hex
+    namespace = case_namespace(config.seed)
     doi_pairs = [pair.key for pair in sorted(pairs, key=lambda p: p.key)]
     for doi_a, doi_b in doi_pairs:
         if doi_a not in by_doi or doi_b not in by_doi:
             raise PipelineError(f"candidate pair {(doi_a, doi_b)} references unknown documents")
 
-    involved = {doi: by_doi[doi] for doi in sorted({doi for key in doi_pairs for doi in key})}
-    hashes = {
-        doi: window_hashes(doc, params.ngram_size, params.ngram_overlap) for doi, doc in involved.items()
-    }
+    dois = sorted({doi for key in doi_pairs for doi in key})
+    hashes = {doi: window_hashes(by_doi[doi], params.ngram_size, params.ngram_overlap) for doi in dois}
+    # Row r of the join is one distinct hash value, column i is dois[i]; the
+    # empty leading array lets a run with no pairs concatenate too.
+    values, posting = np.unique(np.concatenate([np.empty(0, np.uint64), *hashes.values()]), return_inverse=True)
+    owner = np.repeat(np.arange(len(dois)), [len(h) for h in hashes.values()])
+    joined = cooccurring_pairs(posting, owner, (len(values), len(dois)))
+    sharing = {(dois[i], dois[j]) for i, j in zip(joined.row.tolist(), joined.col.tolist())}
+    to_align = [key for key in doi_pairs if key in sharing]
     if counts is not None:
         counts["documents_hashed"] = len(hashes)
-    if not doi_pairs:
-        return []
+        counts["pairs_aligned"] = len(to_align)
 
-    workers = config.effective_workers()
-    batch_size = max(1, math.ceil(len(doi_pairs) / (workers * 4)))
-    batches = [doi_pairs[i : i + batch_size] for i in range(0, len(doi_pairs), batch_size)]
-    payloads = [(batch, params, namespace_hex) for batch in batches]
-
-    def align_here(payload: tuple) -> list[ReuseCase]:
+    cases: list[ReuseCase] = []
+    for doi_a, doi_b in to_align:
+        a, b = by_doi[doi_a], by_doi[doi_b]
         try:
-            return _align_batch(payload, tables=(involved, hashes))
+            cases.extend(align_pair(a, b, params, namespace, hashes_a=hashes[doi_a], hashes_b=hashes[doi_b]))
         except Exception as exc:
-            raise _batch_error(payload[0]) from exc
-
-    # An error raised while aligning is deterministic and ends the run; only
-    # a batch lost with a worker process (a broken pool) is re-run, once, here.
-    if workers == 1 or len(batches) == 1:
-        results = [align_here(payload) for payload in payloads]
-    else:
-        results = []
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_install_tables, initargs=(involved, hashes)
-        ) as pool:
-            futures = [pool.submit(_align_batch, payload) for payload in payloads]
-            for payload, future in zip(payloads, futures):
-                try:
-                    results.append(future.result())
-                except BrokenProcessPool as exc:
-                    log.warning(
-                        "alignment batch %s lost with its worker (%s); retrying in this process",
-                        _batch_label(payload[0]),
-                        exc,
-                    )
-                    results.append(align_here(payload))
-                except Exception as exc:
-                    pool.shutdown(cancel_futures=True)
-                    raise _batch_error(payload[0]) from exc
-
-    cases = [case for chunk in results for case in chunk]
+            raise PipelineError(f"alignment failed for candidate pair {doi_a}/{doi_b}") from exc
     cases.sort(key=lambda c: (c.doi_a, c.doi_b, c.begin_a, c.begin_b))
     return cases
 

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy import sparse
 
 from .ingest import Document
@@ -207,12 +208,19 @@ def retrieve_candidates(index: PassageIndex) -> set[CandidatePair]:
     column = {doi: i for i, doi in enumerate(dois)}
     rows = np.repeat(np.arange(len(index.postings)), [len(entries) for entries in index.postings.values()])
     cols = [column[doi] for doi in entry_dois]
-    counts = sparse.csr_matrix(
-        (np.ones(len(cols), dtype=np.int64), (rows, cols)),
-        shape=(len(index.postings), len(dois)),
-    )
-    shared = sparse.triu(counts.T @ counts, k=1).tocoo()
+    shared = cooccurring_pairs(rows, cols, (len(index.postings), len(dois)))
     return _candidate_set(dois, shared.row, shared.col, shared.data)
+
+
+def cooccurring_pairs(rows: ArrayLike, cols: ArrayLike, shape: tuple[int, int]) -> sparse.coo_matrix:
+    """Column pairs ``a < b`` that share a row, with their co-occurrence count.
+
+    Entry ``k`` places one count at ``C[rows[k], cols[k]]`` in a ``shape``
+    count matrix ``C``; the result is the strict upper triangle of ``Cᵀ C``,
+    whose ``(a, b)`` entry is the sum over rows ``r`` of ``C[r, a] * C[r, b]``.
+    """
+    counts = sparse.csr_matrix((np.ones(len(cols), dtype=np.int64), (rows, cols)), shape=shape)
+    return sparse.triu(counts.T @ counts, k=1).tocoo()
 
 
 def _candidate_set(
@@ -323,14 +331,24 @@ def write_candidates(path: str | Path, pairs: Iterable[CandidatePair]) -> int:
 
 
 def read_candidates(path: str | Path) -> list[CandidatePair]:
+    """Candidate pairs in file order; a malformed line or a pair listed
+    twice raises ``ValueError`` naming ``path:lineno``."""
     pairs = []
+    seen: set[tuple[str, str]] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            pairs.append(CandidatePair(parts[0], parts[1], int(parts[2])))
+            try:
+                if len(parts) != 3:
+                    raise ValueError("expected 3 tab-separated fields")
+                pair = CandidatePair(parts[0], parts[1], int(parts[2]))
+                if pair.key in seen:
+                    raise ValueError(f"pair {pair.doi_a}/{pair.doi_b} listed twice")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            seen.add(pair.key)
+            pairs.append(pair)
     return pairs

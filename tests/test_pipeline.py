@@ -1,8 +1,6 @@
 import itertools
 import json
-import logging
 import math
-import multiprocessing
 import os
 import random
 import re
@@ -14,7 +12,7 @@ from hypothesis import strategies as st
 import textreuse.alignment as alignment
 import textreuse.pipeline as pipeline
 from textreuse.alignment import align_pair, case_namespace
-from textreuse.ingest import RawDocument, document_record, normalize
+from textreuse.ingest import document_record, normalize
 from textreuse.jsonl import write_jsonl
 from textreuse.pipeline import (
     CheckpointMismatch,
@@ -309,6 +307,17 @@ class TestManifestAlignmentCounters:
         pairs = read_candidates(result.candidates_path)
         assert counts["pairs_with_cases"] == len({(r["doi_a"], r["doi_b"]) for r in records}) > 0
         assert counts["documents_hashed"] == len({doi for pair in pairs for doi in pair.key})
+        assert counts["pairs_with_cases"] <= counts["pairs_aligned"] <= counts["candidate_pairs"]
+
+    def test_unrelated_candidate_is_not_aligned(self, tmp_path):
+        corpus_path, _, _ = shared_paragraph_corpus(tmp_path)
+        # The paragraph's words in reverse order: a candidate of both documents
+        # in exact mode, sharing no 8-gram with either.
+        with open(corpus_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"doi": "doc-u", "text": " ".join(alpha_words("sh", 30)[::-1])}) + "\n")
+        counts = run_pipeline(base_config(corpus_path, tmp_path / "out")).manifest["counts"]
+        assert counts["candidate_pairs"] == 3
+        assert counts["pairs_aligned"] == counts["pairs_with_cases"] == 1
 
 
 class TestManifestRetrievalCounters:
@@ -470,7 +479,7 @@ class TestRunAlignment:
         assert cases
         assert len(hashed) == windows  # not 2 * len(pairs) * 58
         assert not any(window[0].startswith("zz") for window in hashed)
-        assert counts == {"documents_hashed": 4}
+        assert counts == {"documents_hashed": 4, "pairs_aligned": 6}
 
     def test_constant_hash_gives_the_same_cases(self, monkeypatch):
         docs = small_vocab_docs(random.Random(5), 4, length=40)
@@ -493,6 +502,25 @@ class TestRunAlignment:
         assert second_cases == align_loop(second, all_pairs(second), config)
         assert first_cases != second_cases
 
+    def test_pair_sharing_no_window_hash_is_not_aligned(self, monkeypatch):
+        involved = small_vocab_docs(random.Random(3), 3)
+        outsider = doc_from_tokens(alpha_words("zz", 60), doi="z-outsider")
+        docs = involved + [outsider]
+        aligned = []
+        real_align = pipeline.align_pair
+
+        def counting_align(a, b, *args, **kwargs):
+            aligned.append((a.doi, b.doi))
+            return real_align(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "align_pair", counting_align)
+        config = alignment_config(workers=1)
+        counts = {}
+        cases = run_alignment(docs, all_pairs(docs), config, counts)
+        assert aligned == [("d0", "d1"), ("d0", "d2"), ("d1", "d2")]
+        assert counts == {"documents_hashed": 4, "pairs_aligned": 3}
+        assert cases == align_loop(docs, all_pairs(docs), config)
+
     @settings(max_examples=15, deadline=None)
     @given(st.data())
     def test_matches_align_pair_loop_at_one_and_two_workers(self, data):
@@ -503,6 +531,9 @@ class TestRunAlignment:
             length=data.draw(st.integers(0, 50), label="tokens"),
             vocab_size=data.draw(st.integers(4, 8), label="vocab size"),
         )
+        if data.draw(st.booleans(), label="outsider"):
+            # Its own vocabulary: every pair with it shares no window hash.
+            docs.append(doc_from_tokens(alpha_words("w", 30), doi="z-outsider"))
         candidates = all_pairs(docs)
         pairs = data.draw(st.lists(st.sampled_from(candidates), unique=True), label="pairs")
         size = data.draw(st.integers(1, 4), label="ngram_size")
@@ -522,17 +553,22 @@ class TestCandidateSpill:
         assert path.read_text() == "a\tb\t3\na\tc\t1\n"
         assert read_candidates(path) == pairs
 
-    def test_malformed_line_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("a\tb", "expected 3 tab-separated fields"),
+            ("a\tb\tmany", "invalid literal for int()"),
+            ("a\tb\t0", "evidence must be >= 1"),
+            ("b\ta\t1", "doi_a < doi_b"),
+            ("a\tc\t2", "pair a/c listed twice"),
+        ],
+        ids=["field-count", "non-integer", "zero-evidence", "doi-order", "repeated-pair"],
+    )
+    def test_malformed_line_rejected(self, tmp_path, line, message):
         path = tmp_path / "cand.tsv"
-        path.write_text("a\tb\n")
-        with pytest.raises(ValueError):
+        path.write_text(f"a\tc\t1\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: ')}.*{re.escape(message)}"):
             read_candidates(path)
-
-
-# Pool workers see the patched pipeline.align_pair only when they are forked.
-needs_fork = pytest.mark.skipif(
-    multiprocessing.get_context().get_start_method() != "fork", reason="workers are not forked"
-)
 
 
 class TestAlignmentFailures:
@@ -549,50 +585,11 @@ class TestAlignmentFailures:
     def test_error_is_raised_once_naming_the_pair_range(self, monkeypatch):
         docs = small_vocab_docs(random.Random(3), 4)
         calls = self._broken_align(monkeypatch)
-        with pytest.raises(PipelineError, match=re.escape("d0/d1 .. d0/d2")) as info:
-            run_alignment(docs, all_pairs(docs), alignment_config(workers=1))
-        assert calls == [os.getpid()]
-        assert str(info.value.__cause__) == "boom"
-
-    @needs_fork
-    def test_worker_error_is_not_rerun_in_this_process(self, monkeypatch, caplog):
-        docs = small_vocab_docs(random.Random(3), 4)
-        calls = self._broken_align(monkeypatch)
-        with pytest.raises(PipelineError, match=re.escape("d0/d1 .. d0/d1")):
+        with pytest.raises(PipelineError) as info:
             run_alignment(docs, all_pairs(docs), alignment_config(workers=2))
-        assert calls == []
-        assert not any("retrying" in r.message for r in caplog.records)
-
-    @needs_fork
-    def test_worker_dying_mid_batch_gives_the_serial_cases(self, tmp_path, monkeypatch, caplog):
-        raw = [
-            RawDocument(doi=doc.doi, text=doc.normalized_text)
-            for doc in small_vocab_docs(random.Random(4), 6, length=40, vocab_size=6)
-        ]
-        write_corpus(tmp_path / "corpus.jsonl", raw)
-        config = dict(min_shared_terms=1, ngram_size=3, ngram_overlap=2, min_seeds=1)
-        serial = run_pipeline(base_config(tmp_path / "corpus.jsonl", tmp_path / "serial", **config))
-
-        parent = os.getpid()
-        real_align = pipeline.align_pair
-        worker_calls = []
-
-        def dying_align(*args, **kwargs):
-            if os.getpid() != parent:
-                worker_calls.append(1)
-                if len(worker_calls) == 2:  # a worker's second pair, inside its first batch
-                    os._exit(1)
-            return real_align(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "align_pair", dying_align)
-        with caplog.at_level(logging.WARNING):
-            pooled = run_pipeline(
-                base_config(tmp_path / "corpus.jsonl", tmp_path / "pooled", workers=2, **config)
-            )
-        assert pooled.manifest["counts"]["candidate_pairs"] == 15
-        assert any("retrying" in r.message for r in caplog.records)
-        assert pooled.cases_path.read_bytes() == serial.cases_path.read_bytes()
-        assert serial.manifest["counts"]["cases"] > 0
+        assert calls == [os.getpid()]
+        assert str(info.value) == "alignment failed for candidate pair d0/d1"
+        assert str(info.value.__cause__) == "boom"
 
 
 class TestStats:
