@@ -3,7 +3,8 @@
 For term-set pairs of known overlap, the fraction of hash functions whose
 minima agree estimates the Jaccard similarity; with the default 10 hashes
 per passage, the chance that two passages collide at least once is
-1 - (1 - J)^10, which is what candidate retrieval actually banks on.
+1 - (1 - J)^10, which is what the ``minhash`` reference retrieval mode
+banks on.
 
     python demos/minhash_estimator.py
 """

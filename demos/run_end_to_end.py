@@ -33,13 +33,11 @@ with tempfile.TemporaryDirectory() as tmp:
     corpus_path = tmp / "corpus.jsonl"
     write_jsonl(corpus_path, (document_record(d) for d in corpus))
 
-    # Exact retrieval mode enumerates precisely the document pairs with a
-    # 9-distinct-term passage overlap; minhash mode is the probabilistic
-    # scale-out variant of the same criterion.
+    # The default ngram retrieval keeps the document pairs that share a word
+    # 3-gram, which every pair with a reuse case does.
     config = RunConfig(
         input=str(corpus_path),
         output_dir=str(tmp / "out"),
-        retrieval_mode="exact",
         workers=1,
         seed=42,
     )

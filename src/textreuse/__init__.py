@@ -1,6 +1,6 @@
 """Batch text-reuse detection over plain-text corpora.
 
-Two-stage detection: passage-level hash sketching prunes the quadratic
+Two-stage detection: shared word n-gram hashes prune the quadratic
 document-pair space to candidates, then seed-and-extend alignment locates
 the reused passages within each candidate pair. Includes character-level
 evaluation, a synthetic-corpus generator with exact ground truth, and a
@@ -41,6 +41,7 @@ from .retrieval import (
     chunk_passages,
     retrieve_candidates,
     retrieve_candidates_exact,
+    retrieve_candidates_ngram,
 )
 from .synthgen import GenSpec, ObfuscationIntensity, generate, obfuscate_random
 
@@ -82,6 +83,7 @@ __all__ = [
     "obfuscate_random",
     "retrieve_candidates",
     "retrieve_candidates_exact",
+    "retrieve_candidates_ngram",
     "run_pipeline",
     "seed_matches",
     "summarize_cases",

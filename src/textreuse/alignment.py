@@ -10,7 +10,6 @@ still collapses into one case per coherent region.
 
 from __future__ import annotations
 
-import hashlib
 import uuid
 from dataclasses import dataclass, fields
 from typing import Sequence, get_args, get_type_hints
@@ -93,10 +92,16 @@ class ReuseCase:
         return (self.doi_a, self.doi_b)
 
 
-def ngram_hash(tokens: Sequence[str]) -> int:
-    """64-bit hash of a token sequence; depends on the tokens only."""
-    joined = " ".join(tokens).encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(joined, digest_size=8).digest(), "big")
+# Window hash constants. A token hashes to splitmix64's finalizer of
+# sum(ord(c_j) * _CHAR_BASE**(j + 1)) over its characters c_0, c_1, ...; a
+# window of tokens t_0..t_{n-1} hashes to
+# sum(token_hash(t_k) * _TOKEN_BASE**(n-1-k)), all modulo 2**64. The hash
+# depends on the window's tokens only, not on the process or the corpus, so
+# each document can be hashed on its own.
+_CHAR_BASE = 0x9E3779B97F4A7C15
+_TOKEN_BASE = 0xD6E8FEB86659FD93
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
 
 
 def _window_starts(n_tokens: int, ngram_size: int, ngram_overlap: int) -> range:
@@ -116,19 +121,43 @@ def _window_spans(doc: Document, starts: Sequence[int], ngram_size: int) -> list
     return list(zip(begins, ends))
 
 
+def _token_hashes(tokens: Sequence[str]) -> np.ndarray:
+    """One ``uint64`` per token, in whole-array operations over the joined
+    tokens' code points; memory is linear in the number of characters."""
+    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    codes = np.frombuffer("".join(tokens).encode("utf-32-le"), dtype="<u4").astype(np.uint64)
+    begins = np.cumsum(lengths) - lengths
+    powers = np.cumprod(np.full(lengths.max(initial=0), _CHAR_BASE, dtype=np.uint64))
+    position = np.arange(codes.size) - np.repeat(begins, lengths)
+    # Each token's polynomial is a difference of prefix sums (uint64 wraps).
+    prefix = np.zeros(codes.size + 1, dtype=np.uint64)
+    np.cumsum(codes * powers[position], out=prefix[1:])
+    x = prefix[begins + lengths] - prefix[begins]
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX_A)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX_B)
+    x ^= x >> np.uint64(31)
+    return x
+
+
 def window_hashes(doc: Document, ngram_size: int = 8, ngram_overlap: int = 7) -> np.ndarray:
-    """``ngram_hash`` of every sliding window, one ``uint64`` per window.
+    """64-bit hash of every sliding window's tokens, one ``uint64`` per window.
 
     Entry ``i`` belongs to the window starting at token ``i * stride`` with
-    stride ngram_size - ngram_overlap.
+    stride ngram_size - ngram_overlap. Equal token windows hash equally in
+    any document; unequal ones may collide, so matches are re-verified.
     """
     starts = _window_starts(len(doc.tokens), ngram_size, ngram_overlap)
-    tokens = doc.tokens
-    return np.fromiter(
-        (ngram_hash(tokens[start : start + ngram_size]) for start in starts),
-        dtype=np.uint64,
-        count=len(starts),
-    )
+    if not starts:
+        return np.empty(0, dtype=np.uint64)
+    per_token = _token_hashes(doc.tokens)
+    count = len(doc.tokens) - ngram_size + 1  # stride-1 windows
+    hashes = np.zeros(count, dtype=np.uint64)
+    for k in range(ngram_size):
+        hashes *= np.uint64(_TOKEN_BASE)
+        hashes += per_token[k : k + count]
+    return hashes[:: starts.step]
 
 
 def chunk_ngrams(doc: Document, ngram_size: int = 8, ngram_overlap: int = 7) -> list[NGram]:

@@ -130,7 +130,12 @@ def _word_filter_flags(p) -> None:
 
 
 def _retrieval_flags(p) -> None:
-    p.add_argument("--retrieval-mode", choices=RETRIEVAL_MODES)
+    p.add_argument(
+        "--retrieval-mode",
+        choices=RETRIEVAL_MODES,
+        help="ngram (default): pairs sharing a word n-gram, n = min(3, ngram size); "
+        "minhash, exact: bag-of-words reference modes",
+    )
     p.add_argument("--passage-size", type=int)
     p.add_argument("--num-hashes", type=int)
     p.add_argument("--min-shared-terms", type=int)

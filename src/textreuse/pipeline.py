@@ -17,25 +17,25 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .alignment import AlignmentParams, ReuseCase, align_pair, case_namespace, case_record, window_hashes
 from .ingest import Document, length_filter, load_corpus_report, normalize
 from .jsonl import atomic_open, scan_jsonl, write_json, write_jsonl
 from .retrieval import (
+    RETRIEVAL_NGRAM_SIZE,
     CandidatePair,
     build_index,
-    cooccurring_pairs,
     read_candidates,
     retrieve_candidates,
     retrieve_candidates_exact,
+    retrieve_candidates_ngram,
+    shared_hash_pairs,
     sketch_corpus,
     write_candidates,
 )
 
 log = logging.getLogger(__name__)
 
-RETRIEVAL_MODES = ("minhash", "exact")
+RETRIEVAL_MODES = ("ngram", "minhash", "exact")
 OUTPUT_MODES = ("full", "metadata-only")
 
 CANDIDATES_FILE = "candidates.tsv"
@@ -61,7 +61,7 @@ class RunConfig:
     passage_size: int = 50
     num_hashes: int = 10
     min_shared_terms: int = 9
-    retrieval_mode: str = "minhash"
+    retrieval_mode: str = "ngram"
     df_cap: int = 1000
     ngram_size: int = 8
     ngram_overlap: int = 7
@@ -134,11 +134,17 @@ def run_retrieval(
 ) -> list[CandidatePair]:
     """Candidate pairs for the configured mode, sorted canonically.
 
-    ``counts``, if given, receives ``hash_postings`` and ``dropped_hashes``
+    ``ngram`` mode hashes word n-grams of min(``RETRIEVAL_NGRAM_SIZE``,
+    ``ngram_size``) tokens, so it keeps every pair alignment can match.
+    ``counts``, if given, receives ``hash_postings`` (distinct window hashes
+    in ngram mode, kept sketch postings in minhash mode), ``dropped_hashes``
     in minhash mode, and the passage×term matrix shape as ``passages`` and
     ``terms`` in exact mode.
     """
-    if config.retrieval_mode == "exact":
+    if config.retrieval_mode == "ngram":
+        ngram_size = min(RETRIEVAL_NGRAM_SIZE, config.ngram_size)
+        pairs = retrieve_candidates_ngram(docs, ngram_size, counts=counts)
+    elif config.retrieval_mode == "exact":
         pairs = retrieve_candidates_exact(docs, config.passage_size, config.min_shared_terms, counts=counts)
     else:
         sketches = sketch_corpus(docs, config.passage_size, config.num_hashes, config.seed)
@@ -162,25 +168,24 @@ def run_alignment(
     over those hash arrays finds the document pairs that share a window
     hash; only candidate pairs among them reach ``align_pair``, in sorted
     order. ``seed_matches`` seeds only on equal hashes, so a skipped pair
-    has no case. An error while aligning raises ``PipelineError`` naming
-    the pair. ``counts``, if given, receives ``documents_hashed`` and
-    ``pairs_aligned``.
+    has no case. A pair listed twice, or an error while aligning, raises
+    ``PipelineError`` naming the pair. ``counts``, if given, receives
+    ``documents_hashed`` and ``pairs_aligned``.
     """
     by_doi = {doc.doi: doc for doc in docs}
     params = config.alignment_params()
     namespace = case_namespace(config.seed)
     doi_pairs = [pair.key for pair in sorted(pairs, key=lambda p: p.key)]
-    for doi_a, doi_b in doi_pairs:
+    # Sorted, a pair listed twice is next to its repeat.
+    for previous, (doi_a, doi_b) in zip([None, *doi_pairs], doi_pairs):
         if doi_a not in by_doi or doi_b not in by_doi:
             raise PipelineError(f"candidate pair {(doi_a, doi_b)} references unknown documents")
+        if previous == (doi_a, doi_b):
+            raise PipelineError(f"candidate pair {doi_a}/{doi_b} listed twice")
 
     dois = sorted({doi for key in doi_pairs for doi in key})
     hashes = {doi: window_hashes(by_doi[doi], params.ngram_size, params.ngram_overlap) for doi in dois}
-    # Row r of the join is one distinct hash value, column i is dois[i]; the
-    # empty leading array lets a run with no pairs concatenate too.
-    values, posting = np.unique(np.concatenate([np.empty(0, np.uint64), *hashes.values()]), return_inverse=True)
-    owner = np.repeat(np.arange(len(dois)), [len(h) for h in hashes.values()])
-    joined = cooccurring_pairs(posting, owner, (len(values), len(dois)))
+    _, joined = shared_hash_pairs(list(hashes.values()))
     sharing = {(dois[i], dois[j]) for i, j in zip(joined.row.tolist(), joined.col.tolist())}
     to_align = [key for key in doi_pairs if key in sharing]
     if counts is not None:
@@ -206,6 +211,7 @@ _RETRIEVAL_FIELDS = (
     "min_shared_terms",
     "retrieval_mode",
     "df_cap",
+    "ngram_size",
     "seed",
 )
 

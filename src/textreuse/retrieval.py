@@ -1,20 +1,25 @@
-"""Candidate retrieval: prune the quadratic document-pair space to pairs with
-local bag-of-words similarity.
+"""Candidate retrieval: prune the quadratic document-pair space to the pairs
+that alignment could turn into a case.
 
-Documents are split into consecutive fixed-size passages; each passage's
+The default, ``retrieve_candidates_ngram``, hashes every stride-1 window of
+n words in each document with alignment's own ``window_hashes`` and keeps
+the document pairs that share at least one window hash; a pair's evidence
+is the sum over shared hashes of the product of their counts in the two
+documents. The pipeline takes n = min(``RETRIEVAL_NGRAM_SIZE``,
+``ngram_size``). Alignment seeds only on token-equal windows of
+``ngram_size`` words, and each such window contains a shared n-gram, so
+every pair that can yield a case is kept.
+
+Two bag-of-words modes are kept as references. In ``minhash`` mode,
+documents are split into consecutive fixed-size passages; each passage's
 distinct-term set is sketched with a family of seeded min-hashes, and an
-inverted index over sketch values surfaces every document pair whose sketches
-collide. Collision evidence is one sparse product of the posting-by-document
-count matrix with itself, so its cost grows with the candidate pairs it
-outputs, not with the corpus alone: on Zipfian text frequent words win the
-min-hashes and nearly every document pair survives.
-
-MinHash collisions are probabilistic: a single hash function collides with
-probability equal to the passage-pair Jaccard similarity, so low-similarity
-passage pairs still collide occasionally. ``retrieve_candidates_exact`` is
-the non-probabilistic companion: it enumerates exactly the pairs with a
-passage-level overlap of at least ``min_shared_terms`` distinct terms, and
-doubles as the testing oracle for the sketched path.
+inverted index over sketch values surfaces every document pair whose
+sketches collide. On Zipfian text frequent words win the min-hashes and
+nearly every document pair survives. ``retrieve_candidates_exact``
+enumerates exactly the pairs with a passage-level overlap of at least
+``min_shared_terms`` distinct terms, and doubles as the testing oracle for
+the sketched path. The ngram and minhash modes read their evidence off one
+sparse product of a count matrix with itself (``cooccurring_pairs``).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 from scipy import sparse
 
+from .alignment import window_hashes
 from .ingest import Document
 from .jsonl import atomic_open
 
@@ -38,6 +44,9 @@ log = logging.getLogger(__name__)
 
 # uint64 lanes per keyed blake2b digest (64-byte digests)
 _LANES = 8
+
+# Words per window in ngram mode; capped at alignment's ngram_size.
+RETRIEVAL_NGRAM_SIZE = 3
 
 
 @dataclass(frozen=True)
@@ -221,6 +230,35 @@ def cooccurring_pairs(rows: ArrayLike, cols: ArrayLike, shape: tuple[int, int]) 
     """
     counts = sparse.csr_matrix((np.ones(len(cols), dtype=np.int64), (rows, cols)), shape=shape)
     return sparse.triu(counts.T @ counts, k=1).tocoo()
+
+
+def shared_hash_pairs(hashes: Sequence[np.ndarray]) -> tuple[int, sparse.coo_matrix]:
+    """Index pairs ``i < j`` whose hash arrays share a value.
+
+    Returns the number of distinct values and ``cooccurring_pairs`` over the
+    distinct-value × array count matrix: entry ``(i, j)`` sums, over the
+    shared values, the value's count in ``hashes[i]`` times its count in
+    ``hashes[j]``.
+    """
+    # The empty leading array lets an empty list concatenate too.
+    values, posting = np.unique(np.concatenate([np.empty(0, np.uint64), *hashes]), return_inverse=True)
+    owner = np.repeat(np.arange(len(hashes)), [len(h) for h in hashes])
+    return len(values), cooccurring_pairs(posting, owner, (len(values), len(hashes)))
+
+
+def retrieve_candidates_ngram(
+    docs: Sequence[Document], ngram_size: int = RETRIEVAL_NGRAM_SIZE, *, counts: dict | None = None
+) -> set[CandidatePair]:
+    """Document pairs sharing at least one stride-1 word ``ngram_size``-gram hash.
+
+    Evidence is the number of shared window occurrence pairs. ``counts``, if
+    given, receives the number of distinct window hashes as
+    ``hash_postings``.
+    """
+    distinct, shared = shared_hash_pairs([window_hashes(doc, ngram_size, ngram_size - 1) for doc in docs])
+    if counts is not None:
+        counts["hash_postings"] = distinct
+    return _candidate_set([doc.doi for doc in docs], shared.row, shared.col, shared.data)
 
 
 def _candidate_set(

@@ -1,9 +1,12 @@
+import os
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import settings
 
-from textreuse.alignment import align_pair
+from textreuse.alignment import _CHAR_BASE, _MIX_A, _MIX_B, _TOKEN_BASE, align_pair
 from textreuse.ingest import RawDocument, normalize
 from textreuse.retrieval import (
     build_index,
@@ -11,6 +14,37 @@ from textreuse.retrieval import (
     retrieve_candidates_exact,
     sketch_corpus,
 )
+
+
+# CI selects this profile with HYPOTHESIS_PROFILE=ci; a failing example is
+# printed as a blob that @reproduce_failure replays.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+_MASK = (1 << 64) - 1
+
+
+def _splitmix(x):
+    x ^= x >> 30
+    x = (x * _MIX_A) & _MASK
+    x ^= x >> 27
+    x = (x * _MIX_B) & _MASK
+    return x ^ (x >> 31)
+
+
+def ngram_hash(tokens):
+    """Scalar reference for ``alignment.window_hashes``: the hash of one
+    window, from its tokens alone, in Python integers."""
+    value = 0
+    for token in tokens:
+        chars = sum(ord(c) * pow(_CHAR_BASE, j + 1, 1 << 64) for j, c in enumerate(token))
+        value = (value * _TOKEN_BASE + _splitmix(chars & _MASK)) & _MASK
+    return value
+
+
+def constant_window_hashes(doc, ngram_size=8, ngram_overlap=7):
+    """Stand-in for ``window_hashes`` under which every window collides."""
+    return np.zeros(len(range(0, len(doc.tokens) - ngram_size + 1, ngram_size - ngram_overlap)), np.uint64)
 
 
 def make_doc(text, doi="doc-a", **metadata):

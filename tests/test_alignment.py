@@ -23,7 +23,7 @@ from textreuse.alignment import (
 )
 from textreuse.spans import bounding, gap, merge, overlaps, total_length
 
-from conftest import alpha_words, doc_from_tokens
+from conftest import alpha_words, constant_window_hashes, doc_from_tokens, ngram_hash
 
 
 def brute_force_seeds(a, b, n, stride=1):
@@ -180,7 +180,7 @@ class TestSeedMatches:
             assert seed_matches(a, b, n, n - 1) == brute_force_seeds(a, b, n)
 
     def test_hash_collisions_are_verified_away(self, monkeypatch):
-        monkeypatch.setattr(alignment, "ngram_hash", lambda tokens: 0)
+        monkeypatch.setattr(alignment, "window_hashes", constant_window_hashes)
         rng = random.Random(7)
         small_vocab = alpha_words("v", 6)
         a = doc_from_tokens([rng.choice(small_vocab) for _ in range(30)], doi="a")
@@ -227,6 +227,32 @@ class TestWindowHashes:
     def test_invalid_overlap(self):
         with pytest.raises(ValueError):
             window_hashes(doc_from_tokens(alpha_words("w", 10)), 8, 8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_scalar_reference_in_any_document(self, data):
+        words = st.text(st.characters(categories=("Ll", "Lo")), min_size=1, max_size=12)
+        vocab = data.draw(st.lists(words, min_size=1, max_size=8, unique=True), label="vocab")
+        window = data.draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=8), label="window")
+        tokens = data.draw(st.lists(st.sampled_from(vocab), max_size=30), label="tokens")
+        size = data.draw(st.integers(1, 8), label="ngram_size")
+        overlap = data.draw(st.integers(0, size - 1), label="ngram_overlap")
+        doc = doc_from_tokens(tokens)
+        starts = range(0, len(doc.tokens) - size + 1, size - overlap)
+        assert window_hashes(doc, size, overlap).tolist() == [ngram_hash(doc.tokens[i : i + size]) for i in starts]
+        # The same window, placed at any offset of another document, hashes equally.
+        offset = data.draw(st.integers(0, len(doc.tokens)), label="offset")
+        host = doc_from_tokens(doc.tokens[:offset] + tuple(window) + doc.tokens[offset:], doi="b")
+        placed = host.tokens[offset : offset + len(window)]
+        assert window_hashes(host, len(window), len(window) - 1)[offset] == ngram_hash(placed)
+
+    def test_long_token(self):
+        long_token = "ab" * 10_000
+        tokens = ["x", long_token, "yz", long_token, "x", long_token, "yz"]
+        hashes = window_hashes(doc_from_tokens(tokens), 3, 2).tolist()
+        assert hashes == [ngram_hash(tokens[i : i + 3]) for i in range(5)]
+        assert hashes[0] == hashes[4] != hashes[2]
+        assert window_hashes(doc_from_tokens(tokens[4:], doi="b"), 3, 2).tolist() == [hashes[0]]
 
 
 class TestExtend:

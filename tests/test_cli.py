@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +84,22 @@ class TestStageCommands:
             "--retrieval-mode", "exact", "--min-words", "10", "--seed", "3", "--workers", "1",
         ]) == 0
         assert cases_two_stage.read_bytes() == (out_dir / "cases.jsonl").read_bytes()
+
+    def test_retrieve_does_not_depend_on_the_string_hash_seed(self, tmp_path, corpus_file):
+        corpus, _ = corpus_file
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for hash_seed in ("1", "2"):
+            output = tmp_path / f"candidates-{hash_seed}.tsv"
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+            subprocess.run(
+                [sys.executable, "-m", "textreuse.cli", "retrieve", "--input", str(corpus),
+                 "--output", str(output), "--min-words", "10"],
+                env=env, check=True, capture_output=True, timeout=300,
+            )  # fmt: skip
+            outputs.append(output.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") >= 3  # the planted pairs
 
     def test_pipeline_outputs(self, tmp_path, corpus_file, capsys):
         corpus, gold = corpus_file

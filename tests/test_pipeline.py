@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import textreuse.alignment as alignment
 import textreuse.pipeline as pipeline
 from textreuse.alignment import align_pair, case_namespace
 from textreuse.ingest import document_record, normalize
@@ -23,6 +22,7 @@ from textreuse.pipeline import (
     summarize_cases,
 )
 from textreuse.retrieval import (
+    RETRIEVAL_NGRAM_SIZE,
     CandidatePair,
     build_index,
     read_candidates,
@@ -31,7 +31,7 @@ from textreuse.retrieval import (
 )
 from textreuse.synthgen import GenSpec, generate
 
-from conftest import alpha_words, doc_from_tokens
+from conftest import alpha_words, constant_window_hashes, doc_from_tokens
 
 
 def write_corpus(path, raw_docs):
@@ -213,6 +213,24 @@ class TestRunPipeline:
         with pytest.raises(CheckpointMismatch):
             run_pipeline(changed)
 
+    def test_checkpoint_written_at_another_ngram_size_refused(self, tmp_path):
+        corpus_path, _, _ = synthetic_corpus_file(tmp_path)
+        checkpoint = tmp_path / "ckpt"
+        config = base_config(
+            corpus_path, tmp_path / "out", retrieval_mode="ngram", checkpoint_dir=str(checkpoint)
+        )
+        run_pipeline(config, stop_after="retrieve")
+        changed = base_config(
+            corpus_path,
+            tmp_path / "out2",
+            retrieval_mode="ngram",
+            checkpoint_dir=str(checkpoint),
+            ngram_size=3,
+            ngram_overlap=2,
+        )
+        with pytest.raises(CheckpointMismatch):
+            run_pipeline(changed)
+
     def test_checkpoint_invalidated_by_corpus_change(self, tmp_path):
         corpus_path, _, _ = synthetic_corpus_file(tmp_path)
         checkpoint = tmp_path / "ckpt"
@@ -337,6 +355,22 @@ class TestManifestRetrievalCounters:
         counts = json.loads(result.manifest_path.read_text())["counts"]
         assert counts["hash_postings"] == len(index.postings) > 0
         assert counts["dropped_hashes"] == index.dropped_hashes > 0
+
+        config.output_dir = str(tmp_path / "resumed")
+        assert run_pipeline(config).manifest["counts"] == counts
+
+    def test_ngram_counts_the_distinct_window_hashes(self, tmp_path):
+        corpus_path, corpus, _ = synthetic_corpus_file(tmp_path)
+        config = base_config(
+            corpus_path, tmp_path / "out", retrieval_mode="ngram", checkpoint_dir=str(tmp_path / "ckpt")
+        )
+        result = run_pipeline(config)
+        docs = [normalize(raw) for raw in corpus]
+        n = RETRIEVAL_NGRAM_SIZE
+        grams = {doc.tokens[i : i + n] for doc in docs for i in range(len(doc.tokens) - n + 1)}
+        counts = json.loads(result.manifest_path.read_text())["counts"]
+        assert counts["hash_postings"] == len(grams)
+        assert "dropped_hashes" not in counts
 
         config.output_dir = str(tmp_path / "resumed")
         assert run_pipeline(config).manifest["counts"] == counts
@@ -466,19 +500,17 @@ class TestRunAlignment:
         outsider = doc_from_tokens(alpha_words("zz", 60), doi="z-outsider")
         pairs = all_pairs(involved)  # every involved document is in three pairs
         hashed = []
-        real_hash = alignment.ngram_hash
+        real_hashes = pipeline.window_hashes
 
-        def counting_hash(tokens):
-            hashed.append(tuple(tokens))
-            return real_hash(tokens)
+        def counting_hashes(doc, *args):
+            hashed.append(doc.doi)
+            return real_hashes(doc, *args)
 
-        monkeypatch.setattr(alignment, "ngram_hash", counting_hash)
+        monkeypatch.setattr(pipeline, "window_hashes", counting_hashes)
         counts = {}
         cases = run_alignment(involved + [outsider], pairs, alignment_config(workers=1), counts)
-        windows = sum(len(doc.tokens) - 3 + 1 for doc in involved)  # 3-grams at stride 1
         assert cases
-        assert len(hashed) == windows  # not 2 * len(pairs) * 58
-        assert not any(window[0].startswith("zz") for window in hashed)
+        assert sorted(hashed) == ["d0", "d1", "d2", "d3"]  # not once per pair, never the outsider
         assert counts == {"documents_hashed": 4, "pairs_aligned": 6}
 
     def test_constant_hash_gives_the_same_cases(self, monkeypatch):
@@ -487,8 +519,14 @@ class TestRunAlignment:
         config = alignment_config(workers=1)
         expected = run_alignment(docs, pairs, config)
         assert expected
-        monkeypatch.setattr(alignment, "ngram_hash", lambda tokens: 0)
+        monkeypatch.setattr(pipeline, "window_hashes", constant_window_hashes)
         assert run_alignment(docs, pairs, config) == expected
+
+    def test_pair_listed_twice_is_refused(self):
+        docs = [doc_from_tokens(alpha_words("w", 20), doi=doi) for doi in ("a", "b", "c")]
+        pairs = [CandidatePair("a", "b"), CandidatePair("b", "c"), CandidatePair("a", "b", 2)]
+        with pytest.raises(PipelineError, match="^candidate pair a/b listed twice$"):
+            run_alignment(docs, pairs, alignment_config(workers=1))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_consecutive_runs_do_not_share_state(self, workers):

@@ -1,12 +1,16 @@
+import itertools
 import logging
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from textreuse.alignment import AlignmentParams, align_pair
 from textreuse.ingest import normalize
 from textreuse.retrieval import (
+    RETRIEVAL_NGRAM_SIZE,
     CandidatePair,
     MinHasher,
     PassageSketch,
@@ -14,6 +18,7 @@ from textreuse.retrieval import (
     chunk_passages,
     retrieve_candidates,
     retrieve_candidates_exact,
+    retrieve_candidates_ngram,
     sketch_corpus,
 )
 from textreuse.synthgen import GenSpec, generate
@@ -287,6 +292,54 @@ class TestExactMode:
             "passages": 3 + 0 + 2,
             "terms": len({t for doc in docs for t in doc.tokens}),
         }
+
+
+def brute_force_ngram_pairs(docs, n):
+    """Oracle for ngram evidence: per document pair, the sum over shared
+    word n-grams of the product of their counts in the two documents."""
+    grams = {doc.doi: Counter(doc.tokens[i : i + n] for i in range(len(doc.tokens) - n + 1)) for doc in docs}
+    pairs = {}
+    for doi_a, doi_b in itertools.combinations(sorted(grams), 2):
+        shared = sum(count * grams[doi_b][gram] for gram, count in grams[doi_a].items())
+        if shared:
+            pairs[(doi_a, doi_b)] = shared
+    return pairs
+
+
+class TestNgramMode:
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=token_corpora(), n=st.integers(1, 5))
+    @example(corpus=[], n=3)
+    def test_matches_the_ngram_oracle(self, corpus, n):
+        docs = [doc_from_tokens(tokens, doi=f"d{k}") for k, tokens in enumerate(corpus)]
+        counts = {}
+        pairs = retrieve_candidates_ngram(docs, n, counts=counts)
+        assert {p.key: p.evidence for p in pairs} == brute_force_ngram_pairs(docs, n)
+        grams = {doc.tokens[i : i + n] for doc in docs for i in range(len(doc.tokens) - n + 1)}
+        assert counts["hash_postings"] == len(grams)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_contains_every_pair_with_a_case(self, data):
+        """Soundness: a seed is a token-equal ngram_size window, which holds
+        a shared min(RETRIEVAL_NGRAM_SIZE, ngram_size)-gram, so every pair
+        align_pair turns into a case is a candidate."""
+        vocab = alpha_words("v", data.draw(st.integers(2, 10), label="vocab_size"))
+        docs = [
+            doc_from_tokens(data.draw(st.lists(st.sampled_from(vocab), max_size=60)), doi=f"d{k}")
+            for k in range(data.draw(st.integers(2, 5), label="doc_count"))
+        ]
+        size = data.draw(st.integers(1, 8), label="ngram_size")
+        params = AlignmentParams(
+            ngram_size=size,
+            ngram_overlap=data.draw(st.integers(0, size - 1), label="ngram_overlap"),
+            max_gap=data.draw(st.integers(0, 300), label="max_gap"),
+            min_seeds=data.draw(st.integers(1, 3), label="min_seeds"),
+        )
+        candidates = {p.key for p in retrieve_candidates_ngram(docs, min(RETRIEVAL_NGRAM_SIZE, size))}
+        for a, b in itertools.combinations(docs, 2):
+            if align_pair(a, b, params):
+                assert (a.doi, b.doi) in candidates
 
 
 class TestMinhashVsExactAgreement:
