@@ -35,10 +35,7 @@ from .pipeline import PipelineError, RunConfig, run_pipeline, summarize_cases
 from .retrieval import (
     CandidatePair,
     MinHasher,
-    Passage,
-    PassageSketch,
     build_index,
-    chunk_passages,
     retrieve_candidates,
     retrieve_candidates_exact,
     retrieve_candidates_ngram,
@@ -58,8 +55,6 @@ __all__ = [
     "MinHasher",
     "NGram",
     "ObfuscationIntensity",
-    "Passage",
-    "PassageSketch",
     "PipelineError",
     "RawDocument",
     "ReuseCase",
@@ -70,7 +65,6 @@ __all__ = [
     "case_record",
     "char_precision_recall",
     "chunk_ngrams",
-    "chunk_passages",
     "evaluate_cases",
     "extend",
     "f_beta",

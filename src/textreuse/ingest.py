@@ -47,6 +47,8 @@ class RawDocument:
     def __post_init__(self):
         if not isinstance(self.doi, str) or not self.doi:
             raise ValueError("doi must be a non-empty string")
+        if any(c in self.doi for c in "\t\n\r"):
+            raise ValueError("doi contains a tab or line break")  # candidates.tsv could not hold it
         if not isinstance(self.text, str):
             raise ValueError("text must be a string")
         for name in _METADATA_LISTS:

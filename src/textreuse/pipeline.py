@@ -15,7 +15,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 from .alignment import AlignmentParams, ReuseCase, align_pair, case_namespace, case_record, window_hashes
 from .ingest import Document, length_filter, load_corpus_report, normalize
@@ -73,6 +73,10 @@ class RunConfig:
     checkpoint_dir: str | None = None
 
     def validate(self) -> None:
+        for name, kind in get_type_hints(RunConfig).items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {getattr(kind, '__name__', kind)}, not {value!r}")
         if self.retrieval_mode not in RETRIEVAL_MODES:
             raise ValueError(f"retrieval_mode must be one of {RETRIEVAL_MODES}")
         if self.output_mode not in OUTPUT_MODES:
@@ -137,9 +141,9 @@ def run_retrieval(
     ``ngram`` mode hashes word n-grams of min(``RETRIEVAL_NGRAM_SIZE``,
     ``ngram_size``) tokens, so it keeps every pair alignment can match.
     ``counts``, if given, receives ``hash_postings`` (distinct window hashes
-    in ngram mode, kept sketch postings in minhash mode), ``dropped_hashes``
-    in minhash mode, and the passage×term matrix shape as ``passages`` and
-    ``terms`` in exact mode.
+    in ngram mode, distinct sketch values kept in minhash mode),
+    ``dropped_hashes`` in minhash mode, and the passage×term matrix shape
+    as ``passages`` and ``terms`` in exact mode.
     """
     if config.retrieval_mode == "ngram":
         ngram_size = min(RETRIEVAL_NGRAM_SIZE, config.ngram_size)
@@ -147,12 +151,12 @@ def run_retrieval(
     elif config.retrieval_mode == "exact":
         pairs = retrieve_candidates_exact(docs, config.passage_size, config.min_shared_terms, counts=counts)
     else:
-        sketches = sketch_corpus(docs, config.passage_size, config.num_hashes, config.seed)
-        index = build_index(sketches, config.df_cap)
+        owner, sketches = sketch_corpus(docs, config.passage_size, config.num_hashes, config.seed)
+        index = build_index(owner, sketches, config.df_cap)
         if counts is not None:
-            counts["hash_postings"] = len(index.postings)
+            counts["hash_postings"] = index.postings
             counts["dropped_hashes"] = index.dropped_hashes
-        pairs = retrieve_candidates(index)
+        pairs = retrieve_candidates(index, [doc.doi for doc in docs])
     return sorted(pairs, key=lambda p: p.key)
 
 

@@ -10,16 +10,20 @@ documents. The pipeline takes n = min(``RETRIEVAL_NGRAM_SIZE``,
 ``ngram_size`` words, and each such window contains a shared n-gram, so
 every pair that can yield a case is kept.
 
-Two bag-of-words modes are kept as references. In ``minhash`` mode,
-documents are split into consecutive fixed-size passages; each passage's
-distinct-term set is sketched with a family of seeded min-hashes, and an
-inverted index over sketch values surfaces every document pair whose
-sketches collide. On Zipfian text frequent words win the min-hashes and
-nearly every document pair survives. ``retrieve_candidates_exact``
-enumerates exactly the pairs with a passage-level overlap of at least
-``min_shared_terms`` distinct terms, and doubles as the testing oracle for
-the sketched path. The ngram and minhash modes read their evidence off one
-sparse product of a count matrix with itself (``cooccurring_pairs``).
+Two bag-of-words modes are kept as references. Both split documents into
+consecutive fixed-size passages and build one binary passage×term matrix
+(``_passage_matrix``) whose terms are words' 64-bit hashes.
+``retrieve_candidates_exact`` enumerates exactly the pairs with a
+passage-level overlap of at least ``min_shared_terms`` distinct terms, and
+doubles as the testing oracle for the sketched path. In
+``minhash`` mode each term is hashed once with a family of seeded
+min-hashes, each passage's sketch is the per-function minimum over its
+matrix row (``sketch_corpus``), an inverted index lists each passage under
+its distinct sketch values (``build_index``), and every document pair whose
+sketches collide is kept (``retrieve_candidates``). On Zipfian text frequent
+words win the min-hashes and nearly every document pair survives. The ngram
+and minhash modes read their evidence off one sparse product of a count
+matrix with itself (``cooccurring_pairs``).
 """
 
 from __future__ import annotations
@@ -27,10 +31,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import logging
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -47,23 +50,6 @@ _LANES = 8
 
 # Words per window in ngram mode; capped at alignment's ngram_size.
 RETRIEVAL_NGRAM_SIZE = 3
-
-
-@dataclass(frozen=True)
-class Passage:
-    """A consecutive block of tokens, represented by its distinct-term set."""
-
-    doi: str
-    index: int
-    token_range: tuple[int, int]
-    term_set: frozenset[str]
-
-
-@dataclass(frozen=True)
-class PassageSketch:
-    doi: str
-    passage_index: int
-    hashes: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -85,32 +71,12 @@ class CandidatePair:
         return (self.doi_a, self.doi_b)
 
 
-def chunk_passages(doc: Document, passage_size: int = 50) -> list[Passage]:
-    """Partition a document into consecutive passages; the last may be shorter."""
-    if passage_size < 1:
-        raise ValueError("passage_size must be >= 1")
-    passages = []
-    for index, begin in enumerate(range(0, len(doc.tokens), passage_size)):
-        end = min(begin + passage_size, len(doc.tokens))
-        passages.append(
-            Passage(
-                doi=doc.doi,
-                index=index,
-                token_range=(begin, end),
-                term_set=frozenset(doc.tokens[begin:end]),
-            )
-        )
-    return passages
-
-
 class MinHasher:
     """Family of ``num_hashes`` seeded hash functions over term sets.
 
     Function j of a term is lane j of a chain of keyed blake2b digests of the
     term (8 independent 64-bit lanes per digest; the key encodes the seed and
     the block index). The sketch of a term set is the per-function minimum.
-    Per-term vectors are cached, so one instance should be reused across a
-    corpus.
     """
 
     def __init__(self, num_hashes: int = 10, seed: int = 0):
@@ -120,104 +86,134 @@ class MinHasher:
         self.seed = seed
         blocks = (num_hashes + _LANES - 1) // _LANES
         self._keys = [f"{seed}:{block}".encode("utf-8")[:64] for block in range(blocks)]
-        self._term_cache: dict[str, np.ndarray] = {}
 
-    def term_vector(self, term: str) -> np.ndarray:
-        """All hash-function values of one term; shape (num_hashes,)."""
-        vector = self._term_cache.get(term)
-        if vector is None:
-            data = term.encode("utf-8")
-            parts = [
-                np.frombuffer(
-                    hashlib.blake2b(data, digest_size=64, key=key).digest(), dtype=">u8"
-                )
-                for key in self._keys
-            ]
-            vector = np.concatenate(parts)[: self.num_hashes].astype(np.uint64)
-            self._term_cache[term] = vector
-        return vector
+    def term_vectors(self, terms: Sequence[str]) -> np.ndarray:
+        """All hash-function values of each term; shape (len(terms), num_hashes)."""
+        digests = b"".join(
+            hashlib.blake2b(data, digest_size=64, key=key).digest()
+            for data in map(str.encode, terms)
+            for key in self._keys
+        )
+        lanes = np.frombuffer(digests, dtype=">u8").reshape(len(terms), len(self._keys) * _LANES)
+        return lanes[:, : self.num_hashes].astype(np.uint64)
 
     def values(self, terms: Iterable[str]) -> np.ndarray:
         """Per-function minima over the term set; shape (num_hashes,)."""
-        vectors = [self.term_vector(t) for t in terms]
-        if not vectors:
+        terms = list(terms)
+        if not terms:
             raise ValueError("cannot sketch an empty term set")
-        return np.minimum.reduce(vectors)
+        return self.term_vectors(terms).min(axis=0)
 
-    def sketch(self, passage: Passage) -> PassageSketch:
-        values = self.values(passage.term_set)
-        return PassageSketch(
-            doi=passage.doi,
-            passage_index=passage.index,
-            hashes=frozenset(int(v) for v in values),
-        )
+
+def _passage_matrix(docs: Sequence[Document], passage_size: int) -> tuple[sparse.csr_matrix, np.ndarray, list[str]]:
+    """Binary passage×term matrix of a corpus, each row's document index,
+    and one word of each term in column order.
+
+    Each document splits into consecutive passages of ``passage_size``
+    tokens, the last possibly shorter, so every row holds at least one term;
+    an empty document has no rows. Token ``i`` of document ``d`` falls in
+    row ``row_offset[d] + i // passage_size``, and each distinct term counts
+    once per passage. A term is a word's 64-bit hash (``window_hashes`` of
+    one-word windows, the hash of ngram mode and alignment), so two words
+    that collide count as one term, which can only add candidate pairs.
+    """
+    if passage_size < 1:
+        raise ValueError("passage_size must be >= 1")
+    lengths = np.fromiter((len(doc.tokens) for doc in docs), dtype=np.int64, count=len(docs))
+    passages = -(-lengths // passage_size)
+    row_offset = np.cumsum(passages) - passages
+    token_offset = np.cumsum(lengths) - lengths
+    # The empty leading array lets an empty corpus concatenate too.
+    hashes = np.concatenate([np.empty(0, np.uint64), *(window_hashes(doc, 1, 0) for doc in docs)])
+    _, first, cols = np.unique(hashes, return_index=True, return_inverse=True)
+    tokens = list(itertools.chain.from_iterable(doc.tokens for doc in docs))
+    doc_of_token = np.repeat(np.arange(len(docs)), lengths)
+    position = np.arange(cols.size) - token_offset[doc_of_token]
+    rows = row_offset[doc_of_token] + position // passage_size
+    owner = np.repeat(np.arange(len(docs), dtype=np.int64), passages)
+    matrix = sparse.csr_matrix(
+        (np.ones(cols.size, dtype=np.int32), (rows, cols)),
+        shape=(owner.size, first.size),
+    )
+    matrix.data[:] = 1  # building from coordinates summed the repeats
+    return matrix, owner, [tokens[i] for i in first.tolist()]
 
 
 def sketch_corpus(
-    docs: Iterable[Document],
+    docs: Sequence[Document],
     passage_size: int = 50,
     num_hashes: int = 10,
     seed: int = 0,
-) -> Iterator[PassageSketch]:
-    """Sketch every passage of every document.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Min-hash sketch of every passage with at least two distinct terms.
 
-    Passages with fewer than two distinct terms are skipped: a near-constant
-    passage sketches to copies of a single hash and floods the index.
+    Returns ``(owner, sketches)``: row ``i`` of the ``(passages,
+    num_hashes)`` array ``sketches`` holds the per-function minima over the
+    distinct terms of a passage of ``docs[owner[i]]``, passages in corpus
+    order. Each term is hashed once, and a passage's minima are a
+    ``reduceat`` over its row of the passage×term matrix. Passages with
+    fewer than two distinct terms are skipped: a near-constant passage
+    sketches to copies of a single hash and floods the index.
     """
-    hasher = MinHasher(num_hashes, seed)
-    for doc in docs:
-        for passage in chunk_passages(doc, passage_size):
-            if len(passage.term_set) < 2:
-                continue
-            yield hasher.sketch(passage)
+    matrix, owner, terms = _passage_matrix(docs, passage_size)
+    vectors = MinHasher(num_hashes, seed).term_vectors(terms).T.copy()
+    starts = matrix.indptr[:-1]
+    sketches = np.empty((owner.size, num_hashes), dtype=np.uint64)
+    # Every row is reduced, then rows are dropped: a reduceat over the kept
+    # rows' starts alone would fold each dropped row into the row before it.
+    for j, vector in enumerate(vectors):
+        sketches[:, j] = np.minimum.reduceat(vector[matrix.indices], starts)
+    keep = np.diff(matrix.indptr) >= 2
+    return owner[keep], sketches[keep]
 
 
 @dataclass
 class PassageIndex:
-    """Inverted index from sketch hash value to (doi, passage_index) postings."""
+    """Inverted index over sketch values, as parallel entry arrays: entry
+    ``k`` places one passage of document ``owner[k]`` in posting
+    ``posting[k]``, one posting per kept distinct value."""
 
-    postings: dict[int, list[tuple[str, int]]]
+    posting: np.ndarray
+    owner: np.ndarray
+    postings: int
     dropped_hashes: int = 0
 
 
-def build_index(sketches: Iterable[PassageSketch], df_cap: int = 1000) -> PassageIndex:
-    """Build the inverted index; postings sorted by doi.
+def build_index(owner: np.ndarray, sketches: np.ndarray, df_cap: int = 1000) -> PassageIndex:
+    """Build the inverted index over ``sketch_corpus`` output.
 
-    Hashes occurring in more than ``df_cap`` distinct documents are dropped
-    with a diagnostic: boilerplate-driven postings grow candidate output
-    quadratically while carrying no pair-specific signal.
+    A passage enters each of its distinct values' postings once, however
+    many functions reach that value. Values occurring in more than
+    ``df_cap`` distinct documents are dropped with a diagnostic:
+    boilerplate-driven postings grow candidate output quadratically while
+    carrying no pair-specific signal.
     """
-    postings: dict[int, list[tuple[str, int]]] = defaultdict(list)
-    for sketch in sketches:
-        entry = (sketch.doi, sketch.passage_index)
-        for value in sketch.hashes:
-            postings[value].append(entry)
-    kept: dict[int, list[tuple[str, int]]] = {}
-    dropped = 0
-    for value, entries in postings.items():
-        if len({doi for doi, _ in entries}) > df_cap:
-            dropped += 1
-            continue
-        kept[value] = sorted(entries)
+    ordered = np.sort(sketches, axis=1)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    values, posting = np.unique(ordered[first], return_inverse=True)
+    entry_owner = np.broadcast_to(owner[:, None], ordered.shape)[first]
+    # Documents per value: the distinct (posting, owner) keys of each posting.
+    width = int(owner.max()) + 1 if owner.size else 1
+    df = np.bincount(np.unique(posting * width + entry_owner) // width, minlength=len(values))
+    kept = df <= df_cap
+    dropped = len(values) - int(kept.sum())
     if dropped:
         log.warning("dropped %d over-frequent hash postings (df_cap=%d)", dropped, df_cap)
-    return PassageIndex(postings=kept, dropped_hashes=dropped)
+    entries = kept[posting]
+    renumbered = np.cumsum(kept) - 1
+    return PassageIndex(renumbered[posting[entries]], entry_owner[entries], len(values) - dropped, dropped)
 
 
-def retrieve_candidates(index: PassageIndex) -> set[CandidatePair]:
-    """All unordered document pairs co-occurring in at least one posting.
+def retrieve_candidates(index: PassageIndex, dois: Sequence[str]) -> set[CandidatePair]:
+    """All unordered document pairs co-occurring in at least one posting;
+    ``index.owner`` indexes ``dois``.
 
     Evidence counts distinct (hash value, passage pair) co-occurrences. With
     ``C[r, d]`` the number of posting ``r``'s entries from document ``d``,
-    a pair's evidence is ``(C.T @ C)[a, b]``, read off the strict upper
-    triangle (columns in doi order).
+    a pair's evidence is ``(C.T @ C)[a, b]`` (``cooccurring_pairs``).
     """
-    entry_dois = [doi for entries in index.postings.values() for doi, _ in entries]
-    dois = sorted(set(entry_dois))
-    column = {doi: i for i, doi in enumerate(dois)}
-    rows = np.repeat(np.arange(len(index.postings)), [len(entries) for entries in index.postings.values()])
-    cols = [column[doi] for doi in entry_dois]
-    shared = cooccurring_pairs(rows, cols, (len(index.postings), len(dois)))
+    shared = cooccurring_pairs(index.posting, index.owner, (index.postings, len(dois)))
     return _candidate_set(dois, shared.row, shared.col, shared.data)
 
 
@@ -294,45 +290,21 @@ def retrieve_candidates_exact(
     """Exact candidate enumeration: pairs with some passage pair sharing
     at least ``min_shared_terms`` distinct terms.
 
-    Implemented as a sparse passage-by-term matrix product computed in row
-    blocks; evidence counts qualifying passage pairs. Unlike sketching, all
-    passages participate (including short trailing ones), so this mode is
-    sound for downstream alignment at min_shared_terms=1. Terms are interned
-    to integer column ids over the whole corpus, and token ``i`` of document
-    ``d`` falls in row ``row_offset[d] + i // passage_size``. ``counts``, if
-    given, receives the matrix shape as ``passages`` and ``terms``.
+    Implemented as a product of the passage×term matrix (``_passage_matrix``)
+    with its transpose, computed in row blocks; evidence counts qualifying
+    passage pairs. Unlike sketching, all passages participate (including
+    short trailing ones), so this mode is sound for downstream alignment at
+    min_shared_terms=1. ``counts``, if given, receives the matrix shape as
+    ``passages`` and ``terms``.
     """
-    if passage_size < 1:
-        raise ValueError("passage_size must be >= 1")
     if min_shared_terms < 1:
         raise ValueError("min_shared_terms must be >= 1")
-    dois = [doc.doi for doc in docs]
-    lengths = np.fromiter((len(doc.tokens) for doc in docs), dtype=np.int64, count=len(docs))
-    passages = -(-lengths // passage_size)
-    row_offset = np.cumsum(passages) - passages
-    token_offset = np.cumsum(lengths) - lengths
-    vocab = dict(zip(dict.fromkeys(itertools.chain.from_iterable(doc.tokens for doc in docs)), itertools.count()))
+    matrix, owner, terms = _passage_matrix(docs, passage_size)
     if counts is not None:
-        counts["passages"] = int(passages.sum())
-        counts["terms"] = len(vocab)
-    if not vocab:
+        counts["passages"], counts["terms"] = matrix.shape
+    if not terms:
         return set()
 
-    cols = np.fromiter(
-        map(vocab.__getitem__, itertools.chain.from_iterable(doc.tokens for doc in docs)),
-        dtype=np.int64,
-        count=int(lengths.sum()),
-    )
-    doc_of_token = np.repeat(np.arange(len(docs)), lengths)
-    position = np.arange(cols.size) - token_offset[doc_of_token]
-    rows = row_offset[doc_of_token] + position // passage_size
-    owner = np.repeat(np.arange(len(docs), dtype=np.int64), passages)
-    matrix = sparse.csr_matrix(
-        (np.ones(cols.size, dtype=np.int32), (rows, cols)),
-        shape=(owner.size, len(vocab)),
-    )
-    matrix.sum_duplicates()
-    matrix.data[:] = 1  # each distinct term counts once per passage
     transposed = matrix.T.tocsc()
     doc_a: list[np.ndarray] = []
     doc_b: list[np.ndarray] = []
@@ -350,7 +322,7 @@ def retrieve_candidates_exact(
         doc_a.append(doc_i[cross])
         doc_b.append(doc_j[cross])
     pair_a, pair_b = np.concatenate(doc_a), np.concatenate(doc_b)
-    return _candidate_set(dois, pair_a, pair_b, np.ones_like(pair_a))
+    return _candidate_set([doc.doi for doc in docs], pair_a, pair_b, np.ones_like(pair_a))
 
 
 def write_candidates(path: str | Path, pairs: Iterable[CandidatePair]) -> int:

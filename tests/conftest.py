@@ -1,6 +1,6 @@
 import os
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -8,12 +8,7 @@ from hypothesis import settings
 
 from textreuse.alignment import _CHAR_BASE, _MIX_A, _MIX_B, _TOKEN_BASE, align_pair
 from textreuse.ingest import RawDocument, normalize
-from textreuse.retrieval import (
-    build_index,
-    retrieve_candidates,
-    retrieve_candidates_exact,
-    sketch_corpus,
-)
+from textreuse.retrieval import MinHasher, retrieve_candidates_exact
 
 
 # CI selects this profile with HYPOTHESIS_PROFILE=ci; a failing example is
@@ -71,27 +66,60 @@ def alpha_words(prefix, count):
     return out
 
 
-def brute_force_posting_pairs(index):
+def passage_term_sets(doc, passage_size):
+    """Distinct-term set of each consecutive ``passage_size``-token passage."""
+    return [frozenset(doc.tokens[i : i + passage_size]) for i in range(0, len(doc.tokens), passage_size)]
+
+
+def brute_force_posting_pairs(postings):
     """Oracle for minhash evidence: every pair of entries with different dois
-    in every posting, counted per canonical doi pair."""
+    in every posting (a list of dois, one per passage), counted per
+    canonical doi pair."""
     evidence = Counter()
-    for entries in index.postings.values():
-        for i, (doi_i, _) in enumerate(entries):
-            for doi_j, _ in entries[i + 1 :]:
+    for entries in postings.values():
+        for i, doi_i in enumerate(entries):
+            for doi_j in entries[i + 1 :]:
                 if doi_i != doi_j:
                     evidence[min(doi_i, doi_j), max(doi_i, doi_j)] += 1
     return dict(evidence)
 
 
-def detect_cases(corpus, retrieval_mode="exact", passage_size=50, min_shared_terms=9,
-                 num_hashes=10, seed=1, params=None):
-    """In-memory detection flow: normalize -> retrieve -> align."""
+def sketch_postings(sketches):
+    """Dict-of-lists posting index over (doi, sketch values) pairs: each
+    distinct value of a sketch lists the sketch's doi once."""
+    postings = defaultdict(list)
+    for doi, values in sketches:
+        for value in set(values):
+            postings[value].append(doi)
+    return postings
+
+
+def capped_postings(postings, df_cap):
+    """The postings held by at most ``df_cap`` distinct dois."""
+    return {value: entries for value, entries in postings.items() if len(set(entries)) <= df_cap}
+
+
+def minhash_reference(docs, passage_size=50, num_hashes=10, seed=0, df_cap=1000):
+    """Scalar reference for minhash mode, one passage at a time: the sketch
+    of each passage with at least two distinct terms is ``MinHasher.values``
+    of its term set, and each distinct sketch value lists the passage's doi
+    once. Returns (evidence by canonical doi pair, hash_postings,
+    dropped_hashes)."""
+    hasher = MinHasher(num_hashes, seed)
+    postings = sketch_postings(
+        (doc.doi, hasher.values(terms).tolist())
+        for doc in docs
+        for terms in passage_term_sets(doc, passage_size)
+        if len(terms) >= 2
+    )
+    kept = capped_postings(postings, df_cap)
+    return brute_force_posting_pairs(kept), len(kept), len(postings) - len(kept)
+
+
+def detect_cases(corpus, passage_size=50, min_shared_terms=9, params=None):
+    """In-memory detection flow: normalize -> retrieve (exact) -> align."""
     docs = [normalize(raw) for raw in corpus]
-    if retrieval_mode == "exact":
-        pairs = retrieve_candidates_exact(docs, passage_size, min_shared_terms)
-    else:
-        index = build_index(sketch_corpus(docs, passage_size, num_hashes, seed))
-        pairs = retrieve_candidates(index)
+    pairs = retrieve_candidates_exact(docs, passage_size, min_shared_terms)
     by_doi = {d.doi: d for d in docs}
     cases = []
     for pair in sorted(pairs, key=lambda p: p.key):

@@ -101,6 +101,22 @@ class TestStageCommands:
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") >= 3  # the planted pairs
 
+    def test_doi_with_a_tab_is_skipped_so_the_checkpoint_resumes(self, tmp_path, caplog):
+        corpus = tmp_path / "corpus.jsonl"
+        text = " ".join(f"word{chr(97 + i % 26)}{chr(97 + i // 26)}" for i in range(40))
+        write_jsonl(corpus, [{"doi": doi, "text": text} for doi in ("10.1/a\tb", "10.1/c", "10.1/d")])
+        candidates = tmp_path / "cand.tsv"
+        assert main(["retrieve", "--input", str(corpus), "--output", str(candidates), "--min-words", "1"]) == 0
+        assert candidates.read_text() == "10.1/c\t10.1/d\t38\n"  # 38 shared 3-grams
+        assert main([
+            "align", "--input", str(corpus), "--candidates", str(candidates),
+            "--output", str(tmp_path / "cases.jsonl"), "--min-words", "1",
+        ]) == 0
+        run = ["pipeline", "--input", str(corpus), "--min-words", "1", "--checkpoint-dir", str(tmp_path / "ckpt")]
+        assert main([*run, "--output-dir", str(tmp_path / "first")]) == 0
+        assert main([*run, "--output-dir", str(tmp_path / "resumed")]) == 0
+        assert "skipping malformed record" in caplog.text
+
     def test_pipeline_outputs(self, tmp_path, corpus_file, capsys):
         corpus, gold = corpus_file
         out_dir = tmp_path / "out"
@@ -173,6 +189,26 @@ class TestConfigFile:
         config.write_text("warp_speed = 9\n")
         assert main(["pipeline", "--config", str(config), "--output-dir", "x"]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ('min_words = "0"', "min_words"),
+            ("passage_size = 50.0", "passage_size"),
+            ("ngram_size = 8.0", "ngram_size"),
+            ("workers = true", "workers"),
+            ("checkpoint_dir = 3", "checkpoint_dir"),
+        ],
+    )
+    def test_value_of_the_wrong_type_rejected(self, tmp_path, corpus_file, capsys, line, field):
+        corpus, _ = corpus_file
+        config = tmp_path / "run.cfg"
+        config.write_text(f"input = {corpus}\nretrieval_mode = exact\n{line}\n")
+        out_dir = tmp_path / "out"
+        assert main(["pipeline", "--config", str(config), "--output-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out_dir.exists()
 
     def test_missing_required_options(self, capsys):
         assert main(["pipeline", "--output-dir", "somewhere"]) == 1

@@ -190,6 +190,12 @@ class TestRawDocument:
         with pytest.raises(ValueError):
             RawDocument(doi="d", text="x", field=("ok", ""))
 
+    @pytest.mark.parametrize("doi", ["10.1/a\tb", "10.1/a\nb", "10.1/a\rb", "\t"])
+    def test_rejects_tab_or_line_break_in_doi(self, doi):
+        # candidates.tsv holds one tab-separated pair of dois per line
+        with pytest.raises(ValueError, match="tab or line break"):
+            RawDocument(doi=doi, text="x")
+
 
 class TestParseRecord:
     def test_year_must_be_integer(self):
@@ -230,6 +236,15 @@ class TestLoadCorpus:
         assert [d.doi for d in docs] == ["d0", "d2"]
         assert report.malformed == 1
         assert any(":2:" in r.message for r in caplog.records)
+
+    def test_doi_with_a_tab_is_a_malformed_record(self, tmp_path, caplog):
+        path = tmp_path / "corpus.jsonl"
+        self._write(path, [json.dumps({"doi": d, "text": "hello"}) for d in ("10.1/a\tb", "10.1/c")])
+        with caplog.at_level(logging.ERROR):
+            docs, report = load_corpus_report(path)
+        assert [d.doi for d in docs] == ["10.1/c"]
+        assert report.malformed == 1
+        assert any(":1:" in r.message and "tab or line break" in r.message for r in caplog.records)
 
     def test_duplicate_doi_last_wins(self, tmp_path, caplog):
         path = tmp_path / "corpus.jsonl"

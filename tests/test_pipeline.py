@@ -31,7 +31,7 @@ from textreuse.retrieval import (
 )
 from textreuse.synthgen import GenSpec, generate
 
-from conftest import alpha_words, constant_window_hashes, doc_from_tokens
+from conftest import alpha_words, constant_window_hashes, doc_from_tokens, minhash_reference
 
 
 def write_corpus(path, raw_docs):
@@ -350,11 +350,13 @@ class TestManifestRetrievalCounters:
         )
         result = run_pipeline(config)
         docs = [normalize(raw) for raw in corpus]
-        sketches = sketch_corpus(docs, config.passage_size, config.num_hashes, config.seed)
-        index = build_index(sketches, config.df_cap)
+        index = build_index(*sketch_corpus(docs, config.passage_size, config.num_hashes, config.seed), config.df_cap)
+        _, postings, dropped = minhash_reference(
+            docs, config.passage_size, config.num_hashes, config.seed, config.df_cap
+        )
         counts = json.loads(result.manifest_path.read_text())["counts"]
-        assert counts["hash_postings"] == len(index.postings) > 0
-        assert counts["dropped_hashes"] == index.dropped_hashes > 0
+        assert counts["hash_postings"] == index.postings == postings > 0
+        assert counts["dropped_hashes"] == index.dropped_hashes == dropped > 0
 
         config.output_dir = str(tmp_path / "resumed")
         assert run_pipeline(config).manifest["counts"] == counts

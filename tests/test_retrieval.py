@@ -1,21 +1,23 @@
 import itertools
 import logging
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from textreuse.alignment import AlignmentParams, align_pair
 from textreuse.ingest import normalize
+from textreuse import retrieval
+from textreuse.pipeline import RunConfig, run_retrieval
 from textreuse.retrieval import (
     RETRIEVAL_NGRAM_SIZE,
     CandidatePair,
     MinHasher,
-    PassageSketch,
+    _passage_matrix,
     build_index,
-    chunk_passages,
     retrieve_candidates,
     retrieve_candidates_exact,
     retrieve_candidates_ngram,
@@ -23,19 +25,23 @@ from textreuse.retrieval import (
 )
 from textreuse.synthgen import GenSpec, generate
 
-from conftest import alpha_words, brute_force_posting_pairs, doc_from_tokens, random_words
+from conftest import (
+    alpha_words,
+    brute_force_posting_pairs,
+    capped_postings,
+    constant_window_hashes,
+    doc_from_tokens,
+    minhash_reference,
+    passage_term_sets,
+    random_words,
+    sketch_postings,
+)
 
 
 def brute_force_candidates(docs, passage_size, min_shared_terms):
     """O(docs^2 * passages^2) oracle over distinct-term overlap: the number of
     qualifying passage pairs per document pair."""
-    term_sets = {
-        doc.doi: [
-            frozenset(doc.tokens[i : i + passage_size])
-            for i in range(0, len(doc.tokens), passage_size)
-        ]
-        for doc in docs
-    }
+    term_sets = {doc.doi: passage_term_sets(doc, passage_size) for doc in docs}
     pairs = {}
     dois = sorted(term_sets)
     for i, doi_a in enumerate(dois):
@@ -51,18 +57,40 @@ def brute_force_candidates(docs, passage_size, min_shared_terms):
 
 
 def sketch_lists():
-    """Hand-built sketches over 1-8 dois; few passage indices and hash values,
-    so entries repeat and postings often hold a single document."""
-    def sketches(doi_count):
-        sketch = st.builds(
-            PassageSketch,
-            st.sampled_from([f"d{k}" for k in range(doi_count)]),
-            st.integers(0, 2),
-            st.frozensets(st.integers(0, 15), min_size=1, max_size=6),
+    """Hand-built ``(dois, owner, sketches)`` over 1-8 dois: up to 25
+    passages of 1-6 functions over few values, so values repeat within a
+    sketch and postings often hold a single document."""
+    def sketches(shape):
+        doi_count, num_hashes = shape
+        values = st.lists(st.integers(0, 15), min_size=num_hashes, max_size=num_hashes)
+        rows = st.lists(st.tuples(st.integers(0, doi_count - 1), values), max_size=25)
+        return rows.map(
+            lambda rows: (
+                [f"d{k}" for k in range(doi_count)],
+                np.array([owner for owner, _ in rows], dtype=np.int64),
+                np.array([values for _, values in rows], dtype=np.uint64).reshape(len(rows), num_hashes),
+            )
         )
-        return st.lists(sketch, max_size=25)
 
-    return st.integers(1, 8).flatmap(sketches)
+    return st.tuples(st.integers(1, 8), st.integers(1, 6)).flatmap(sketches)
+
+
+def matrix_rows(docs, passage_size):
+    """``_passage_matrix`` as (doc index, term set) per row."""
+    matrix, owner, terms = _passage_matrix(docs, passage_size)
+    assert set(matrix.data.tolist()) <= {1}
+    return [
+        (doc, {terms[j] for j in matrix.indices[matrix.indptr[row] : matrix.indptr[row + 1]]})
+        for row, doc in enumerate(owner.tolist())
+    ]
+
+
+def index_entries(index):
+    """Kept postings of a ``PassageIndex``, as sorted lists of document indices."""
+    postings = defaultdict(list)
+    for posting, doc in zip(index.posting.tolist(), index.owner.tolist()):
+        postings[posting].append(doc)
+    return sorted(sorted(entries) for entries in postings.values())
 
 
 @st.composite
@@ -76,33 +104,42 @@ def token_corpora(draw):
 
 
 class TestChunkPassages:
-    def test_ceiling_division(self, rng, vocab):
-        doc = doc_from_tokens(random_words(rng, 120, vocab))
-        passages = chunk_passages(doc, 50)
-        sizes = [end - begin for _, (begin, end) in ((p.index, p.token_range) for p in passages)]
-        assert sizes == [50, 50, 20]
-        assert [p.index for p in passages] == [0, 1, 2]
+    """Passage chunking by ``_passage_matrix``, the passage×term matrix that
+    exact and minhash modes share."""
+
+    def test_ceiling_division(self):
+        doc = doc_from_tokens(alpha_words("w", 120))
+        rows = matrix_rows([doc], 50)
+        assert [len(terms) for _, terms in rows] == [50, 50, 20]
+        assert [doc for doc, _ in rows] == [0, 0, 0]
 
     def test_exact_fit(self, rng, vocab):
         doc = doc_from_tokens(random_words(rng, 50, vocab))
-        assert len(chunk_passages(doc, 50)) == 1
+        assert len(matrix_rows([doc], 50)) == 1
 
-    def test_empty_document(self):
-        doc = doc_from_tokens([])
-        assert chunk_passages(doc, 50) == []
+    def test_empty_document(self, rng, vocab):
+        assert matrix_rows([doc_from_tokens([])], 50) == []
+        matrix, owner, terms = _passage_matrix([], 50)
+        assert matrix.shape == (0, 0) and owner.size == 0 and terms == []
+        # An empty document between two others owns no row.
+        docs = [doc_from_tokens(random_words(rng, 60, vocab), doi=d) for d in "ab"]
+        docs.insert(1, doc_from_tokens([], doi="e"))
+        assert [doc for doc, _ in matrix_rows(docs, 50)] == [0, 0, 2, 2]
 
     def test_term_sets_are_distinct_tokens(self):
         doc = doc_from_tokens(["alpha", "beta", "alpha", "gamma"])
-        (passage,) = chunk_passages(doc, 50)
-        assert passage.term_set == frozenset({"alpha", "beta", "gamma"})
+        assert matrix_rows([doc], 50) == [(0, {"alpha", "beta", "gamma"})]
 
     def test_covers_all_tokens_in_order(self, rng, vocab):
-        doc = doc_from_tokens(random_words(rng, 173, vocab))
-        passages = chunk_passages(doc, 50)
-        flat = []
-        for p in passages:
-            flat.extend(range(*p.token_range))
-        assert flat == list(range(173))
+        docs = [doc_from_tokens(random_words(rng, n, vocab), doi=f"d{n}") for n in (173, 7, 100)]
+        expected = [(k, set(terms)) for k, doc in enumerate(docs) for terms in passage_term_sets(doc, 50)]
+        assert matrix_rows(docs, 50) == expected
+        _, _, terms = _passage_matrix(docs, 50)
+        assert sorted(terms) == sorted({t for doc in docs for t in doc.tokens})
+
+    def test_passage_size_validated(self):
+        with pytest.raises(ValueError):
+            _passage_matrix([], 0)
 
 
 class TestMinHash:
@@ -110,17 +147,15 @@ class TestMinHash:
         tokens = random_words(rng, 50, vocab)
         shuffled = tokens[:]
         rng.shuffle(shuffled)
-        a = chunk_passages(doc_from_tokens(tokens, doi="a"), 50)[0]
-        b = chunk_passages(doc_from_tokens(shuffled, doi="b"), 50)[0]
-        assert a.term_set == b.term_set
-        assert MinHasher(10, 7).sketch(a).hashes == MinHasher(10, 7).sketch(b).hashes
+        docs = [doc_from_tokens(tokens, doi="a"), doc_from_tokens(shuffled, doi="b")]
+        owner, sketches = sketch_corpus(docs, 50, 10, seed=7)
+        assert owner.tolist() == [0, 1]
+        assert sketches[0].tolist() == sketches[1].tolist() == MinHasher(10, 7).values(set(tokens)).tolist()
 
     def test_disjoint_term_sets_share_nothing(self, rng):
-        a = chunk_passages(doc_from_tokens(alpha_words("qa", 50), doi="a"), 50)[0]
-        b = chunk_passages(doc_from_tokens(alpha_words("zb", 50), doi="b"), 50)[0]
-        sa = MinHasher(10, 7).sketch(a)
-        sb = MinHasher(10, 7).sketch(b)
-        assert not (sa.hashes & sb.hashes)
+        docs = [doc_from_tokens(alpha_words("qa", 50), doi="a"), doc_from_tokens(alpha_words("zb", 50), doi="b")]
+        _, (sa, sb) = sketch_corpus(docs, 50, 10, seed=7)
+        assert not set(sa.tolist()) & set(sb.tolist())
 
     def test_empty_term_set_rejected(self):
         hasher = MinHasher(10, seed=0)
@@ -128,8 +163,18 @@ class TestMinHash:
             hasher.values([])
 
     def test_sketch_size_bounded(self, rng, vocab):
-        passage = chunk_passages(doc_from_tokens(random_words(rng, 50, vocab)), 50)[0]
-        assert len(MinHasher(10, 1).sketch(passage).hashes) <= 10
+        doc = doc_from_tokens(random_words(rng, 50, vocab))
+        owner, sketches = sketch_corpus([doc], 50, 10, seed=1)
+        assert sketches.shape == (1, 10) and sketches.dtype == np.uint64
+        assert build_index(owner, sketches).postings <= 10
+
+    def test_sketch_skips_passages_under_two_terms(self):
+        # Passages: [x y] [z z] [w v] [u]; the skipped ones sit between kept ones.
+        doc = doc_from_tokens(["ex", "wy", "zed", "zed", "we", "ve", "ux"])
+        owner, sketches = sketch_corpus([doc_from_tokens([], doi="e"), doc], 2, 3, seed=4)
+        hasher = MinHasher(3, 4)
+        assert owner.tolist() == [1, 1]
+        assert sketches.tolist() == [hasher.values({"ex", "wy"}).tolist(), hasher.values({"we", "ve"}).tolist()]
 
     def test_estimator_tracks_jaccard(self):
         # agreement frequency of per-function minima approximates the exact
@@ -149,48 +194,53 @@ class TestMinHash:
             assert abs(agreement - exact) <= 0.05
 
 
+def hand_built(rows):
+    """``(owner, sketches)`` arrays from (document index, values) rows."""
+    return (
+        np.array([doc for doc, _ in rows], dtype=np.int64),
+        np.array([values for _, values in rows], dtype=np.uint64),
+    )
+
+
 class TestBuildIndex:
     def test_empty_stream(self):
-        index = build_index([])
-        assert index.postings == {}
+        index = build_index(np.empty(0, np.int64), np.empty((0, 10), np.uint64))
+        assert index.postings == index.dropped_hashes == 0
+        assert index.posting.size == index.owner.size == 0
 
     def test_one_sketch_ten_postings(self, rng, vocab):
-        passage = chunk_passages(doc_from_tokens(random_words(rng, 50, vocab)), 50)[0]
-        sketch = MinHasher(10, 3).sketch(passage)
-        index = build_index([sketch])
-        assert len(index.postings) == len(sketch.hashes)
-        assert all(entries == [("doc-a", 0)] for entries in index.postings.values())
+        owner, sketches = sketch_corpus([doc_from_tokens(random_words(rng, 50, vocab))], 50, 10, seed=3)
+        index = build_index(owner, sketches)
+        assert index.postings == len(set(sketches[0].tolist()))
+        assert index_entries(index) == [[0]] * index.postings
 
     def test_only_shared_hash_has_multi_document_posting(self):
-        # hand-built sketches: A and B share exactly hash 2
-        sketches = [
-            PassageSketch("a", 0, frozenset({1, 2})),
-            PassageSketch("b", 0, frozenset({2, 3})),
-            PassageSketch("c", 0, frozenset({4, 5})),
-        ]
-        index = build_index(sketches)
-        multi = {h for h, entries in index.postings.items() if len({d for d, _ in entries}) > 1}
-        # oracle: brute-force sketch intersection
-        expected = (sketches[0].hashes & sketches[1].hashes) | (
-            sketches[0].hashes & sketches[2].hashes
-        ) | (sketches[1].hashes & sketches[2].hashes)
-        assert multi == expected == {2}
+        # hand-built sketches: documents 0 and 1 share exactly value 2, which
+        # document 2 repeats in one passage; value 5 repeats within a passage
+        index = build_index(*hand_built([(0, [1, 2]), (1, [2, 3]), (2, [4, 5]), (2, [5, 5])]))
+        assert index.postings == 5
+        assert index_entries(index) == [[0], [0, 1], [1], [2], [2, 2]]
 
     def test_df_cap_drops_flooded_hash(self, caplog):
-        sketches = [PassageSketch(f"d{i:03d}", 0, frozenset({77, 100 + i})) for i in range(5)]
         with caplog.at_level(logging.WARNING):
-            index = build_index(sketches, df_cap=3)
-        assert 77 not in index.postings
+            index = build_index(*hand_built([(i, [77, 100 + i]) for i in range(5)]), df_cap=3)
         assert index.dropped_hashes == 1
-        assert all(100 + i in index.postings for i in range(5))
+        assert index.postings == 5
+        assert index_entries(index) == [[i] for i in range(5)]
+        assert "dropped 1 over-frequent hash postings (df_cap=3)" in caplog.text
+
+    def test_df_cap_counts_documents_not_passages(self):
+        index = build_index(*hand_built([(0, [7, 1]), (0, [7, 2]), (1, [7, 3])]), df_cap=2)
+        assert index.dropped_hashes == 0
+        assert [0, 0, 1] in index_entries(index)
 
 
 class TestRetrieveCandidates:
     def test_two_identical_documents(self, rng, vocab):
         tokens = random_words(rng, 120, vocab)
         docs = [doc_from_tokens(tokens, doi="a"), doc_from_tokens(tokens, doi="b")]
-        index = build_index(sketch_corpus(docs, 50, 10, seed=1))
-        pairs = retrieve_candidates(index)
+        index = build_index(*sketch_corpus(docs, 50, 10, seed=1))
+        pairs = retrieve_candidates(index, ["a", "b"])
         assert {p.key for p in pairs} == {("a", "b")}
         assert all(p.evidence >= 1 for p in pairs)
 
@@ -199,14 +249,15 @@ class TestRetrieveCandidates:
             doc_from_tokens(alpha_words("qa", 100), doi="a"),
             doc_from_tokens(alpha_words("zb", 100), doi="b"),
         ]
-        index = build_index(sketch_corpus(docs, 50, 10, seed=1))
-        assert retrieve_candidates(index) == set()
+        index = build_index(*sketch_corpus(docs, 50, 10, seed=1))
+        assert retrieve_candidates(index, ["a", "b"]) == set()
 
     def test_canonical_ordering(self, rng, vocab):
         tokens = random_words(rng, 60, vocab)
-        docs = [doc_from_tokens(tokens, doi=d) for d in ("zz", "aa", "mm")]
-        index = build_index(sketch_corpus(docs, 50, 10, seed=1))
-        pairs = retrieve_candidates(index)
+        dois = ["zz", "aa", "mm"]
+        docs = [doc_from_tokens(tokens, doi=d) for d in dois]
+        pairs = retrieve_candidates(build_index(*sketch_corpus(docs, 50, 10, seed=1)), dois)
+        assert {p.key for p in pairs} == {("aa", "mm"), ("aa", "zz"), ("mm", "zz")}
         for p in pairs:
             assert p.doi_a < p.doi_b
 
@@ -218,25 +269,53 @@ class TestRetrieveCandidates:
 
     @settings(max_examples=200, deadline=None)
     @given(sketches=sketch_lists(), df_cap=st.integers(1, 4))
-    @example(sketches=[], df_cap=1)
+    @example(sketches=(["d0"], np.empty(0, np.int64), np.empty((0, 1), np.uint64)), df_cap=1)
     def test_matches_posting_pair_oracle(self, sketches, df_cap):
-        index = build_index(sketches, df_cap)
-        pairs = retrieve_candidates(index)
+        dois, owner, values = sketches
+        index = build_index(owner, values, df_cap)
+        pairs = retrieve_candidates(index, dois)
         got = {p.key: p.evidence for p in pairs}
         assert len(got) == len(pairs)
-        assert got == brute_force_posting_pairs(index)
+        postings = sketch_postings(zip([dois[k] for k in owner.tolist()], values.tolist()))
+        kept = capped_postings(postings, df_cap)
+        assert got == brute_force_posting_pairs(kept)
+        assert (index.postings, index.dropped_hashes) == (len(kept), len(postings) - len(kept))
 
     def test_evidence_counts_hash_passage_cooccurrences(self):
-        sketches = [
-            PassageSketch("a", 0, frozenset({1, 2})),
-            PassageSketch("b", 0, frozenset({1, 2})),
-            PassageSketch("b", 1, frozenset({2, 9})),
-        ]
-        pairs = retrieve_candidates(build_index(sketches))
-        (pair,) = pairs
+        index = build_index(*hand_built([(0, [1, 2]), (1, [1, 2]), (1, [2, 9])]))
+        (pair,) = retrieve_candidates(index, ["a", "b"])
         # hash 1: (a0, b0); hash 2: (a0, b0) and (a0, b1)
         assert pair.key == ("a", "b")
         assert pair.evidence == 3
+
+
+class TestMinhashMode:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corpus=token_corpora(),
+        passage_size=st.integers(1, 60),
+        num_hashes=st.integers(1, 17),
+        df_cap=st.integers(1, 4),
+        seed=st.integers(),
+    )
+    @example(corpus=[], passage_size=50, num_hashes=10, df_cap=1, seed=0)
+    @example(corpus=[["taaa", "taab"], [], ["taab", "taaa", "taaa"]], passage_size=2, num_hashes=9, df_cap=2, seed=5)
+    def test_matches_the_reference(self, corpus, passage_size, num_hashes, df_cap, seed):
+        docs = [doc_from_tokens(tokens, doi=f"d{k}") for k, tokens in enumerate(corpus)]
+        config = RunConfig(
+            input="x",
+            output_dir="y",
+            retrieval_mode="minhash",
+            passage_size=passage_size,
+            num_hashes=num_hashes,
+            df_cap=df_cap,
+            seed=seed,
+        )
+        counts = {}
+        pairs = run_retrieval(docs, config, counts)
+        evidence, postings, dropped = minhash_reference(docs, passage_size, num_hashes, seed, df_cap)
+        assert {p.key: p.evidence for p in pairs} == evidence
+        assert counts == {"hash_postings": postings, "dropped_hashes": dropped}
 
 
 class TestExactMode:
@@ -279,6 +358,17 @@ class TestExactMode:
         got = {p.key: p.evidence for p in pairs}
         assert len(got) == len(pairs)
         assert got == brute_force_candidates(docs, passage_size, min_shared_terms)
+
+    def test_colliding_words_count_as_one_term(self, monkeypatch):
+        # Under a hash where every word collides, each passage holds one
+        # term: a collision can only add candidates.
+        docs = [doc_from_tokens(alpha_words(p, 20), doi=p) for p in ("qa", "zb", "xc")]
+        assert retrieve_candidates_exact(docs, 50, 1) == set()
+        monkeypatch.setattr(retrieval, "window_hashes", constant_window_hashes)
+        counts = {}
+        pairs = retrieve_candidates_exact(docs, 50, 1, counts=counts)
+        assert {p.key for p in pairs} == {("qa", "xc"), ("qa", "zb"), ("xc", "zb")}
+        assert counts == {"passages": 3, "terms": 1}
 
     def test_counts_record_the_matrix_shape(self, rng, vocab):
         docs = [
@@ -355,8 +445,8 @@ class TestMinhashVsExactAgreement:
         ]
         passage_size = data.draw(st.integers(2, 30), label="passage_size")
         num_hashes = data.draw(st.integers(1, 10), label="num_hashes")
-        index = build_index(sketch_corpus(docs, passage_size, num_hashes, seed=data.draw(st.integers(0, 3))))
-        minhash = {p.key for p in retrieve_candidates(index)}
+        index = build_index(*sketch_corpus(docs, passage_size, num_hashes, seed=data.draw(st.integers(0, 3))))
+        minhash = {p.key for p in retrieve_candidates(index, [doc.doi for doc in docs])}
         exact = {p.key for p in retrieve_candidates_exact(docs, passage_size, 1)}
         assert minhash <= exact
 
@@ -376,12 +466,8 @@ class TestMinhashVsExactAgreement:
             )
             corpus, _ = generate(spec)
             docs = [normalize(raw) for raw in corpus]
-            minhash_pairs = {
-                p.key
-                for p in retrieve_candidates(
-                    build_index(sketch_corpus(docs, 50, 10, seed=seed))
-                )
-            }
+            index = build_index(*sketch_corpus(docs, 50, 10, seed=seed))
+            minhash_pairs = {p.key for p in retrieve_candidates(index, [doc.doi for doc in docs])}
             for doi_a, doi_b, jaccard in self._pair_jaccards(docs, 50):
                 if jaccard >= 0.2:
                     eligible += 1
@@ -391,9 +477,7 @@ class TestMinhashVsExactAgreement:
 
     @staticmethod
     def _pair_jaccards(docs, passage_size):
-        term_sets = {
-            doc.doi: [p.term_set for p in chunk_passages(doc, passage_size)] for doc in docs
-        }
+        term_sets = {doc.doi: passage_term_sets(doc, passage_size) for doc in docs}
         dois = sorted(term_sets)
         for i, doi_a in enumerate(dois):
             for doi_b in dois[i + 1 :]:
