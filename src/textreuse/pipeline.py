@@ -141,9 +141,10 @@ def run_retrieval(
     ``ngram`` mode hashes word n-grams of min(``RETRIEVAL_NGRAM_SIZE``,
     ``ngram_size``) tokens, so it keeps every pair alignment can match.
     ``counts``, if given, receives ``hash_postings`` (distinct window hashes
-    in ngram mode, distinct sketch values kept in minhash mode),
-    ``dropped_hashes`` in minhash mode, and the passage×term matrix shape
-    as ``passages`` and ``terms`` in exact mode.
+    in ngram mode, distinct sketch values kept in minhash mode) and the
+    join's ``pair_visits`` in both of those modes, ``dropped_hashes`` in
+    minhash mode, and the passage×term matrix shape as ``passages`` and
+    ``terms`` in exact mode.
     """
     if config.retrieval_mode == "ngram":
         ngram_size = min(RETRIEVAL_NGRAM_SIZE, config.ngram_size)
@@ -156,7 +157,7 @@ def run_retrieval(
         if counts is not None:
             counts["hash_postings"] = index.postings
             counts["dropped_hashes"] = index.dropped_hashes
-        pairs = retrieve_candidates(index, [doc.doi for doc in docs])
+        pairs = retrieve_candidates(index, [doc.doi for doc in docs], counts=counts)
     return sorted(pairs, key=lambda p: p.key)
 
 
@@ -189,8 +190,8 @@ def run_alignment(
 
     dois = sorted({doi for key in doi_pairs for doi in key})
     hashes = {doi: window_hashes(by_doi[doi], params.ngram_size, params.ngram_overlap) for doi in dois}
-    _, joined = shared_hash_pairs(list(hashes.values()))
-    sharing = {(dois[i], dois[j]) for i, j in zip(joined.row.tolist(), joined.col.tolist())}
+    shared_a, shared_b, _ = shared_hash_pairs(list(hashes.values()))
+    sharing = {(dois[i], dois[j]) for i, j in zip(shared_a.tolist(), shared_b.tolist())}
     to_align = [key for key in doi_pairs if key in sharing]
     if counts is not None:
         counts["documents_hashed"] = len(hashes)

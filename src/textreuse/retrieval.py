@@ -22,8 +22,10 @@ matrix row (``sketch_corpus``), an inverted index lists each passage under
 its distinct sketch values (``build_index``), and every document pair whose
 sketches collide is kept (``retrieve_candidates``). On Zipfian text frequent
 words win the min-hashes and nearly every document pair survives. The ngram
-and minhash modes read their evidence off one sparse product of a count
-matrix with itself (``cooccurring_pairs``).
+and minhash modes read their evidence off one sorted numpy join of a count
+matrix with itself (``cooccurring_pairs``), which alignment also calls. The
+default path needs numpy alone: the sparse matrix library is imported only
+by ``_passage_matrix``, which only the two reference modes build.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy import sparse
 
 from .alignment import window_hashes
 from .ingest import Document
@@ -50,6 +51,10 @@ _LANES = 8
 
 # Words per window in ngram mode; capped at alignment's ngram_size.
 RETRIEVAL_NGRAM_SIZE = 3
+
+# Pair visits ``cooccurring_pairs`` expands at a time: its working memory is
+# bounded by this plus its output, not by the number of visits.
+_JOIN_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
@@ -105,9 +110,9 @@ class MinHasher:
         return self.term_vectors(terms).min(axis=0)
 
 
-def _passage_matrix(docs: Sequence[Document], passage_size: int) -> tuple[sparse.csr_matrix, np.ndarray, list[str]]:
-    """Binary passage×term matrix of a corpus, each row's document index,
-    and one word of each term in column order.
+def _passage_matrix(docs: Sequence[Document], passage_size: int) -> tuple:
+    """Binary passage×term matrix of a corpus (a ``scipy.sparse.csr_matrix``),
+    each row's document index, and one word of each term in column order.
 
     Each document splits into consecutive passages of ``passage_size``
     tokens, the last possibly shorter, so every row holds at least one term;
@@ -117,6 +122,8 @@ def _passage_matrix(docs: Sequence[Document], passage_size: int) -> tuple[sparse
     one-word windows, the hash of ngram mode and alignment), so two words
     that collide count as one term, which can only add candidate pairs.
     """
+    from scipy import sparse  # only the reference modes build this matrix
+
     if passage_size < 1:
         raise ValueError("passage_size must be >= 1")
     lengths = np.fromiter((len(doc.tokens) for doc in docs), dtype=np.int64, count=len(docs))
@@ -205,41 +212,92 @@ def build_index(owner: np.ndarray, sketches: np.ndarray, df_cap: int = 1000) -> 
     return PassageIndex(renumbered[posting[entries]], entry_owner[entries], len(values) - dropped, dropped)
 
 
-def retrieve_candidates(index: PassageIndex, dois: Sequence[str]) -> set[CandidatePair]:
+def retrieve_candidates(
+    index: PassageIndex, dois: Sequence[str], *, counts: dict | None = None
+) -> set[CandidatePair]:
     """All unordered document pairs co-occurring in at least one posting;
     ``index.owner`` indexes ``dois``.
 
     Evidence counts distinct (hash value, passage pair) co-occurrences. With
     ``C[r, d]`` the number of posting ``r``'s entries from document ``d``,
-    a pair's evidence is ``(C.T @ C)[a, b]`` (``cooccurring_pairs``).
+    a pair's evidence is ``(C.T @ C)[a, b]`` (``cooccurring_pairs``, which
+    records ``pair_visits`` in ``counts`` if given).
     """
-    shared = cooccurring_pairs(index.posting, index.owner, (index.postings, len(dois)))
-    return _candidate_set(dois, shared.row, shared.col, shared.data)
+    a, b, weight = cooccurring_pairs(index.posting, index.owner, (index.postings, len(dois)), counts=counts)
+    return _candidate_set(dois, a, b, weight)
 
 
-def cooccurring_pairs(rows: ArrayLike, cols: ArrayLike, shape: tuple[int, int]) -> sparse.coo_matrix:
+def cooccurring_pairs(
+    rows: ArrayLike, cols: ArrayLike, shape: tuple[int, int], *, counts: dict | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column pairs ``a < b`` that share a row, with their co-occurrence count.
 
     Entry ``k`` places one count at ``C[rows[k], cols[k]]`` in a ``shape``
-    count matrix ``C``; the result is the strict upper triangle of ``Cᵀ C``,
-    whose ``(a, b)`` entry is the sum over rows ``r`` of ``C[r, a] * C[r, b]``.
+    count matrix ``C``. Returns parallel ``int64`` arrays ``(a, b, weight)``
+    in ascending ``(a, b)`` order over the nonzero strict upper triangle of
+    ``Cᵀ C``: ``weight`` is the sum over rows ``r`` of ``C[r, a] * C[r, b]``.
+
+    A sorted join: the distinct entries of each row, with their counts, are
+    expanded into that row's column pairs ``_JOIN_BLOCK`` visits at a time,
+    and equal pairs are summed in integers. ``counts``, if given, receives
+    the number of column pairs visited as ``pair_visits``.
     """
-    counts = sparse.csr_matrix((np.ones(len(cols), dtype=np.int64), (rows, cols)), shape=shape)
-    return sparse.triu(counts.T @ counts, k=1).tocoo()
+    n_cols = shape[1]
+    keys, cell = np.unique(
+        np.asarray(rows, dtype=np.int64) * n_cols + np.asarray(cols, dtype=np.int64), return_counts=True
+    )
+    row, col = np.divmod(keys, n_cols)
+    # Entry i visits each later entry of its row: a column above its own.
+    partners = np.searchsorted(row, row, side="right") - np.arange(keys.size) - 1
+    before = np.cumsum(partners) - partners
+    visits = int(partners.sum())
+    if counts is not None:
+        counts["pair_visits"] = visits
+    # Each block starts at the entry whose visits cross the next multiple of
+    # _JOIN_BLOCK, so it expands at most _JOIN_BLOCK plus one entry's visits.
+    bounds = np.unique(np.searchsorted(before, np.arange(0, visits, _JOIN_BLOCK), side="right") - 1)
+    # parts[0] is the running result, the other parts blocks not yet folded
+    # into it. Folding them in once they outgrow it keeps memory linear in
+    # the output and the total work O(visits log visits).
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    for lo, hi in zip(bounds.tolist(), [*bounds[1:].tolist(), keys.size]):
+        left = np.repeat(np.arange(lo, hi), partners[lo:hi])
+        right = left + 1 + np.arange(left.size) - np.repeat(before[lo:hi] - before[lo], partners[lo:hi])
+        parts.append(_sum_by_key(col[left] * n_cols + col[right], cell[left] * cell[right]))
+        if len(parts) > 1 and (hi == keys.size or sum(p.size for p, _ in parts[1:]) >= parts[0][0].size):
+            parts = [_sum_by_key(np.concatenate([p for p, _ in parts]), np.concatenate([w for _, w in parts]))]
+    pair, weight = parts[0] if parts else (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    a, b = np.divmod(pair, n_cols)
+    return a, b, weight
 
 
-def shared_hash_pairs(hashes: Sequence[np.ndarray]) -> tuple[int, sparse.coo_matrix]:
+def _sum_by_key(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in ascending order and the sum of ``weights`` over each."""
+    order = np.argsort(keys)
+    keys, weights = keys[order], weights[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return keys[starts], np.add.reduceat(weights, starts)
+
+
+def shared_hash_pairs(
+    hashes: Sequence[np.ndarray], *, counts: dict | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index pairs ``i < j`` whose hash arrays share a value.
 
-    Returns the number of distinct values and ``cooccurring_pairs`` over the
-    distinct-value × array count matrix: entry ``(i, j)`` sums, over the
-    shared values, the value's count in ``hashes[i]`` times its count in
-    ``hashes[j]``.
+    Returns ``cooccurring_pairs`` over the distinct-value × array count
+    matrix: entry ``(i, j)`` sums, over the shared values, the value's count
+    in ``hashes[i]`` times its count in ``hashes[j]``. ``counts``, if given,
+    receives the number of distinct values as ``hash_postings`` and the
+    join's ``pair_visits``.
     """
     # The empty leading array lets an empty list concatenate too.
     values, posting = np.unique(np.concatenate([np.empty(0, np.uint64), *hashes]), return_inverse=True)
     owner = np.repeat(np.arange(len(hashes)), [len(h) for h in hashes])
-    return len(values), cooccurring_pairs(posting, owner, (len(values), len(hashes)))
+    if counts is not None:
+        counts["hash_postings"] = len(values)
+    return cooccurring_pairs(posting, owner, (len(values), len(hashes)), counts=counts)
 
 
 def retrieve_candidates_ngram(
@@ -249,12 +307,11 @@ def retrieve_candidates_ngram(
 
     Evidence is the number of shared window occurrence pairs. ``counts``, if
     given, receives the number of distinct window hashes as
-    ``hash_postings``.
+    ``hash_postings`` and the join's ``pair_visits``.
     """
-    distinct, shared = shared_hash_pairs([window_hashes(doc, ngram_size, ngram_size - 1) for doc in docs])
-    if counts is not None:
-        counts["hash_postings"] = distinct
-    return _candidate_set([doc.doi for doc in docs], shared.row, shared.col, shared.data)
+    hashes = [window_hashes(doc, ngram_size, ngram_size - 1) for doc in docs]
+    a, b, weight = shared_hash_pairs(hashes, counts=counts)
+    return _candidate_set([doc.doi for doc in docs], a, b, weight)
 
 
 def _candidate_set(
@@ -269,14 +326,12 @@ def _candidate_set(
     rank = {doi: i for i, doi in enumerate(names)}
     to_rank = np.array([rank[doi] for doi in dois], dtype=np.int64)
     a, b = to_rank[doc_a], to_rank[doc_b]
-    summed = sparse.coo_matrix(
-        (np.asarray(weights, dtype=np.int64), (np.minimum(a, b), np.maximum(a, b))),
-        shape=(len(names), len(names)),
-    )
-    summed.sum_duplicates()
+    keys = np.minimum(a, b) * len(names) + np.maximum(a, b)
+    keys, evidence = _sum_by_key(keys, np.asarray(weights, dtype=np.int64))
+    first, second = np.divmod(keys, len(names))
     return {
         CandidatePair(names[i], names[j], n)
-        for i, j, n in zip(summed.row.tolist(), summed.col.tolist(), summed.data.tolist())
+        for i, j, n in zip(first.tolist(), second.tolist(), evidence.tolist())
     }
 
 

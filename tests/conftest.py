@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from collections import Counter, defaultdict
@@ -84,6 +85,15 @@ def brute_force_posting_pairs(postings):
     return dict(evidence)
 
 
+def ngram_holders(docs, n):
+    """The dois holding each word n-gram of ``docs``."""
+    holders = defaultdict(set)
+    for doc in docs:
+        for i in range(len(doc.tokens) - n + 1):
+            holders[doc.tokens[i : i + n]].add(doc.doi)
+    return holders
+
+
 def sketch_postings(sketches):
     """Dict-of-lists posting index over (doi, sketch values) pairs: each
     distinct value of a sketch lists the sketch's doi once."""
@@ -104,7 +114,8 @@ def minhash_reference(docs, passage_size=50, num_hashes=10, seed=0, df_cap=1000)
     of each passage with at least two distinct terms is ``MinHasher.values``
     of its term set, and each distinct sketch value lists the passage's doi
     once. Returns (evidence by canonical doi pair, hash_postings,
-    dropped_hashes)."""
+    dropped_hashes, pair_visits), where pair_visits counts the pairs of
+    distinct dois in each kept posting."""
     hasher = MinHasher(num_hashes, seed)
     postings = sketch_postings(
         (doc.doi, hasher.values(terms).tolist())
@@ -113,7 +124,8 @@ def minhash_reference(docs, passage_size=50, num_hashes=10, seed=0, df_cap=1000)
         if len(terms) >= 2
     )
     kept = capped_postings(postings, df_cap)
-    return brute_force_posting_pairs(kept), len(kept), len(postings) - len(kept)
+    visits = sum(math.comb(len(set(entries)), 2) for entries in kept.values())
+    return brute_force_posting_pairs(kept), len(kept), len(postings) - len(kept), visits
 
 
 def detect_cases(corpus, passage_size=50, min_shared_terms=9, params=None):

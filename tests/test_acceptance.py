@@ -323,10 +323,12 @@ def test_criterion_9_determinism_and_scaling(tmp_path):
     time_small = timed_retrieval(500, 1)
     time_large = timed_retrieval(1000, 2)
     ratio = time_large / time_small
-    ok = deterministic and ratio <= 2.5
+    scales = ratio <= 2.5
+    ok = deterministic and scales
+    # Three decimals and the verdict, so the line decides a ratio near 2.5.
     assert report(
         9,
         ok,
         f"byte-identical output at workers 1/1/2/4: {deterministic}; "
-        f"retrieval+indexing time x{ratio:.2f} at doubled corpus (<=2.5)",
+        f"retrieval+indexing time x{ratio:.3f} at doubled corpus (<=2.5: {'pass' if scales else 'FAIL'})",
     )

@@ -4,6 +4,9 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from textreuse.alignment import align_pair, case_namespace
 from textreuse.ingest import document_record, normalize
 from textreuse.jsonl import write_jsonl
 from textreuse.pipeline import (
+    CHECKPOINT_STATE_FILE,
     CheckpointMismatch,
     PipelineError,
     RunConfig,
@@ -31,7 +35,7 @@ from textreuse.retrieval import (
 )
 from textreuse.synthgen import GenSpec, generate
 
-from conftest import alpha_words, constant_window_hashes, doc_from_tokens, minhash_reference
+from conftest import alpha_words, constant_window_hashes, doc_from_tokens, minhash_reference, ngram_holders
 
 
 def write_corpus(path, raw_docs):
@@ -345,18 +349,21 @@ class TestManifestRetrievalCounters:
             corpus_path,
             tmp_path / "out",
             retrieval_mode="minhash",
-            df_cap=1,
+            df_cap=2,
             checkpoint_dir=str(tmp_path / "ckpt"),
         )
         result = run_pipeline(config)
         docs = [normalize(raw) for raw in corpus]
         index = build_index(*sketch_corpus(docs, config.passage_size, config.num_hashes, config.seed), config.df_cap)
-        _, postings, dropped = minhash_reference(
+        _, postings, dropped, visits = minhash_reference(
             docs, config.passage_size, config.num_hashes, config.seed, config.df_cap
         )
         counts = json.loads(result.manifest_path.read_text())["counts"]
         assert counts["hash_postings"] == index.postings == postings > 0
         assert counts["dropped_hashes"] == index.dropped_hashes == dropped > 0
+        assert counts["pair_visits"] == visits > 0
+        state = json.loads((tmp_path / "ckpt" / CHECKPOINT_STATE_FILE).read_text())
+        assert state["counts"]["pair_visits"] == visits
 
         config.output_dir = str(tmp_path / "resumed")
         assert run_pipeline(config).manifest["counts"] == counts
@@ -369,10 +376,14 @@ class TestManifestRetrievalCounters:
         result = run_pipeline(config)
         docs = [normalize(raw) for raw in corpus]
         n = RETRIEVAL_NGRAM_SIZE
-        grams = {doc.tokens[i : i + n] for doc in docs for i in range(len(doc.tokens) - n + 1)}
+        holders = ngram_holders(docs, n)
+        visits = sum(math.comb(len(dois), 2) for dois in holders.values())
         counts = json.loads(result.manifest_path.read_text())["counts"]
-        assert counts["hash_postings"] == len(grams)
+        assert counts["hash_postings"] == len(holders)
+        assert counts["pair_visits"] == visits > 0
         assert "dropped_hashes" not in counts
+        state = json.loads((tmp_path / "ckpt" / CHECKPOINT_STATE_FILE).read_text())
+        assert state["counts"] == {"hash_postings": len(holders), "pair_visits": visits}
 
         config.output_dir = str(tmp_path / "resumed")
         assert run_pipeline(config).manifest["counts"] == counts
@@ -388,7 +399,7 @@ class TestManifestIngestAndExactCounters:
         assert counts["tokens"] == sum(len(doc.tokens) for doc in docs) > 0
         assert counts["passages"] == sum(math.ceil(len(doc.tokens) / config.passage_size) for doc in docs)
         assert counts["terms"] == len({t for doc in docs for t in doc.tokens})
-        assert "hash_postings" not in counts
+        assert "hash_postings" not in counts and "pair_visits" not in counts
 
         config.output_dir = str(tmp_path / "resumed")
         assert run_pipeline(config).manifest["counts"] == counts
@@ -417,6 +428,37 @@ class TestManifestIngestAndExactCounters:
         monkeypatch.setattr("builtins.open", recording_open)
         run_pipeline(base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(tmp_path / "ckpt")))
         assert opened.count(str(corpus_path)) == 1
+
+
+# Imports the CLI, runs the pipeline in the mode given on the command line
+# and prints the case count and whether scipy was loaded.
+SCIPY_PROBE = """
+import json, sys
+import textreuse.cli
+from textreuse.pipeline import RunConfig, run_pipeline
+corpus, out_dir, mode = sys.argv[1:]
+config = RunConfig(input=corpus, output_dir=out_dir, min_words=10, retrieval_mode=mode)
+counts = run_pipeline(config).manifest["counts"]
+print(json.dumps({"cases": counts["cases"], "scipy": "scipy" in sys.modules}))
+"""
+
+
+class TestScipyOnlyInReferenceModes:
+    """The default pipeline runs on numpy alone; the exact and minhash
+    reference modes load scipy on first use."""
+
+    @pytest.mark.parametrize("mode, loads_scipy", [("ngram", False), ("exact", True)])
+    def test_scipy_is_loaded_only_by_a_reference_mode(self, tmp_path, mode, loads_scipy):
+        corpus_path, _, _ = synthetic_corpus_file(tmp_path)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, str(corpus_path), str(tmp_path / "out"), mode],
+            env=env, check=True, capture_output=True, text=True, timeout=300,
+        )  # fmt: skip
+        probe = json.loads(run.stdout.splitlines()[-1])
+        assert probe["scipy"] is loads_scipy
+        assert probe["cases"] > 0
 
 
 class TestAtomicOutputs:

@@ -1,12 +1,15 @@
 import itertools
 import logging
+import math
 import random
 from collections import Counter, defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from textreuse.alignment import AlignmentParams, align_pair
 from textreuse.ingest import normalize
@@ -18,6 +21,7 @@ from textreuse.retrieval import (
     MinHasher,
     _passage_matrix,
     build_index,
+    cooccurring_pairs,
     retrieve_candidates,
     retrieve_candidates_exact,
     retrieve_candidates_ngram,
@@ -32,6 +36,7 @@ from conftest import (
     constant_window_hashes,
     doc_from_tokens,
     minhash_reference,
+    ngram_holders,
     passage_term_sets,
     random_words,
     sketch_postings,
@@ -313,9 +318,9 @@ class TestMinhashMode:
         )
         counts = {}
         pairs = run_retrieval(docs, config, counts)
-        evidence, postings, dropped = minhash_reference(docs, passage_size, num_hashes, seed, df_cap)
+        evidence, postings, dropped, visits = minhash_reference(docs, passage_size, num_hashes, seed, df_cap)
         assert {p.key: p.evidence for p in pairs} == evidence
-        assert counts == {"hash_postings": postings, "dropped_hashes": dropped}
+        assert counts == {"hash_postings": postings, "dropped_hashes": dropped, "pair_visits": visits}
 
 
 class TestExactMode:
@@ -396,6 +401,38 @@ def brute_force_ngram_pairs(docs, n):
     return pairs
 
 
+@st.composite
+def count_entries(draw):
+    """A (rows, cols, shape) count matrix of up to 7×7 cells, cells repeated."""
+    shape = (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    cell = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
+    entries = draw(st.lists(cell, max_size=60))
+    return [r for r, _ in entries], [c for _, c in entries], shape
+
+
+class TestCooccurringPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=count_entries(), block=st.sampled_from([1, 2, 3, 5, 2**18]))
+    @example(matrix=([], [], (3, 4)), block=2**18)
+    @example(matrix=([0, 1, 2, 2], [0, 0, 0, 0], (3, 1)), block=1)
+    @example(matrix=([0, 0, 0, 0, 1, 1], [2, 2, 0, 1, 0, 2], (2, 3)), block=2**18)
+    @example(matrix=([0] * 7 + [1] * 5, list(range(7)) + list(range(5)), (2, 7)), block=4)
+    def test_matches_the_sparse_product(self, matrix, block):
+        """Against ``triu(Cᵀ C, 1)``, at block sizes that split the visits
+        into many blocks, some smaller than one entry's visits."""
+        rows, cols, shape = matrix
+        counts = sparse.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=shape)
+        oracle = sparse.triu(counts.T @ counts, k=1).tocoo()
+        expected = sorted(zip(oracle.row.tolist(), oracle.col.tolist(), oracle.data.tolist()))
+        record = {}
+        with mock.patch.object(retrieval, "_JOIN_BLOCK", block):
+            a, b, weight = cooccurring_pairs(rows, cols, shape, counts=record)
+        assert list(zip(a.tolist(), b.tolist(), weight.tolist())) == expected
+        assert a.dtype == b.dtype == weight.dtype == np.int64
+        distinct = Counter(r for r, _ in set(zip(rows, cols)))
+        assert record == {"pair_visits": sum(math.comb(n, 2) for n in distinct.values())}
+
+
 class TestNgramMode:
     @settings(max_examples=200, deadline=None)
     @given(corpus=token_corpora(), n=st.integers(1, 5))
@@ -405,8 +442,9 @@ class TestNgramMode:
         counts = {}
         pairs = retrieve_candidates_ngram(docs, n, counts=counts)
         assert {p.key: p.evidence for p in pairs} == brute_force_ngram_pairs(docs, n)
-        grams = {doc.tokens[i : i + n] for doc in docs for i in range(len(doc.tokens) - n + 1)}
-        assert counts["hash_postings"] == len(grams)
+        holders = ngram_holders(docs, n)
+        visits = sum(math.comb(len(dois), 2) for dois in holders.values())
+        assert counts == {"hash_postings": len(holders), "pair_visits": visits}
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
