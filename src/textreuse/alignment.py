@@ -241,25 +241,24 @@ def extend(
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
     # Sorted by span_a begin, any linkable pair (i, j) satisfies
     # begin_j - begin_i <= max_gap + longest span on side a, which bounds the
-    # backward scan window.
+    # backward scan window. A pair already in one cluster is not tested, and
+    # the gap test is ``sp.gap`` on both sides, inlined.
     longest_a = max(s.span_a[1] - s.span_a[0] for s in ordered)
     window = max_gap + longest_a
     for j in range(n):
-        begin_j = ordered[j].span_a[0]
+        (begin_a, end_a), (begin_b, end_b) = ordered[j].span_a, ordered[j].span_b
         i = j - 1
-        while i >= 0 and begin_j - ordered[i].span_a[0] <= window:
-            if (
-                sp.gap(ordered[i].span_a, ordered[j].span_a) <= max_gap
-                and sp.gap(ordered[i].span_b, ordered[j].span_b) <= max_gap
-            ):
-                union(i, j)
+        while i >= 0 and begin_a - ordered[i].span_a[0] <= window:
+            root_i, root_j = find(i), find(j)
+            if root_i != root_j:
+                span_a, span_b = ordered[i].span_a, ordered[i].span_b
+                if (
+                    max(span_a[0], begin_a) - min(span_a[1], end_a) <= max_gap
+                    and max(span_b[0], begin_b) - min(span_b[1], end_b) <= max_gap
+                ):
+                    parent[root_j] = root_i
             i -= 1
 
     clusters: dict[int, list[Seed]] = {}

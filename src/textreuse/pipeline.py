@@ -140,11 +140,11 @@ def run_retrieval(
 
     ``ngram`` mode hashes word n-grams of min(``RETRIEVAL_NGRAM_SIZE``,
     ``ngram_size``) tokens, so it keeps every pair alignment can match.
-    ``counts``, if given, receives ``hash_postings`` (distinct window hashes
-    in ngram mode, distinct sketch values kept in minhash mode) and the
-    join's ``pair_visits`` in both of those modes, ``dropped_hashes`` in
-    minhash mode, and the passage×term matrix shape as ``passages`` and
-    ``terms`` in exact mode.
+    ``counts``, if given, receives the join's ``pair_visits`` in every
+    mode, ``hash_postings`` (distinct window hashes in ngram mode, distinct
+    sketch values kept in minhash mode), ``dropped_hashes`` in minhash
+    mode, and the passage×term matrix shape as ``passages`` and ``terms``
+    in exact mode.
     """
     if config.retrieval_mode == "ngram":
         ngram_size = min(RETRIEVAL_NGRAM_SIZE, config.ngram_size)

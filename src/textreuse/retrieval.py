@@ -12,8 +12,8 @@ every pair that can yield a case is kept.
 
 Two bag-of-words modes are kept as references. Both split documents into
 consecutive fixed-size passages and build one binary passage×term matrix
-(``_passage_matrix``) whose terms are words' 64-bit hashes.
-``retrieve_candidates_exact`` enumerates exactly the pairs with a
+(``_passage_matrix``, as numpy CSR arrays) whose terms are words' 64-bit
+hashes. ``retrieve_candidates_exact`` enumerates exactly the pairs with a
 passage-level overlap of at least ``min_shared_terms`` distinct terms, and
 doubles as the testing oracle for the sketched path. In
 ``minhash`` mode each term is hashed once with a family of seeded
@@ -21,11 +21,12 @@ min-hashes, each passage's sketch is the per-function minimum over its
 matrix row (``sketch_corpus``), an inverted index lists each passage under
 its distinct sketch values (``build_index``), and every document pair whose
 sketches collide is kept (``retrieve_candidates``). On Zipfian text frequent
-words win the min-hashes and nearly every document pair survives. The ngram
-and minhash modes read their evidence off one sorted numpy join of a count
-matrix with itself (``cooccurring_pairs``), which alignment also calls. The
-default path needs numpy alone: the sparse matrix library is imported only
-by ``_passage_matrix``, which only the two reference modes build.
+words win the min-hashes and nearly every document pair survives.
+
+Every mode, and alignment, reads its pairs off one sorted numpy join of a
+count matrix with itself (``cooccurring_pairs``); exact mode passes its
+threshold into the join, which drops the passage pairs below it block by
+block. The package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ _LANES = 8
 RETRIEVAL_NGRAM_SIZE = 3
 
 # Pair visits ``cooccurring_pairs`` expands at a time: its working memory is
-# bounded by this plus its output, not by the number of visits.
-_JOIN_BLOCK = 2**18
+# bounded by this plus its output, not by the number of visits. Of 2**15 to
+# 2**18, 2**16 ran exact mode's join fastest on 1,000 documents.
+_JOIN_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -110,20 +112,41 @@ class MinHasher:
         return self.term_vectors(terms).min(axis=0)
 
 
-def _passage_matrix(docs: Sequence[Document], passage_size: int) -> tuple:
-    """Binary passage×term matrix of a corpus (a ``scipy.sparse.csr_matrix``),
-    each row's document index, and one word of each term in column order.
+def _value_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique``'s inverse and index: each value's id, the distinct
+    values numbered in ascending order, and each distinct value's first
+    position.
 
-    Each document splits into consecutive passages of ``passage_size``
-    tokens, the last possibly shorter, so every row holds at least one term;
-    an empty document has no rows. Token ``i`` of document ``d`` falls in
-    row ``row_offset[d] + i // passage_size``, and each distinct term counts
-    once per passage. A term is a word's 64-bit hash (``window_hashes`` of
-    one-word windows, the hash of ngram mode and alignment), so two words
-    that collide count as one term, which can only add candidate pairs.
+    From numpy's default argsort, which is unstable, so each run of equal
+    sorted values takes its least position. On 453k word hashes this took
+    25 ms, against 71 ms for ``np.unique`` with ``return_index`` and 60 ms
+    for a stable argsort alone.
     """
-    from scipy import sparse  # only the reference modes build this matrix
+    order = np.argsort(values)
+    ordered = values[order]
+    new = np.ones(values.size, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    ids = np.empty(values.size, dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, np.minimum.reduceat(order, starts) if starts.size else starts
 
+
+def _passage_matrix(docs: Sequence[Document], passage_size: int) -> tuple:
+    """Binary passage×term matrix of a corpus as CSR arrays ``(indptr,
+    indices)``, each row's document index, and one word of each term in
+    column order.
+
+    Row ``r`` holds the distinct terms ``indices[indptr[r]:indptr[r + 1]]``
+    in ascending order. Each document splits into consecutive passages of
+    ``passage_size`` tokens, the last possibly shorter, so every row holds
+    at least one term; an empty document has no rows. Token ``i`` of
+    document ``d`` falls in row ``row_offset[d] + i // passage_size``. A
+    term is a word's 64-bit hash (``window_hashes`` of one-word windows, the
+    hash of ngram mode and alignment), numbered in hash order and named by
+    its first token (``_value_ids``), so two words that collide count as
+    one term, which can only add candidate pairs.
+    """
     if passage_size < 1:
         raise ValueError("passage_size must be >= 1")
     lengths = np.fromiter((len(doc.tokens) for doc in docs), dtype=np.int64, count=len(docs))
@@ -131,19 +154,19 @@ def _passage_matrix(docs: Sequence[Document], passage_size: int) -> tuple:
     row_offset = np.cumsum(passages) - passages
     token_offset = np.cumsum(lengths) - lengths
     # The empty leading array lets an empty corpus concatenate too.
-    hashes = np.concatenate([np.empty(0, np.uint64), *(window_hashes(doc, 1, 0) for doc in docs)])
-    _, first, cols = np.unique(hashes, return_index=True, return_inverse=True)
+    word_hashes = (window_hashes(doc, 1, 0) for doc in docs)
+    term, first = _value_ids(np.concatenate([np.empty(0, np.uint64), *word_hashes]))
     tokens = list(itertools.chain.from_iterable(doc.tokens for doc in docs))
+    words = [tokens[i] for i in first.tolist()]
+    del tokens  # a pointer a token, freed before the sort below
     doc_of_token = np.repeat(np.arange(len(docs)), lengths)
-    position = np.arange(cols.size) - token_offset[doc_of_token]
+    position = np.arange(term.size) - token_offset[doc_of_token]
     rows = row_offset[doc_of_token] + position // passage_size
     owner = np.repeat(np.arange(len(docs), dtype=np.int64), passages)
-    matrix = sparse.csr_matrix(
-        (np.ones(cols.size, dtype=np.int32), (rows, cols)),
-        shape=(owner.size, first.size),
-    )
-    matrix.data[:] = 1  # building from coordinates summed the repeats
-    return matrix, owner, [tokens[i] for i in first.tolist()]
+    width = max(first.size, 1)
+    row, indices = np.divmod(_sum_by_key(rows * width + term)[0], width)
+    indptr = np.searchsorted(row, np.arange(owner.size + 1))
+    return indptr, indices, owner, words
 
 
 def sketch_corpus(
@@ -162,15 +185,15 @@ def sketch_corpus(
     fewer than two distinct terms are skipped: a near-constant passage
     sketches to copies of a single hash and floods the index.
     """
-    matrix, owner, terms = _passage_matrix(docs, passage_size)
+    indptr, indices, owner, terms = _passage_matrix(docs, passage_size)
     vectors = MinHasher(num_hashes, seed).term_vectors(terms).T.copy()
-    starts = matrix.indptr[:-1]
+    starts = indptr[:-1]
     sketches = np.empty((owner.size, num_hashes), dtype=np.uint64)
     # Every row is reduced, then rows are dropped: a reduceat over the kept
     # rows' starts alone would fold each dropped row into the row before it.
     for j, vector in enumerate(vectors):
-        sketches[:, j] = np.minimum.reduceat(vector[matrix.indices], starts)
-    keep = np.diff(matrix.indptr) >= 2
+        sketches[:, j] = np.minimum.reduceat(vector[indices], starts)
+    keep = np.diff(indptr) >= 2
     return owner[keep], sketches[keep]
 
 
@@ -202,7 +225,7 @@ def build_index(owner: np.ndarray, sketches: np.ndarray, df_cap: int = 1000) -> 
     entry_owner = np.broadcast_to(owner[:, None], ordered.shape)[first]
     # Documents per value: the distinct (posting, owner) keys of each posting.
     width = int(owner.max()) + 1 if owner.size else 1
-    df = np.bincount(np.unique(posting * width + entry_owner) // width, minlength=len(values))
+    df = np.bincount(_sum_by_key(posting * width + entry_owner)[0] // width, minlength=len(values))
     kept = df <= df_cap
     dropped = len(values) - int(kept.sum())
     if dropped:
@@ -228,19 +251,31 @@ def retrieve_candidates(
 
 
 def cooccurring_pairs(
-    rows: ArrayLike, cols: ArrayLike, shape: tuple[int, int], *, counts: dict | None = None
+    rows: ArrayLike,
+    cols: ArrayLike,
+    shape: tuple[int, int],
+    *,
+    counts: dict | None = None,
+    min_weight: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column pairs ``a < b`` that share a row, with their co-occurrence count.
 
     Entry ``k`` places one count at ``C[rows[k], cols[k]]`` in a ``shape``
     count matrix ``C``. Returns parallel ``int64`` arrays ``(a, b, weight)``
-    in ascending ``(a, b)`` order over the nonzero strict upper triangle of
-    ``Cᵀ C``: ``weight`` is the sum over rows ``r`` of ``C[r, a] * C[r, b]``.
+    in ascending ``(a, b)`` order over the strict upper triangle of ``Cᵀ C``
+    where it reaches ``min_weight``: ``weight`` is the sum over rows ``r``
+    of ``C[r, a] * C[r, b]``.
 
     A sorted join: the distinct entries of each row, with their counts, are
-    expanded into that row's column pairs ``_JOIN_BLOCK`` visits at a time,
-    and equal pairs are summed in integers. ``counts``, if given, receives
-    the number of column pairs visited as ``pair_visits``.
+    expanded into that row's column pairs, and equal pairs are summed in
+    integers. The expansion runs by the lower column ``a``, whole columns
+    and about ``_JOIN_BLOCK`` visits at a time, so each block holds every
+    visit of its pairs and drops those below ``min_weight`` before it is
+    kept: working memory is bounded by a block plus the kept output. Above
+    1, ``min_weight`` makes this the thresholded all-pairs overlap query of
+    Bayardo, Ma & Srikant (WWW 2007), without their prefix filtering.
+    ``counts``, if given, receives the number of column pairs visited as
+    ``pair_visits``.
     """
     n_cols = shape[1]
     keys, cell = np.unique(
@@ -249,35 +284,57 @@ def cooccurring_pairs(
     row, col = np.divmod(keys, n_cols)
     # Entry i visits each later entry of its row: a column above its own.
     partners = np.searchsorted(row, row, side="right") - np.arange(keys.size) - 1
-    before = np.cumsum(partners) - partners
     visits = int(partners.sum())
     if counts is not None:
         counts["pair_visits"] = visits
-    # Each block starts at the entry whose visits cross the next multiple of
-    # _JOIN_BLOCK, so it expands at most _JOIN_BLOCK plus one entry's visits.
-    bounds = np.unique(np.searchsorted(before, np.arange(0, visits, _JOIN_BLOCK), side="right") - 1)
-    # parts[0] is the running result, the other parts blocks not yet folded
-    # into it. Folding them in once they outgrow it keeps memory linear in
-    # the output and the total work O(visits log visits).
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
-    for lo, hi in zip(bounds.tolist(), [*bounds[1:].tolist(), keys.size]):
-        left = np.repeat(np.arange(lo, hi), partners[lo:hi])
-        right = left + 1 + np.arange(left.size) - np.repeat(before[lo:hi] - before[lo], partners[lo:hi])
-        parts.append(_sum_by_key(col[left] * n_cols + col[right], cell[left] * cell[right]))
-        if len(parts) > 1 and (hi == keys.size or sum(p.size for p, _ in parts[1:]) >= parts[0][0].size):
-            parts = [_sum_by_key(np.concatenate([p for p, _ in parts]), np.concatenate([w for _, w in parts]))]
-    pair, weight = parts[0] if parts else (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    a, b = np.divmod(pair, n_cols)
-    return a, b, weight
+    # The entries that visit any, by column, rows ascending within each; a
+    # stable sort of 16-bit keys is numpy's radix sort, five times faster
+    # here than on int64.
+    active = np.flatnonzero(partners)
+    lower = col[active]
+    by_col = active[np.argsort(lower.astype(np.uint16) if n_cols <= 2**16 else lower, kind="stable")]
+    load = partners[by_col]
+    del keys, row, partners, active, lower  # the blocks below need none of these
+    before = np.cumsum(load) - load
+    column_starts = np.flatnonzero(np.diff(col[by_col], prepend=-1))
+    # Each block starts at the column whose visits cross the next multiple
+    # of _JOIN_BLOCK, so it expands at most _JOIN_BLOCK plus one column's
+    # visits, and no column is split between two blocks.
+    crossed = np.searchsorted(before[column_starts], np.arange(0, visits, _JOIN_BLOCK), side="right") - 1
+    bounds = column_starts[np.unique(crossed)].tolist()
+    # With unit cells every visit weighs one, and a pair's weight is the
+    # number of its visits.
+    unit = cell.max(initial=0) <= 1
+    pairs, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for lo, hi in zip(bounds, [*bounds[1:], by_col.size]):
+        left = np.repeat(by_col[lo:hi], load[lo:hi])
+        right = left + 1 + np.arange(left.size) - np.repeat(before[lo:hi] - before[lo], load[lo:hi])
+        pair, weight = _sum_by_key(col[left] * n_cols + col[right], None if unit else cell[left] * cell[right])
+        kept = weight >= min_weight
+        pairs.append(pair[kept])
+        weights.append(weight[kept])
+    a, b = np.divmod(np.concatenate(pairs), n_cols)
+    return a, b, np.concatenate(weights)
 
 
-def _sum_by_key(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``keys`` in ascending order and the sum of ``weights`` over each."""
-    order = np.argsort(keys)
-    keys, weights = keys[order], weights[order]
+def _sum_by_key(keys: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in ascending order and the sum of ``weights``
+    over each, or each key's number of occurrences if ``weights`` is None.
+
+    Sorts rather than calling ``np.unique``: numpy >= 2.3 answers a plain
+    ``np.unique`` from a hash table, which took 85 ms against the sort's
+    3 ms on the minhash index keys of a 1,000-document corpus.
+    """
+    if weights is None:
+        keys = np.sort(keys)
+    else:
+        order = np.argsort(keys)
+        keys, weights = keys[order], weights[order]
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(first)
+    if weights is None:
+        return keys[starts], np.diff(np.append(starts, keys.size))
     return keys[starts], np.add.reduceat(weights, starts)
 
 
@@ -315,19 +372,20 @@ def retrieve_candidates_ngram(
 
 
 def _candidate_set(
-    dois: Sequence[str], doc_a: np.ndarray, doc_b: np.ndarray, weights: np.ndarray
+    dois: Sequence[str], doc_a: np.ndarray, doc_b: np.ndarray, weights: np.ndarray | None = None
 ) -> set[CandidatePair]:
     """Candidate pairs from parallel arrays of indices into ``dois``.
 
     Each pair is put in canonical doi order, and the weights of repeated
-    pairs are summed into that pair's evidence.
+    pairs (one each if ``weights`` is None) are summed into that pair's
+    evidence.
     """
     names = sorted(set(dois))
     rank = {doi: i for i, doi in enumerate(names)}
     to_rank = np.array([rank[doi] for doi in dois], dtype=np.int64)
     a, b = to_rank[doc_a], to_rank[doc_b]
     keys = np.minimum(a, b) * len(names) + np.maximum(a, b)
-    keys, evidence = _sum_by_key(keys, np.asarray(weights, dtype=np.int64))
+    keys, evidence = _sum_by_key(keys, None if weights is None else np.asarray(weights, dtype=np.int64))
     first, second = np.divmod(keys, len(names))
     return {
         CandidatePair(names[i], names[j], n)
@@ -345,39 +403,26 @@ def retrieve_candidates_exact(
     """Exact candidate enumeration: pairs with some passage pair sharing
     at least ``min_shared_terms`` distinct terms.
 
-    Implemented as a product of the passage×term matrix (``_passage_matrix``)
-    with its transpose, computed in row blocks; evidence counts qualifying
-    passage pairs. Unlike sketching, all passages participate (including
-    short trailing ones), so this mode is sound for downstream alignment at
-    min_shared_terms=1. ``counts``, if given, receives the matrix shape as
-    ``passages`` and ``terms``.
+    The passage pairs come from ``cooccurring_pairs`` over the term×passage
+    entries of ``_passage_matrix`` at ``min_weight=min_shared_terms``;
+    evidence counts qualifying passage pairs. Unlike sketching, all
+    passages participate (including short trailing ones), so this mode is
+    sound for downstream alignment at min_shared_terms=1. ``counts``, if
+    given, receives the matrix shape as ``passages`` and ``terms`` and the
+    join's ``pair_visits``.
     """
     if min_shared_terms < 1:
         raise ValueError("min_shared_terms must be >= 1")
-    matrix, owner, terms = _passage_matrix(docs, passage_size)
+    indptr, indices, owner, terms = _passage_matrix(docs, passage_size)
     if counts is not None:
-        counts["passages"], counts["terms"] = matrix.shape
-    if not terms:
-        return set()
-
-    transposed = matrix.T.tocsc()
-    doc_a: list[np.ndarray] = []
-    doc_b: list[np.ndarray] = []
-    block = 4096
-    for lo in range(0, owner.size, block):
-        hi = min(lo + block, owner.size)
-        shared = (matrix[lo:hi] @ transposed).tocoo()
-        keep = shared.data >= min_shared_terms
-        row_global = shared.row.astype(np.int64)[keep] + lo
-        col = shared.col.astype(np.int64)[keep]
-        upper = col > row_global
-        row_global, col = row_global[upper], col[upper]
-        doc_i, doc_j = owner[row_global], owner[col]
-        cross = doc_i != doc_j
-        doc_a.append(doc_i[cross])
-        doc_b.append(doc_j[cross])
-    pair_a, pair_b = np.concatenate(doc_a), np.concatenate(doc_b)
-    return _candidate_set([doc.doi for doc in docs], pair_a, pair_b, np.ones_like(pair_a))
+        counts["passages"], counts["terms"] = owner.size, len(terms)
+    passage = np.repeat(np.arange(owner.size), np.diff(indptr))
+    a, b, _ = cooccurring_pairs(
+        indices, passage, (len(terms), owner.size), counts=counts, min_weight=min_shared_terms
+    )
+    doc_a, doc_b = owner[a], owner[b]
+    cross = doc_a != doc_b
+    return _candidate_set([doc.doi for doc in docs], doc_a[cross], doc_b[cross])
 
 
 def write_candidates(path: str | Path, pairs: Iterable[CandidatePair]) -> int:

@@ -72,6 +72,13 @@ def passage_term_sets(doc, passage_size):
     return [frozenset(doc.tokens[i : i + passage_size]) for i in range(0, len(doc.tokens), passage_size)]
 
 
+def exact_pair_visits(docs, passage_size):
+    """Pair visits of exact mode's join: for each term, the pairs of
+    passages holding it."""
+    holders = Counter(term for doc in docs for terms in passage_term_sets(doc, passage_size) for term in terms)
+    return sum(math.comb(n, 2) for n in holders.values())
+
+
 def brute_force_posting_pairs(postings):
     """Oracle for minhash evidence: every pair of entries with different dois
     in every posting (a list of dois, one per passage), counted per

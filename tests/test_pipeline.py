@@ -35,7 +35,14 @@ from textreuse.retrieval import (
 )
 from textreuse.synthgen import GenSpec, generate
 
-from conftest import alpha_words, constant_window_hashes, doc_from_tokens, minhash_reference, ngram_holders
+from conftest import (
+    alpha_words,
+    constant_window_hashes,
+    doc_from_tokens,
+    exact_pair_visits,
+    minhash_reference,
+    ngram_holders,
+)
 
 
 def write_corpus(path, raw_docs):
@@ -399,7 +406,10 @@ class TestManifestIngestAndExactCounters:
         assert counts["tokens"] == sum(len(doc.tokens) for doc in docs) > 0
         assert counts["passages"] == sum(math.ceil(len(doc.tokens) / config.passage_size) for doc in docs)
         assert counts["terms"] == len({t for doc in docs for t in doc.tokens})
-        assert "hash_postings" not in counts and "pair_visits" not in counts
+        assert counts["pair_visits"] == exact_pair_visits(docs, config.passage_size) > 0
+        assert "hash_postings" not in counts
+        state = json.loads((tmp_path / "ckpt" / CHECKPOINT_STATE_FILE).read_text())
+        assert state["counts"]["pair_visits"] == counts["pair_visits"]
 
         config.output_dir = str(tmp_path / "resumed")
         assert run_pipeline(config).manifest["counts"] == counts
@@ -430,25 +440,26 @@ class TestManifestIngestAndExactCounters:
         assert opened.count(str(corpus_path)) == 1
 
 
-# Imports the CLI, runs the pipeline in the mode given on the command line
-# and prints the case count and whether scipy was loaded.
+# Imports the CLI with scipy blocked, so that any import of it fails, runs
+# the pipeline in the mode given on the command line and prints the case
+# count.
 SCIPY_PROBE = """
 import json, sys
+sys.modules["scipy"] = None
 import textreuse.cli
 from textreuse.pipeline import RunConfig, run_pipeline
 corpus, out_dir, mode = sys.argv[1:]
 config = RunConfig(input=corpus, output_dir=out_dir, min_words=10, retrieval_mode=mode)
 counts = run_pipeline(config).manifest["counts"]
-print(json.dumps({"cases": counts["cases"], "scipy": "scipy" in sys.modules}))
+print(json.dumps({"cases": counts["cases"]}))
 """
 
 
-class TestScipyOnlyInReferenceModes:
-    """The default pipeline runs on numpy alone; the exact and minhash
-    reference modes load scipy on first use."""
+class TestNoModeImportsScipy:
+    """Every retrieval mode, and alignment, runs on numpy alone."""
 
-    @pytest.mark.parametrize("mode, loads_scipy", [("ngram", False), ("exact", True)])
-    def test_scipy_is_loaded_only_by_a_reference_mode(self, tmp_path, mode, loads_scipy):
+    @pytest.mark.parametrize("mode", ["ngram", "minhash", "exact"])
+    def test_mode_runs_without_scipy(self, tmp_path, mode):
         corpus_path, _, _ = synthetic_corpus_file(tmp_path)
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -457,7 +468,6 @@ class TestScipyOnlyInReferenceModes:
             env=env, check=True, capture_output=True, text=True, timeout=300,
         )  # fmt: skip
         probe = json.loads(run.stdout.splitlines()[-1])
-        assert probe["scipy"] is loads_scipy
         assert probe["cases"] > 0
 
 

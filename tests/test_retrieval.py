@@ -35,6 +35,7 @@ from conftest import (
     capped_postings,
     constant_window_hashes,
     doc_from_tokens,
+    exact_pair_visits,
     minhash_reference,
     ngram_holders,
     passage_term_sets,
@@ -81,13 +82,12 @@ def sketch_lists():
 
 
 def matrix_rows(docs, passage_size):
-    """``_passage_matrix`` as (doc index, term set) per row."""
-    matrix, owner, terms = _passage_matrix(docs, passage_size)
-    assert set(matrix.data.tolist()) <= {1}
-    return [
-        (doc, {terms[j] for j in matrix.indices[matrix.indptr[row] : matrix.indptr[row + 1]]})
-        for row, doc in enumerate(owner.tolist())
-    ]
+    """``_passage_matrix`` as (doc index, term set) per row; each row lists
+    distinct terms in ascending order."""
+    indptr, indices, owner, terms = _passage_matrix(docs, passage_size)
+    rows = [indices[indptr[row] : indptr[row + 1]].tolist() for row in range(owner.size)]
+    assert all(row == sorted(set(row)) for row in rows)
+    return [(doc, {terms[j] for j in row}) for doc, row in zip(owner.tolist(), rows)]
 
 
 def index_entries(index):
@@ -124,8 +124,8 @@ class TestChunkPassages:
 
     def test_empty_document(self, rng, vocab):
         assert matrix_rows([doc_from_tokens([])], 50) == []
-        matrix, owner, terms = _passage_matrix([], 50)
-        assert matrix.shape == (0, 0) and owner.size == 0 and terms == []
+        indptr, indices, owner, terms = _passage_matrix([], 50)
+        assert indptr.tolist() == [0] and indices.size == owner.size == 0 and terms == []
         # An empty document between two others owns no row.
         docs = [doc_from_tokens(random_words(rng, 60, vocab), doi=d) for d in "ab"]
         docs.insert(1, doc_from_tokens([], doi="e"))
@@ -139,7 +139,7 @@ class TestChunkPassages:
         docs = [doc_from_tokens(random_words(rng, n, vocab), doi=f"d{n}") for n in (173, 7, 100)]
         expected = [(k, set(terms)) for k, doc in enumerate(docs) for terms in passage_term_sets(doc, 50)]
         assert matrix_rows(docs, 50) == expected
-        _, _, terms = _passage_matrix(docs, 50)
+        terms = _passage_matrix(docs, 50)[3]
         assert sorted(terms) == sorted({t for doc in docs for t in doc.tokens})
 
     def test_passage_size_validated(self):
@@ -352,14 +352,22 @@ class TestExactMode:
     def test_empty_corpus(self):
         assert retrieve_candidates_exact([], 50, 9) == set()
 
-    @settings(max_examples=200, deadline=None)
-    @given(corpus=token_corpora(), passage_size=st.integers(1, 60), min_shared_terms=st.integers(1, 12))
-    @example(corpus=[[], ["taaa"] * 3, [], ["taaa", "taab"], []], passage_size=1, min_shared_terms=1)
-    @example(corpus=[["taaa"] * 3, ["taaa", "taab"]], passage_size=3, min_shared_terms=2)
-    @example(corpus=[[], []], passage_size=5, min_shared_terms=1)
-    def test_matches_brute_force_on_any_shape(self, corpus, passage_size, min_shared_terms):
+    @settings(max_examples=300, deadline=None)
+    @given(
+        corpus=token_corpora(),
+        passage_size=st.integers(1, 60),
+        min_shared_terms=st.integers(1, 12),
+        block=st.sampled_from([1, 3, retrieval._JOIN_BLOCK]),
+    )
+    @example(corpus=[[], ["taaa"] * 3, [], ["taaa", "taab"], []], passage_size=1, min_shared_terms=1, block=1)
+    @example(corpus=[["taaa"] * 3, ["taaa", "taab"]], passage_size=3, min_shared_terms=2, block=3)
+    @example(corpus=[[], []], passage_size=5, min_shared_terms=1, block=retrieval._JOIN_BLOCK)
+    def test_matches_brute_force_on_any_shape(self, corpus, passage_size, min_shared_terms, block):
+        """At the default join block and at blocks far smaller than one
+        passage's visits."""
         docs = [doc_from_tokens(tokens, doi=f"d{k}") for k, tokens in enumerate(corpus)]
-        pairs = retrieve_candidates_exact(docs, passage_size, min_shared_terms)
+        with mock.patch.object(retrieval, "_JOIN_BLOCK", block):
+            pairs = retrieve_candidates_exact(docs, passage_size, min_shared_terms)
         got = {p.key: p.evidence for p in pairs}
         assert len(got) == len(pairs)
         assert got == brute_force_candidates(docs, passage_size, min_shared_terms)
@@ -373,7 +381,7 @@ class TestExactMode:
         counts = {}
         pairs = retrieve_candidates_exact(docs, 50, 1, counts=counts)
         assert {p.key for p in pairs} == {("qa", "xc"), ("qa", "zb"), ("xc", "zb")}
-        assert counts == {"passages": 3, "terms": 1}
+        assert counts == {"passages": 3, "terms": 1, "pair_visits": 3}
 
     def test_counts_record_the_matrix_shape(self, rng, vocab):
         docs = [
@@ -386,6 +394,7 @@ class TestExactMode:
         assert counts == {
             "passages": 3 + 0 + 2,
             "terms": len({t for doc in docs for t in doc.tokens}),
+            "pair_visits": exact_pair_visits(docs, 50),
         }
 
 
@@ -412,21 +421,26 @@ def count_entries(draw):
 
 class TestCooccurringPairs:
     @settings(max_examples=300, deadline=None)
-    @given(matrix=count_entries(), block=st.sampled_from([1, 2, 3, 5, 2**18]))
-    @example(matrix=([], [], (3, 4)), block=2**18)
-    @example(matrix=([0, 1, 2, 2], [0, 0, 0, 0], (3, 1)), block=1)
-    @example(matrix=([0, 0, 0, 0, 1, 1], [2, 2, 0, 1, 0, 2], (2, 3)), block=2**18)
-    @example(matrix=([0] * 7 + [1] * 5, list(range(7)) + list(range(5)), (2, 7)), block=4)
-    def test_matches_the_sparse_product(self, matrix, block):
-        """Against ``triu(Cᵀ C, 1)``, at block sizes that split the visits
-        into many blocks, some smaller than one entry's visits."""
+    @given(matrix=count_entries(), block=st.sampled_from([1, 2, 3, 5, 2**18]), min_weight=st.integers(1, 4))
+    @example(matrix=([], [], (3, 4)), block=2**18, min_weight=1)
+    @example(matrix=([0, 1, 2, 2], [0, 0, 0, 0], (3, 1)), block=1, min_weight=1)
+    @example(matrix=([0, 0, 0, 0, 1, 1], [2, 2, 0, 1, 0, 2], (2, 3)), block=2**18, min_weight=2)
+    @example(matrix=([0] * 7 + [1] * 5, list(range(7)) + list(range(5)), (2, 7)), block=4, min_weight=2)
+    def test_matches_the_sparse_product(self, matrix, block, min_weight):
+        """Against ``triu(Cᵀ C, 1)`` filtered at ``min_weight``, at block
+        sizes that split the visits into many blocks, some smaller than
+        one column's visits."""
         rows, cols, shape = matrix
         counts = sparse.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=shape)
         oracle = sparse.triu(counts.T @ counts, k=1).tocoo()
-        expected = sorted(zip(oracle.row.tolist(), oracle.col.tolist(), oracle.data.tolist()))
+        expected = sorted(
+            (a, b, weight)
+            for a, b, weight in zip(oracle.row.tolist(), oracle.col.tolist(), oracle.data.tolist())
+            if weight >= min_weight
+        )
         record = {}
         with mock.patch.object(retrieval, "_JOIN_BLOCK", block):
-            a, b, weight = cooccurring_pairs(rows, cols, shape, counts=record)
+            a, b, weight = cooccurring_pairs(rows, cols, shape, counts=record, min_weight=min_weight)
         assert list(zip(a.tolist(), b.tolist(), weight.tolist())) == expected
         assert a.dtype == b.dtype == weight.dtype == np.int64
         distinct = Counter(r for r, _ in set(zip(rows, cols)))
