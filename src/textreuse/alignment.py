@@ -132,7 +132,12 @@ def _token_hashes(tokens: Sequence[str]) -> np.ndarray:
     # Each token's polynomial is a difference of prefix sums (uint64 wraps).
     prefix = np.zeros(codes.size + 1, dtype=np.uint64)
     np.cumsum(codes * powers[position], out=prefix[1:])
-    x = prefix[begins + lengths] - prefix[begins]
+    return _mix(prefix[begins + lengths] - prefix[begins])
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer of every entry of the ``uint64`` array ``x``,
+    in place; returns ``x``. A bijection on 64-bit values."""
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MIX_A)
     x ^= x >> np.uint64(27)

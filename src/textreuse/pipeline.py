@@ -136,7 +136,9 @@ def load_documents(config: RunConfig, corpus: dict | None = None) -> tuple[list[
 def run_retrieval(
     docs: Sequence[Document], config: RunConfig, counts: dict | None = None
 ) -> list[CandidatePair]:
-    """Candidate pairs for the configured mode, sorted canonically.
+    """Candidate pairs for the configured mode, in ascending ``(doi_a,
+    doi_b)`` order: every mode's join emits them in that order, so nothing
+    is sorted here.
 
     ``ngram`` mode hashes word n-grams of min(``RETRIEVAL_NGRAM_SIZE``,
     ``ngram_size``) tokens, so it keeps every pair alignment can match.
@@ -148,17 +150,15 @@ def run_retrieval(
     """
     if config.retrieval_mode == "ngram":
         ngram_size = min(RETRIEVAL_NGRAM_SIZE, config.ngram_size)
-        pairs = retrieve_candidates_ngram(docs, ngram_size, counts=counts)
-    elif config.retrieval_mode == "exact":
-        pairs = retrieve_candidates_exact(docs, config.passage_size, config.min_shared_terms, counts=counts)
-    else:
-        owner, sketches = sketch_corpus(docs, config.passage_size, config.num_hashes, config.seed)
-        index = build_index(owner, sketches, config.df_cap)
-        if counts is not None:
-            counts["hash_postings"] = index.postings
-            counts["dropped_hashes"] = index.dropped_hashes
-        pairs = retrieve_candidates(index, [doc.doi for doc in docs], counts=counts)
-    return sorted(pairs, key=lambda p: p.key)
+        return retrieve_candidates_ngram(docs, ngram_size, counts=counts)
+    if config.retrieval_mode == "exact":
+        return retrieve_candidates_exact(docs, config.passage_size, config.min_shared_terms, counts=counts)
+    owner, sketches = sketch_corpus(docs, config.passage_size, config.num_hashes, config.seed)
+    index = build_index(owner, sketches, config.df_cap)
+    if counts is not None:
+        counts["hash_postings"] = index.postings
+        counts["dropped_hashes"] = index.dropped_hashes
+    return retrieve_candidates(index, [doc.doi for doc in docs], counts=counts)
 
 
 def run_alignment(

@@ -11,28 +11,29 @@ documents. The pipeline takes n = min(``RETRIEVAL_NGRAM_SIZE``,
 every pair that can yield a case is kept.
 
 Two bag-of-words modes are kept as references. Both split documents into
-consecutive fixed-size passages and build one binary passage×term matrix
-(``_passage_matrix``, as numpy CSR arrays) whose terms are words' 64-bit
-hashes. ``retrieve_candidates_exact`` enumerates exactly the pairs with a
-passage-level overlap of at least ``min_shared_terms`` distinct terms, and
-doubles as the testing oracle for the sketched path. In
-``minhash`` mode each term is hashed once with a family of seeded
-min-hashes, each passage's sketch is the per-function minimum over its
-matrix row (``sketch_corpus``), an inverted index lists each passage under
-its distinct sketch values (``build_index``), and every document pair whose
-sketches collide is kept (``retrieve_candidates``). On Zipfian text frequent
-words win the min-hashes and nearly every document pair survives.
+the same consecutive fixed-size passages (``_split_passages``), and a term
+is a word's 64-bit hash (``window_hashes`` of one-word windows, the hash of
+ngram mode and alignment). ``retrieve_candidates_exact`` builds the binary
+passage×term matrix (``_passage_matrix``, as numpy CSR arrays), enumerates
+exactly the pairs with a passage-level overlap of at least
+``min_shared_terms`` distinct terms, and doubles as the testing oracle for
+the sketched path. In ``minhash`` mode min-hash function j of a word is
+splitmix64's finalizer of its hash xor a seeded key, each passage's sketch
+is the per-function minimum over its tokens (``sketch_corpus``), an
+inverted index lists each passage under its distinct sketch values
+(``build_index``), and every document pair whose sketches collide is kept
+(``retrieve_candidates``). On Zipfian text frequent words win the
+min-hashes and nearly every document pair survives.
 
 Every mode, and alignment, reads its pairs off one sorted numpy join of a
 count matrix with itself (``cooccurring_pairs``); exact mode passes its
 threshold into the join, which drops the passage pairs below it block by
-block. The package needs numpy alone.
+block. Every mode returns its pairs in ascending ``(doi_a, doi_b)`` order.
+The package needs numpy alone.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,14 +42,14 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .alignment import window_hashes
+from .alignment import _mix, _token_hashes, window_hashes
 from .ingest import Document
 from .jsonl import atomic_open
 
 log = logging.getLogger(__name__)
 
-# uint64 lanes per keyed blake2b digest (64-byte digests)
-_LANES = 8
+# splitmix64's increment: MinHasher's keys are that generator's outputs.
+_KEY_STEP = 0x9E3779B97F4A7C15
 
 # Words per window in ngram mode; capped at alignment's ngram_size.
 RETRIEVAL_NGRAM_SIZE = 3
@@ -81,9 +82,11 @@ class CandidatePair:
 class MinHasher:
     """Family of ``num_hashes`` seeded hash functions over term sets.
 
-    Function j of a term is lane j of a chain of keyed blake2b digests of the
-    term (8 independent 64-bit lanes per digest; the key encodes the seed and
-    the block index). The sketch of a term set is the per-function minimum.
+    Function j of a term whose 64-bit word hash is ``h`` (``_token_hashes``)
+    is ``_mix(h ^ keys[j])``, splitmix64's finalizer. ``keys[j]`` is output
+    ``j + 1`` of the splitmix64 generator started at ``seed`` modulo 2**64,
+    so any Python int seeds it and the keys are distinct. The sketch of a
+    term set is the per-function minimum.
     """
 
     def __init__(self, num_hashes: int = 10, seed: int = 0):
@@ -91,82 +94,64 @@ class MinHasher:
             raise ValueError("num_hashes must be >= 1")
         self.num_hashes = num_hashes
         self.seed = seed
-        blocks = (num_hashes + _LANES - 1) // _LANES
-        self._keys = [f"{seed}:{block}".encode("utf-8")[:64] for block in range(blocks)]
+        states = [(seed + j * _KEY_STEP) % 2**64 for j in range(1, num_hashes + 1)]
+        self.keys = _mix(np.array(states, dtype=np.uint64))
 
-    def term_vectors(self, terms: Sequence[str]) -> np.ndarray:
-        """All hash-function values of each term; shape (len(terms), num_hashes)."""
-        digests = b"".join(
-            hashlib.blake2b(data, digest_size=64, key=key).digest()
-            for data in map(str.encode, terms)
-            for key in self._keys
-        )
-        lanes = np.frombuffer(digests, dtype=">u8").reshape(len(terms), len(self._keys) * _LANES)
-        return lanes[:, : self.num_hashes].astype(np.uint64)
+    def minima(self, hashes: np.ndarray, starts: ArrayLike) -> np.ndarray:
+        """Per-function minima over each run of the word hashes ``hashes``
+        that begins at an offset in ``starts`` and ends at the next one (the
+        last at the end); shape ``(len(starts), num_hashes)``."""
+        sketches = np.empty((len(starts), self.num_hashes), dtype=np.uint64)
+        for j, key in enumerate(self.keys):
+            sketches[:, j] = np.minimum.reduceat(_mix(hashes ^ key), starts)
+        return sketches
 
     def values(self, terms: Iterable[str]) -> np.ndarray:
         """Per-function minima over the term set; shape (num_hashes,)."""
         terms = list(terms)
         if not terms:
             raise ValueError("cannot sketch an empty term set")
-        return self.term_vectors(terms).min(axis=0)
+        return self.minima(_token_hashes(terms), [0])[0]
 
 
-def _value_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique``'s inverse and index: each value's id, the distinct
-    values numbered in ascending order, and each distinct value's first
-    position.
+def _split_passages(docs: Sequence[Document], passage_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The corpus's word hashes in token order, the offset of each
+    passage's first token in them, and each passage's document index.
 
-    From numpy's default argsort, which is unstable, so each run of equal
-    sorted values takes its least position. On 453k word hashes this took
-    25 ms, against 71 ms for ``np.unique`` with ``return_index`` and 60 ms
-    for a stable argsort alone.
-    """
-    order = np.argsort(values)
-    ordered = values[order]
-    new = np.ones(values.size, dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(new)
-    ids = np.empty(values.size, dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, np.minimum.reduceat(order, starts) if starts.size else starts
-
-
-def _passage_matrix(docs: Sequence[Document], passage_size: int) -> tuple:
-    """Binary passage×term matrix of a corpus as CSR arrays ``(indptr,
-    indices)``, each row's document index, and one word of each term in
-    column order.
-
-    Row ``r`` holds the distinct terms ``indices[indptr[r]:indptr[r + 1]]``
-    in ascending order. Each document splits into consecutive passages of
-    ``passage_size`` tokens, the last possibly shorter, so every row holds
-    at least one term; an empty document has no rows. Token ``i`` of
-    document ``d`` falls in row ``row_offset[d] + i // passage_size``. A
-    term is a word's 64-bit hash (``window_hashes`` of one-word windows, the
-    hash of ngram mode and alignment), numbered in hash order and named by
-    its first token (``_value_ids``), so two words that collide count as
-    one term, which can only add candidate pairs.
+    Each document splits into consecutive passages of ``passage_size``
+    tokens, the last possibly shorter, so every passage holds at least one
+    token; an empty document has none. A word's hash is its one-word
+    ``window_hashes`` value, the hash of ngram mode and alignment.
     """
     if passage_size < 1:
         raise ValueError("passage_size must be >= 1")
     lengths = np.fromiter((len(doc.tokens) for doc in docs), dtype=np.int64, count=len(docs))
     passages = -(-lengths // passage_size)
-    row_offset = np.cumsum(passages) - passages
-    token_offset = np.cumsum(lengths) - lengths
-    # The empty leading array lets an empty corpus concatenate too.
-    word_hashes = (window_hashes(doc, 1, 0) for doc in docs)
-    term, first = _value_ids(np.concatenate([np.empty(0, np.uint64), *word_hashes]))
-    tokens = list(itertools.chain.from_iterable(doc.tokens for doc in docs))
-    words = [tokens[i] for i in first.tolist()]
-    del tokens  # a pointer a token, freed before the sort below
-    doc_of_token = np.repeat(np.arange(len(docs)), lengths)
-    position = np.arange(term.size) - token_offset[doc_of_token]
-    rows = row_offset[doc_of_token] + position // passage_size
     owner = np.repeat(np.arange(len(docs), dtype=np.int64), passages)
-    width = max(first.size, 1)
+    # Passage k of its document starts k * passage_size tokens in.
+    k = np.arange(owner.size) - (np.cumsum(passages) - passages)[owner]
+    starts = (np.cumsum(lengths) - lengths)[owner] + k * passage_size
+    # The empty leading array lets an empty corpus concatenate too.
+    hashes = np.concatenate([np.empty(0, np.uint64), *(window_hashes(doc, 1, 0) for doc in docs)])
+    return hashes, starts, owner
+
+
+def _passage_matrix(docs: Sequence[Document], passage_size: int) -> tuple:
+    """Binary passage×term matrix of a corpus as CSR arrays ``(indptr,
+    indices)``, each row's document index, and the number of terms.
+
+    Row ``r`` is passage ``r`` of ``_split_passages`` and holds its distinct
+    terms ``indices[indptr[r]:indptr[r + 1]]`` in ascending order. Terms
+    are word hashes numbered in hash order, so two words that collide count
+    as one term, which can only add candidate pairs.
+    """
+    hashes, starts, owner = _split_passages(docs, passage_size)
+    values, term = np.unique(hashes, return_inverse=True)
+    rows = np.repeat(np.arange(owner.size), np.diff(starts, append=hashes.size))
+    width = max(values.size, 1)
     row, indices = np.divmod(_sum_by_key(rows * width + term)[0], width)
     indptr = np.searchsorted(row, np.arange(owner.size + 1))
-    return indptr, indices, owner, words
+    return indptr, indices, owner, values.size
 
 
 def sketch_corpus(
@@ -178,23 +163,21 @@ def sketch_corpus(
     """Min-hash sketch of every passage with at least two distinct terms.
 
     Returns ``(owner, sketches)``: row ``i`` of the ``(passages,
-    num_hashes)`` array ``sketches`` holds the per-function minima over the
-    distinct terms of a passage of ``docs[owner[i]]``, passages in corpus
-    order. Each term is hashed once, and a passage's minima are a
-    ``reduceat`` over its row of the passage×term matrix. Passages with
-    fewer than two distinct terms are skipped: a near-constant passage
-    sketches to copies of a single hash and floods the index.
+    num_hashes)`` array ``sketches`` holds the ``MinHasher(num_hashes,
+    seed)`` minima over the distinct terms of a passage of
+    ``docs[owner[i]]``, passages in corpus order (``_split_passages``). A
+    function's minimum over a passage's tokens is its minimum over the
+    passage's distinct terms, so each function is one ``reduceat`` over the
+    corpus's word hashes. Passages whose words all hash alike are skipped:
+    a near-constant passage sketches to copies of a single hash and floods
+    the index.
     """
-    indptr, indices, owner, terms = _passage_matrix(docs, passage_size)
-    vectors = MinHasher(num_hashes, seed).term_vectors(terms).T.copy()
-    starts = indptr[:-1]
-    sketches = np.empty((owner.size, num_hashes), dtype=np.uint64)
-    # Every row is reduced, then rows are dropped: a reduceat over the kept
-    # rows' starts alone would fold each dropped row into the row before it.
-    for j, vector in enumerate(vectors):
-        sketches[:, j] = np.minimum.reduceat(vector[indices], starts)
-    keep = np.diff(indptr) >= 2
-    return owner[keep], sketches[keep]
+    hashes, starts, owner = _split_passages(docs, passage_size)
+    # Every passage is reduced, then passages are dropped: a reduceat over
+    # the kept starts alone would fold each dropped passage into the one
+    # before it.
+    keep = np.minimum.reduceat(hashes, starts) != np.maximum.reduceat(hashes, starts)
+    return owner[keep], MinHasher(num_hashes, seed).minima(hashes, starts)[keep]
 
 
 @dataclass
@@ -237,9 +220,9 @@ def build_index(owner: np.ndarray, sketches: np.ndarray, df_cap: int = 1000) -> 
 
 def retrieve_candidates(
     index: PassageIndex, dois: Sequence[str], *, counts: dict | None = None
-) -> set[CandidatePair]:
-    """All unordered document pairs co-occurring in at least one posting;
-    ``index.owner`` indexes ``dois``.
+) -> list[CandidatePair]:
+    """All unordered document pairs co-occurring in at least one posting, in
+    ascending ``(doi_a, doi_b)`` order; ``index.owner`` indexes ``dois``.
 
     Evidence counts distinct (hash value, passage pair) co-occurrences. With
     ``C[r, d]`` the number of posting ``r``'s entries from document ``d``,
@@ -247,7 +230,7 @@ def retrieve_candidates(
     records ``pair_visits`` in ``counts`` if given).
     """
     a, b, weight = cooccurring_pairs(index.posting, index.owner, (index.postings, len(dois)), counts=counts)
-    return _candidate_set(dois, a, b, weight)
+    return _candidates(dois, a, b, weight)
 
 
 def cooccurring_pairs(
@@ -359,8 +342,9 @@ def shared_hash_pairs(
 
 def retrieve_candidates_ngram(
     docs: Sequence[Document], ngram_size: int = RETRIEVAL_NGRAM_SIZE, *, counts: dict | None = None
-) -> set[CandidatePair]:
-    """Document pairs sharing at least one stride-1 word ``ngram_size``-gram hash.
+) -> list[CandidatePair]:
+    """Document pairs sharing at least one stride-1 word ``ngram_size``-gram
+    hash, in ascending ``(doi_a, doi_b)`` order.
 
     Evidence is the number of shared window occurrence pairs. ``counts``, if
     given, receives the number of distinct window hashes as
@@ -368,17 +352,18 @@ def retrieve_candidates_ngram(
     """
     hashes = [window_hashes(doc, ngram_size, ngram_size - 1) for doc in docs]
     a, b, weight = shared_hash_pairs(hashes, counts=counts)
-    return _candidate_set([doc.doi for doc in docs], a, b, weight)
+    return _candidates([doc.doi for doc in docs], a, b, weight)
 
 
-def _candidate_set(
+def _candidates(
     dois: Sequence[str], doc_a: np.ndarray, doc_b: np.ndarray, weights: np.ndarray | None = None
-) -> set[CandidatePair]:
-    """Candidate pairs from parallel arrays of indices into ``dois``.
+) -> list[CandidatePair]:
+    """Candidate pairs from parallel arrays of indices into ``dois``, in
+    ascending ``(doi_a, doi_b)`` order.
 
     Each pair is put in canonical doi order, and the weights of repeated
     pairs (one each if ``weights`` is None) are summed into that pair's
-    evidence.
+    evidence. The order is ``_sum_by_key``'s, over keys that rank the dois.
     """
     names = sorted(set(dois))
     rank = {doi: i for i, doi in enumerate(names)}
@@ -387,10 +372,10 @@ def _candidate_set(
     keys = np.minimum(a, b) * len(names) + np.maximum(a, b)
     keys, evidence = _sum_by_key(keys, None if weights is None else np.asarray(weights, dtype=np.int64))
     first, second = np.divmod(keys, len(names))
-    return {
+    return [
         CandidatePair(names[i], names[j], n)
         for i, j, n in zip(first.tolist(), second.tolist(), evidence.tolist())
-    }
+    ]
 
 
 def retrieve_candidates_exact(
@@ -399,9 +384,10 @@ def retrieve_candidates_exact(
     min_shared_terms: int = 9,
     *,
     counts: dict | None = None,
-) -> set[CandidatePair]:
+) -> list[CandidatePair]:
     """Exact candidate enumeration: pairs with some passage pair sharing
-    at least ``min_shared_terms`` distinct terms.
+    at least ``min_shared_terms`` distinct terms, in ascending ``(doi_a,
+    doi_b)`` order.
 
     The passage pairs come from ``cooccurring_pairs`` over the term×passage
     entries of ``_passage_matrix`` at ``min_weight=min_shared_terms``;
@@ -415,14 +401,14 @@ def retrieve_candidates_exact(
         raise ValueError("min_shared_terms must be >= 1")
     indptr, indices, owner, terms = _passage_matrix(docs, passage_size)
     if counts is not None:
-        counts["passages"], counts["terms"] = owner.size, len(terms)
+        counts["passages"], counts["terms"] = owner.size, terms
     passage = np.repeat(np.arange(owner.size), np.diff(indptr))
     a, b, _ = cooccurring_pairs(
-        indices, passage, (len(terms), owner.size), counts=counts, min_weight=min_shared_terms
+        indices, passage, (terms, owner.size), counts=counts, min_weight=min_shared_terms
     )
     doc_a, doc_b = owner[a], owner[b]
     cross = doc_a != doc_b
-    return _candidate_set([doc.doi for doc in docs], doc_a[cross], doc_b[cross])
+    return _candidates([doc.doi for doc in docs], doc_a[cross], doc_b[cross])
 
 
 def write_candidates(path: str | Path, pairs: Iterable[CandidatePair]) -> int:

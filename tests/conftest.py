@@ -20,7 +20,8 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 _MASK = (1 << 64) - 1
 
 
-def _splitmix(x):
+def splitmix(x):
+    """splitmix64's finalizer of a Python int below 2**64."""
     x ^= x >> 30
     x = (x * _MIX_A) & _MASK
     x ^= x >> 27
@@ -34,7 +35,7 @@ def ngram_hash(tokens):
     value = 0
     for token in tokens:
         chars = sum(ord(c) * pow(_CHAR_BASE, j + 1, 1 << 64) for j, c in enumerate(token))
-        value = (value * _TOKEN_BASE + _splitmix(chars & _MASK)) & _MASK
+        value = (value * _TOKEN_BASE + splitmix(chars & _MASK)) & _MASK
     return value
 
 

@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import random
+import warnings
 from collections import Counter, defaultdict
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from textreuse.alignment import AlignmentParams, align_pair
+from textreuse.alignment import AlignmentParams, _token_hashes, align_pair
 from textreuse.ingest import normalize
 from textreuse import retrieval
 from textreuse.pipeline import RunConfig, run_retrieval
@@ -41,6 +42,7 @@ from conftest import (
     passage_term_sets,
     random_words,
     sketch_postings,
+    splitmix,
 )
 
 
@@ -82,12 +84,20 @@ def sketch_lists():
 
 
 def matrix_rows(docs, passage_size):
-    """``_passage_matrix`` as (doc index, term set) per row; each row lists
-    distinct terms in ascending order."""
+    """``_passage_matrix`` as (doc index, set of term hashes) per row; each
+    row lists distinct terms in ascending order, and terms are numbered in
+    hash order."""
     indptr, indices, owner, terms = _passage_matrix(docs, passage_size)
     rows = [indices[indptr[row] : indptr[row + 1]].tolist() for row in range(owner.size)]
     assert all(row == sorted(set(row)) for row in rows)
-    return [(doc, {terms[j] for j in row}) for doc, row in zip(owner.tolist(), rows)]
+    hashes = sorted({h for doc in docs for h in _token_hashes(doc.tokens).tolist()})
+    assert terms == len(hashes)
+    return [(doc, {hashes[j] for j in row}) for doc, row in zip(owner.tolist(), rows)]
+
+
+def term_hashes(tokens):
+    """The set of word hashes of ``tokens``."""
+    return set(_token_hashes(list(tokens)).tolist())
 
 
 def index_entries(index):
@@ -125,7 +135,7 @@ class TestChunkPassages:
     def test_empty_document(self, rng, vocab):
         assert matrix_rows([doc_from_tokens([])], 50) == []
         indptr, indices, owner, terms = _passage_matrix([], 50)
-        assert indptr.tolist() == [0] and indices.size == owner.size == 0 and terms == []
+        assert indptr.tolist() == [0] and indices.size == owner.size == terms == 0
         # An empty document between two others owns no row.
         docs = [doc_from_tokens(random_words(rng, 60, vocab), doi=d) for d in "ab"]
         docs.insert(1, doc_from_tokens([], doi="e"))
@@ -133,18 +143,21 @@ class TestChunkPassages:
 
     def test_term_sets_are_distinct_tokens(self):
         doc = doc_from_tokens(["alpha", "beta", "alpha", "gamma"])
-        assert matrix_rows([doc], 50) == [(0, {"alpha", "beta", "gamma"})]
+        assert matrix_rows([doc], 50) == [(0, term_hashes(["alpha", "beta", "gamma"]))]
 
     def test_covers_all_tokens_in_order(self, rng, vocab):
         docs = [doc_from_tokens(random_words(rng, n, vocab), doi=f"d{n}") for n in (173, 7, 100)]
-        expected = [(k, set(terms)) for k, doc in enumerate(docs) for terms in passage_term_sets(doc, 50)]
+        expected = [
+            (k, term_hashes(terms)) for k, doc in enumerate(docs) for terms in passage_term_sets(doc, 50)
+        ]
         assert matrix_rows(docs, 50) == expected
-        terms = _passage_matrix(docs, 50)[3]
-        assert sorted(terms) == sorted({t for doc in docs for t in doc.tokens})
+        assert _passage_matrix(docs, 50)[3] == len({t for doc in docs for t in doc.tokens})
 
     def test_passage_size_validated(self):
         with pytest.raises(ValueError):
             _passage_matrix([], 0)
+        with pytest.raises(ValueError):
+            sketch_corpus([], 0)
 
 
 class TestMinHash:
@@ -161,6 +174,23 @@ class TestMinHash:
         docs = [doc_from_tokens(alpha_words("qa", 50), doi="a"), doc_from_tokens(alpha_words("zb", 50), doi="b")]
         _, (sa, sb) = sketch_corpus(docs, 50, 10, seed=7)
         assert not set(sa.tolist()) & set(sb.tolist())
+
+    def test_keys_from_any_int_seed(self, rng, vocab):
+        """Keys are splitmix64's outputs from the seed modulo 2**64, in
+        Python integers: no overflow warning, and the same in every run.
+        Seeds equal modulo 2**64 (0 and 2**70) share their keys."""
+        docs = [doc_from_tokens(random_words(rng, 120, vocab))]
+        sketches = {}
+        for seed in (-1, 0, 2**70):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                keys = MinHasher(10, seed).keys.tolist()
+                sketches[seed] = sketch_corpus(docs, 50, 10, seed)[1].tolist()
+            assert keys == [splitmix((seed + j * 0x9E3779B97F4A7C15) % 2**64) for j in range(1, 11)]
+            assert len(set(keys)) == 10
+        assert sketches[-1] != sketches[0] == sketches[2**70]
+        # splitmix64's published first output from state 0.
+        assert MinHasher(1, 0).keys.tolist() == [0xE220A8397B1DCDAF]
 
     def test_empty_term_set_rejected(self):
         hasher = MinHasher(10, seed=0)
@@ -255,7 +285,7 @@ class TestRetrieveCandidates:
             doc_from_tokens(alpha_words("zb", 100), doi="b"),
         ]
         index = build_index(*sketch_corpus(docs, 50, 10, seed=1))
-        assert retrieve_candidates(index, ["a", "b"]) == set()
+        assert retrieve_candidates(index, ["a", "b"]) == []
 
     def test_canonical_ordering(self, rng, vocab):
         tokens = random_words(rng, 60, vocab)
@@ -281,6 +311,9 @@ class TestRetrieveCandidates:
         pairs = retrieve_candidates(index, dois)
         got = {p.key: p.evidence for p in pairs}
         assert len(got) == len(pairs)
+        # run_retrieval hands these on unsorted.
+        keys = [p.key for p in pairs]
+        assert all(earlier < later for earlier, later in zip(keys, keys[1:]))
         postings = sketch_postings(zip([dois[k] for k in owner.tolist()], values.tolist()))
         kept = capped_postings(postings, df_cap)
         assert got == brute_force_posting_pairs(kept)
@@ -350,7 +383,7 @@ class TestExactMode:
             assert got == brute_force_candidates(docs, 50, threshold)
 
     def test_empty_corpus(self):
-        assert retrieve_candidates_exact([], 50, 9) == set()
+        assert retrieve_candidates_exact([], 50, 9) == []
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -376,7 +409,7 @@ class TestExactMode:
         # Under a hash where every word collides, each passage holds one
         # term: a collision can only add candidates.
         docs = [doc_from_tokens(alpha_words(p, 20), doi=p) for p in ("qa", "zb", "xc")]
-        assert retrieve_candidates_exact(docs, 50, 1) == set()
+        assert retrieve_candidates_exact(docs, 50, 1) == []
         monkeypatch.setattr(retrieval, "window_hashes", constant_window_hashes)
         counts = {}
         pairs = retrieve_candidates_exact(docs, 50, 1, counts=counts)
