@@ -1,11 +1,13 @@
 """Seed-and-extend text alignment for one candidate document pair.
 
 Both documents are chunked into overlapping word n-grams, hashed into one flat
-``uint64`` table per document; n-grams with equal hashes (re-verified by token
-equality) become seeds, and seeds whose character gap is at most ``max_gap``
-on *both* sides are merged transitively into reuse cases. A case's spans are
-the bounding intervals of its member seeds, so reordered or interleaved reuse
-still collapses into one case per coherent region.
+``uint64`` table per document from the word hashes that ingest computed
+once (``Document.token_hashes``); n-grams with equal hashes (re-verified by
+comparing their normalized text) become seeds, and seeds whose character
+gap is at most ``max_gap`` on *both* sides are merged transitively into
+reuse cases. A case's spans are the bounding intervals of its member seeds,
+so reordered or interleaved reuse still collapses into one case per coherent
+region.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from . import spans as sp
 from .ingest import Document
+from .ingest import _CHAR_BASE, _MIX_A, _MIX_B, _token_hashes  # noqa: F401  re-exported
 
 # Fixed root for deterministic case ids; run namespaces derive from it.
 _CASE_NAMESPACE_ROOT = uuid.uuid5(uuid.NAMESPACE_URL, "textreuse/case")
@@ -92,16 +95,11 @@ class ReuseCase:
         return (self.doi_a, self.doi_b)
 
 
-# Window hash constants. A token hashes to splitmix64's finalizer of
-# sum(ord(c_j) * _CHAR_BASE**(j + 1)) over its characters c_0, c_1, ...; a
-# window of tokens t_0..t_{n-1} hashes to
-# sum(token_hash(t_k) * _TOKEN_BASE**(n-1-k)), all modulo 2**64. The hash
-# depends on the window's tokens only, not on the process or the corpus, so
-# each document can be hashed on its own.
-_CHAR_BASE = 0x9E3779B97F4A7C15
+# Window hash constant. A window of tokens t_0..t_{n-1} hashes to
+# sum(h(t_k) * _TOKEN_BASE**(n-1-k)) modulo 2**64, where h is the word hash
+# ``Document.token_hashes`` holds (``ingest._token_hashes``); like the word
+# hash, it depends on the window's tokens only.
 _TOKEN_BASE = 0xD6E8FEB86659FD93
-_MIX_A = 0xBF58476D1CE4E5B9
-_MIX_B = 0x94D049BB133111EB
 
 
 def _window_starts(n_tokens: int, ngram_size: int, ngram_overlap: int) -> range:
@@ -113,37 +111,9 @@ def _window_starts(n_tokens: int, ngram_size: int, ngram_overlap: int) -> range:
     return range(0, n_tokens - ngram_size + 1, ngram_size - ngram_overlap)
 
 
-def _window_spans(doc: Document, starts: Sequence[int], ngram_size: int) -> list[tuple[int, int]]:
-    """Character span of each window starting at a token in ``starts``, as Python ints."""
-    starts = np.asarray(starts, dtype=np.int64)
-    begins = doc.token_spans[starts, 0].tolist()
-    ends = doc.token_spans[starts + (ngram_size - 1), 1].tolist()
-    return list(zip(begins, ends))
-
-
-def _token_hashes(tokens: Sequence[str]) -> np.ndarray:
-    """One ``uint64`` per token, in whole-array operations over the joined
-    tokens' code points; memory is linear in the number of characters."""
-    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    codes = np.frombuffer("".join(tokens).encode("utf-32-le"), dtype="<u4").astype(np.uint64)
-    begins = np.cumsum(lengths) - lengths
-    powers = np.cumprod(np.full(lengths.max(initial=0), _CHAR_BASE, dtype=np.uint64))
-    position = np.arange(codes.size) - np.repeat(begins, lengths)
-    # Each token's polynomial is a difference of prefix sums (uint64 wraps).
-    prefix = np.zeros(codes.size + 1, dtype=np.uint64)
-    np.cumsum(codes * powers[position], out=prefix[1:])
-    return _mix(prefix[begins + lengths] - prefix[begins])
-
-
-def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64's finalizer of every entry of the ``uint64`` array ``x``,
-    in place; returns ``x``. A bijection on 64-bit values."""
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_MIX_A)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_MIX_B)
-    x ^= x >> np.uint64(31)
-    return x
+def _window_bounds(doc: Document, starts: np.ndarray, ngram_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Character begin and end of each window starting at a token in ``starts``."""
+    return doc.token_spans[starts, 0], doc.token_spans[starts + (ngram_size - 1), 1]
 
 
 def window_hashes(doc: Document, ngram_size: int = 8, ngram_overlap: int = 7) -> np.ndarray:
@@ -153,11 +123,11 @@ def window_hashes(doc: Document, ngram_size: int = 8, ngram_overlap: int = 7) ->
     stride ngram_size - ngram_overlap. Equal token windows hash equally in
     any document; unequal ones may collide, so matches are re-verified.
     """
-    starts = _window_starts(len(doc.tokens), ngram_size, ngram_overlap)
+    per_token = doc.token_hashes
+    starts = _window_starts(len(per_token), ngram_size, ngram_overlap)
     if not starts:
         return np.empty(0, dtype=np.uint64)
-    per_token = _token_hashes(doc.tokens)
-    count = len(doc.tokens) - ngram_size + 1  # stride-1 windows
+    count = len(per_token) - ngram_size + 1  # stride-1 windows
     hashes = np.zeros(count, dtype=np.uint64)
     for k in range(ngram_size):
         hashes *= np.uint64(_TOKEN_BASE)
@@ -167,11 +137,12 @@ def window_hashes(doc: Document, ngram_size: int = 8, ngram_overlap: int = 7) ->
 
 def chunk_ngrams(doc: Document, ngram_size: int = 8, ngram_overlap: int = 7) -> list[NGram]:
     """Sliding n-gram windows with stride ngram_size - ngram_overlap."""
-    starts = _window_starts(len(doc.tokens), ngram_size, ngram_overlap)
+    starts = _window_starts(len(doc.token_spans), ngram_size, ngram_overlap)
     hashes = window_hashes(doc, ngram_size, ngram_overlap).tolist()
+    begins, ends = _window_bounds(doc, np.asarray(starts, dtype=np.int64), ngram_size)
     return [
         NGram(doc.doi, start, span, value)
-        for start, span, value in zip(starts, _window_spans(doc, starts, ngram_size), hashes)
+        for start, span, value in zip(starts, zip(begins.tolist(), ends.tolist()), hashes)
     ]
 
 
@@ -187,8 +158,10 @@ def seed_matches(
     """All n-gram occurrence pairs with equal hashes and equal tokens.
 
     ``hashes_a``/``hashes_b`` are the documents' ``window_hashes`` for the
-    same window parameters; a side left out is hashed here. Token
-    re-comparison discards residual hash collisions.
+    same window parameters; a side left out is hashed here. Comparing the
+    windows' text discards residual hash collisions: tokens hold no space
+    and are joined by exactly one, so two windows are token-equal exactly
+    when their slices of ``normalized_text`` are equal.
     """
     if hashes_a is None:
         hashes_a = window_hashes(a, ngram_size, ngram_overlap)
@@ -200,24 +173,23 @@ def seed_matches(
     order_a = np.argsort(hashes_a, kind="stable")
     sorted_a = hashes_a[order_a]
     first = np.searchsorted(sorted_a, hashes_b, side="left")
-    last = np.searchsorted(sorted_a, hashes_b, side="right")
-    rows_b = np.flatnonzero(first < last)
+    run = np.searchsorted(sorted_a, hashes_b, side="right") - first
+    rows_b = np.flatnonzero(run)
     if rows_b.size == 0:
         return []
+    # Every (a, b) window pair with equal hashes, b rows ascending and each
+    # b row's a rows in sorted-hash order.
+    run = run[rows_b]
+    pair_b = np.repeat(rows_b, run)
+    pair_a = order_a[np.repeat(first[rows_b] - (np.cumsum(run) - run), run) + np.arange(pair_b.size)]
     stride = ngram_size - ngram_overlap
-    starts_a: list[int] = []
-    starts_b: list[int] = []
-    for row_b in rows_b.tolist():
-        start_b = row_b * stride
-        tokens_b = b.tokens[start_b : start_b + ngram_size]
-        for row_a in order_a[first[row_b] : last[row_b]].tolist():
-            start_a = row_a * stride
-            if a.tokens[start_a : start_a + ngram_size] == tokens_b:
-                starts_a.append(start_a)
-                starts_b.append(start_b)
+    begin_a, end_a = _window_bounds(a, pair_a * stride, ngram_size)
+    begin_b, end_b = _window_bounds(b, pair_b * stride, ngram_size)
+    text_a, text_b = a.normalized_text, b.normalized_text
     seeds = [
-        Seed(span_a, span_b)
-        for span_a, span_b in zip(_window_spans(a, starts_a, ngram_size), _window_spans(b, starts_b, ngram_size))
+        Seed((ba, ea), (bb, eb))
+        for ba, ea, bb, eb in zip(begin_a.tolist(), end_a.tolist(), begin_b.tolist(), end_b.tolist())
+        if text_a[ba:ea] == text_b[bb:eb]
     ]
     seeds.sort()
     return seeds

@@ -12,9 +12,10 @@ to this normalized text, so the rules here are part of the output contract:
   trailing whitespace;
 * normalizing already-normalized text is the identity.
 
-A normalized ``Document`` keeps its tokens' offsets, in the normalized and
-in the raw text, as two ``(n, 2)`` integer arrays rather than per-token
-tuples.
+A normalized ``Document`` holds no per-token objects: each token is its
+64-bit word hash (``token_hashes``, computed here once), and its offsets in
+the normalized and in the raw text are two ``(n, 2)`` integer arrays. The
+words themselves are read back from ``normalized_text``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,21 @@ import hashlib
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .jsonl import scan_jsonl
 
 log = logging.getLogger(__name__)
+
+# Word hash constants. A token hashes to splitmix64's finalizer of
+# sum(ord(c_j) * _CHAR_BASE**(j + 1)) over its characters c_0, c_1, ...,
+# modulo 2**64. The hash depends on the word only, not on the process or the
+# corpus, so each document is hashed on its own.
+_CHAR_BASE = 0x9E3779B97F4A7C15
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
 
 _METADATA_LISTS = ("field", "area", "discipline")
 
@@ -59,17 +69,20 @@ class RawDocument:
 
 @dataclass(frozen=True, eq=False)
 class Document:
-    """Normalized document with per-token offset maps.
+    """Normalized document: one word hash and two offset pairs per token.
 
-    ``token_spans`` and ``raw_token_spans`` are ``(n, 2)`` ``int64`` arrays
-    of ``[begin, end)`` offsets, one row per token. ``token_spans`` index
-    into ``normalized_text``; ``raw_token_spans`` index into the original raw
-    text, which lets external (raw-offset) annotations be carried over to
-    normalized coordinates. Documents compare by identity.
+    ``token_hashes`` is a ``uint64`` array holding each token's word hash
+    (``_token_hashes``), the one token representation that retrieval and
+    alignment read. ``token_spans`` and ``raw_token_spans`` are ``(n, 2)``
+    ``int64`` arrays of ``[begin, end)`` offsets, one row per token.
+    ``token_spans`` index into ``normalized_text``; ``raw_token_spans``
+    index into the original raw text, which lets external (raw-offset)
+    annotations be carried over to normalized coordinates. Documents
+    compare by identity.
     """
 
     doi: str
-    tokens: tuple[str, ...]
+    token_hashes: np.ndarray
     token_spans: np.ndarray
     raw_token_spans: np.ndarray
     normalized_text: str
@@ -81,6 +94,36 @@ class Document:
     @property
     def doc_length(self) -> int:
         return len(self.normalized_text)
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        """The words, split off ``normalized_text`` on each call."""
+        return tuple(self.normalized_text.split())
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer of every entry of the ``uint64`` array ``x``,
+    in place; returns ``x``. A bijection on 64-bit values."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX_A)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX_B)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _token_hashes(tokens: Sequence[str]) -> np.ndarray:
+    """One ``uint64`` word hash per token, in whole-array operations over the
+    joined tokens' code points; memory is linear in the number of characters."""
+    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    codes = np.frombuffer("".join(tokens).encode("utf-32-le"), dtype="<u4").astype(np.uint64)
+    begins = np.cumsum(lengths) - lengths
+    powers = np.cumprod(np.full(lengths.max(initial=0), _CHAR_BASE, dtype=np.uint64))
+    position = np.arange(codes.size) - np.repeat(begins, lengths)
+    # Each token's polynomial is a difference of prefix sums (uint64 wraps).
+    prefix = np.zeros(codes.size + 1, dtype=np.uint64)
+    np.cumsum(codes * powers[position], out=prefix[1:])
+    return _mix(prefix[begins + lengths] - prefix[begins])
 
 
 def normalize(raw: RawDocument) -> Document:
@@ -114,7 +157,7 @@ def normalize(raw: RawDocument) -> Document:
     ends = np.cumsum(lengths) + np.arange(len(tokens))
     return Document(
         doi=raw.doi,
-        tokens=tuple(tokens),
+        token_hashes=_token_hashes(tokens),
         token_spans=np.column_stack((ends - lengths, ends)),
         raw_token_spans=raw_spans.astype(np.int64, copy=False),
         normalized_text=" ".join(tokens),
@@ -127,7 +170,7 @@ def normalize(raw: RawDocument) -> Document:
 
 def length_filter(doc: Document, min_words: int = 1000, max_words: int = 60000) -> bool:
     """Keep documents whose token count lies in [min_words, max_words]."""
-    return min_words <= len(doc.tokens) <= max_words
+    return min_words <= len(doc.token_spans) <= max_words
 
 
 @dataclass

@@ -47,7 +47,7 @@ def raw_span_to_normalized(doc: Document, begin: int, end: int) -> tuple[int, in
         return None
     first = int(np.searchsorted(raw[:, 1], begin, side="right"))  # first token ending after begin
     last = int(np.searchsorted(raw[:, 0], end, side="left")) - 1  # last token starting before end
-    if first > last or first >= len(doc.tokens):
+    if first > last or first >= len(doc.token_spans):
         return None
     return (int(doc.token_spans[first, 0]), int(doc.token_spans[last, 1]))
 

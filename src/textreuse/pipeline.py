@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import math
+import sys
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -23,6 +24,7 @@ from .jsonl import atomic_open, scan_jsonl, write_json, write_jsonl
 from .retrieval import (
     RETRIEVAL_NGRAM_SIZE,
     CandidatePair,
+    _strictly_ascending,
     build_index,
     read_candidates,
     retrieve_candidates,
@@ -108,6 +110,9 @@ class PipelineResult:
 def load_documents(config: RunConfig, corpus: dict | None = None) -> tuple[list[Document], dict]:
     """Load, normalize and length-filter the corpus; returns (docs, counts).
 
+    ``counts`` holds, besides the document and record tallies, the tokens
+    of the documents used and their ``document_bytes``: the bytes of their
+    token hash and offset arrays plus the size of their normalized text.
     ``corpus``, if given, receives ``digest``, the hash of the corpus files
     as read (``LoadReport.digest``), which keys the retrieval checkpoint.
     """
@@ -128,7 +133,14 @@ def load_documents(config: RunConfig, corpus: dict | None = None) -> tuple[list[
         "documents_used": len(docs),
         "records_malformed": report.malformed,
         "duplicate_dois": report.duplicates,
-        "tokens": sum(len(doc.tokens) for doc in docs),
+        "tokens": sum(len(doc.token_spans) for doc in docs),
+        "document_bytes": sum(
+            doc.token_hashes.nbytes
+            + doc.token_spans.nbytes
+            + doc.raw_token_spans.nbytes
+            + sys.getsizeof(doc.normalized_text)
+            for doc in docs
+        ),
     }
     return docs, counts
 
@@ -172,16 +184,20 @@ def run_alignment(
     Every document in a candidate pair has its n-grams hashed once. One join
     over those hash arrays finds the document pairs that share a window
     hash; only candidate pairs among them reach ``align_pair``, in sorted
-    order. ``seed_matches`` seeds only on equal hashes, so a skipped pair
-    has no case. A pair listed twice, or an error while aligning, raises
+    order (pairs whose keys already strictly ascend are taken as given).
+    ``seed_matches`` seeds only on equal hashes, so a skipped pair has no
+    case. A pair listed twice, or an error while aligning, raises
     ``PipelineError`` naming the pair. ``counts``, if given, receives
     ``documents_hashed`` and ``pairs_aligned``.
     """
     by_doi = {doc.doi: doc for doc in docs}
     params = config.alignment_params()
     namespace = case_namespace(config.seed)
-    doi_pairs = [pair.key for pair in sorted(pairs, key=lambda p: p.key)]
-    # Sorted, a pair listed twice is next to its repeat.
+    doi_pairs = [pair.key for pair in pairs]
+    # Retrieval hands its pairs on in ascending order; others are sorted, and
+    # then a pair listed twice is next to its repeat.
+    if not _strictly_ascending(doi_pairs):
+        doi_pairs.sort()
     for previous, (doi_a, doi_b) in zip([None, *doi_pairs], doi_pairs):
         if doi_a not in by_doi or doi_b not in by_doi:
             raise PipelineError(f"candidate pair {(doi_a, doi_b)} references unknown documents")

@@ -10,9 +10,11 @@ documents. The pipeline takes n = min(``RETRIEVAL_NGRAM_SIZE``,
 ``ngram_size`` words, and each such window contains a shared n-gram, so
 every pair that can yield a case is kept.
 
-Two bag-of-words modes are kept as references. Both split documents into
-the same consecutive fixed-size passages (``_split_passages``), and a term
-is a word's 64-bit hash (``window_hashes`` of one-word windows, the hash of
+Every mode reads words as ``Document.token_hashes``, the 64-bit word hashes
+that ``normalize`` computes once per document; no mode touches a token
+string. Two bag-of-words modes are kept as references. Both split documents
+into the same consecutive fixed-size passages (``_split_passages``), and a
+term is a word's hash (``window_hashes`` of one-word windows, the hash of
 ngram mode and alignment). ``retrieve_candidates_exact`` builds the binary
 passage×term matrix (``_passage_matrix``, as numpy CSR arrays), enumerates
 exactly the pairs with a passage-level overlap of at least
@@ -35,15 +37,17 @@ The package needs numpy alone.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .alignment import _mix, _token_hashes, window_hashes
-from .ingest import Document
+from .alignment import window_hashes
+from .ingest import Document, _mix, _token_hashes
 from .jsonl import atomic_open
 
 log = logging.getLogger(__name__)
@@ -59,10 +63,20 @@ RETRIEVAL_NGRAM_SIZE = 3
 # 2**18, 2**16 ran exact mode's join fastest on 1,000 documents.
 _JOIN_BLOCK = 2**16
 
+# Word hashes ``MinHasher.minima`` reduces at a time. On 1.0M hashes and 10
+# functions, on a Xeon with 2 MiB of L2 per core, 2**15 and 2**16 ran
+# fastest, in half the time of one pass over all of them; 2**12 and 2**17
+# were slower.
+_MINIMA_BLOCK = 2**15
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class CandidatePair:
-    """Unordered document pair with collision evidence (canonical doi_a < doi_b)."""
+    """Unordered document pair with collision evidence (canonical doi_a < doi_b).
+
+    Slotted: a retrieval run builds one per pair, often 10**5 or more, and
+    without an instance dict each takes one allocation instead of two.
+    """
 
     doi_a: str
     doi_b: str
@@ -100,10 +114,20 @@ class MinHasher:
     def minima(self, hashes: np.ndarray, starts: ArrayLike) -> np.ndarray:
         """Per-function minima over each run of the word hashes ``hashes``
         that begins at an offset in ``starts`` and ends at the next one (the
-        last at the end); shape ``(len(starts), num_hashes)``."""
+        last at the end); shape ``(len(starts), num_hashes)``.
+
+        The runs are taken about ``_MINIMA_BLOCK`` hashes at a time, whole
+        runs only, so that every function's temporaries stay in cache.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
         sketches = np.empty((len(starts), self.num_hashes), dtype=np.uint64)
-        for j, key in enumerate(self.keys):
-            sketches[:, j] = np.minimum.reduceat(_mix(hashes ^ key), starts)
+        # A block begins at each run that begins in a new _MINIMA_BLOCK window.
+        cuts = np.flatnonzero(np.diff(starts // _MINIMA_BLOCK, prepend=-1)).tolist()
+        for lo, hi in zip(cuts, [*cuts[1:], len(starts)]):
+            end = starts[hi] if hi < len(starts) else hashes.size
+            block, offsets = hashes[starts[lo] : end], starts[lo:hi] - starts[lo]
+            for j, key in enumerate(self.keys):
+                sketches[lo:hi, j] = np.minimum.reduceat(_mix(block ^ key), offsets)
         return sketches
 
     def values(self, terms: Iterable[str]) -> np.ndarray:
@@ -121,11 +145,12 @@ def _split_passages(docs: Sequence[Document], passage_size: int) -> tuple[np.nda
     Each document splits into consecutive passages of ``passage_size``
     tokens, the last possibly shorter, so every passage holds at least one
     token; an empty document has none. A word's hash is its one-word
-    ``window_hashes`` value, the hash of ngram mode and alignment.
+    ``window_hashes`` value, the hash of ngram mode and alignment, which is
+    the document's ``token_hashes`` entry.
     """
     if passage_size < 1:
         raise ValueError("passage_size must be >= 1")
-    lengths = np.fromiter((len(doc.tokens) for doc in docs), dtype=np.int64, count=len(docs))
+    lengths = np.fromiter((len(doc.token_spans) for doc in docs), dtype=np.int64, count=len(docs))
     passages = -(-lengths // passage_size)
     owner = np.repeat(np.arange(len(docs), dtype=np.int64), passages)
     # Passage k of its document starts k * passage_size tokens in.
@@ -168,7 +193,7 @@ def sketch_corpus(
     ``docs[owner[i]]``, passages in corpus order (``_split_passages``). A
     function's minimum over a passage's tokens is its minimum over the
     passage's distinct terms, so each function is one ``reduceat`` over the
-    corpus's word hashes. Passages whose words all hash alike are skipped:
+    corpus's word hashes (``MinHasher.minima``, block by block). Passages whose words all hash alike are skipped:
     a near-constant passage sketches to copies of a single hash and floods
     the index.
     """
@@ -411,16 +436,26 @@ def retrieve_candidates_exact(
     return _candidates([doc.doi for doc in docs], doc_a[cross], doc_b[cross])
 
 
+def _strictly_ascending(keys: Sequence) -> bool:
+    """Whether every key is below the next, so none repeats."""
+    return all(map(operator.lt, keys, islice(keys, 1, None)))
+
+
 def write_candidates(path: str | Path, pairs: Iterable[CandidatePair]) -> int:
     """Spill candidate pairs to a tab-separated checkpoint file, sorted.
 
+    Pairs whose keys already strictly ascend, as every retrieval mode
+    returns them, are written in the order given; others are sorted first.
     The file appears whole or not at all (see ``atomic_open``).
     """
+    pairs = list(pairs)
+    if not _strictly_ascending([pair.key for pair in pairs]):
+        pairs.sort(key=lambda p: p.key)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
     with atomic_open(path) as fh:
-        for pair in sorted(pairs, key=lambda p: p.key):
+        for pair in pairs:
             fh.write(f"{pair.doi_a}\t{pair.doi_b}\t{pair.evidence}\n")
             count += 1
     return count

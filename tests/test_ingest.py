@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textreuse.ingest import (
+    _CHAR_BASE,
     Document,
     RawDocument,
     length_filter,
@@ -17,7 +18,7 @@ from textreuse.ingest import (
 )
 from textreuse.pan import raw_span_to_normalized
 
-from conftest import make_doc
+from conftest import make_doc, splitmix
 
 
 def reference_normalize(text):
@@ -160,6 +161,30 @@ class TestNormalizeSpans:
         check_offsets(text)
 
 
+def reference_word_hash(token):
+    """Scalar reference for one entry of ``Document.token_hashes``, in
+    Python integers."""
+    chars = sum(ord(c) * pow(_CHAR_BASE, j + 1, 1 << 64) for j, c in enumerate(token))
+    return splitmix(chars & ((1 << 64) - 1))
+
+
+def check_token_hashes(text):
+    doc = normalize(RawDocument(doi="d", text=text))
+    assert doc.token_hashes.dtype == np.uint64
+    assert doc.token_hashes.tolist() == [reference_word_hash(t) for t in reference_normalize(text)]
+
+
+class TestTokenHashes:
+    @pytest.mark.parametrize("text", ["İ", "ǅ", "İstanbul ǅemal 𝔄𝔅", "", "123 -- 4.5!"])
+    def test_fold_path_and_empty_documents_match_reference(self, text):
+        check_token_hashes(text)
+
+    @given(st.one_of(st.text(max_size=300), st.text(alphabet=_EDGE_ALPHABET + "𝔄", max_size=60)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_reference(self, text):
+        check_token_hashes(text)
+
+
 class TestLengthFilter:
     @pytest.mark.parametrize(
         "count,expected",
@@ -168,7 +193,7 @@ class TestLengthFilter:
     def test_boundaries(self, count, expected):
         doc = Document(
             doi="d",
-            tokens=("w",) * count,
+            token_hashes=np.zeros(count, np.uint64),
             token_spans=tuple((2 * i, 2 * i + 1) for i in range(count)),
             raw_token_spans=tuple((2 * i, 2 * i + 1) for i in range(count)),
             normalized_text=" ".join(["w"] * count),

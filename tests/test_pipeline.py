@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 import textreuse.pipeline as pipeline
 from textreuse.alignment import align_pair, case_namespace
-from textreuse.ingest import document_record, normalize
+from textreuse.ingest import Document, document_record, normalize
 from textreuse.jsonl import write_jsonl
+from textreuse.pan import raw_span_to_normalized
 from textreuse.pipeline import (
     CHECKPOINT_STATE_FILE,
     CheckpointMismatch,
@@ -426,6 +427,16 @@ class TestManifestIngestAndExactCounters:
         counts = run_pipeline(base_config(path, tmp_path / "out", min_words=50)).manifest["counts"]
         assert counts["tokens"] == 120
 
+    def test_document_bytes_are_the_same_on_every_run(self, tmp_path):
+        corpus_path, corpus, _ = synthetic_corpus_file(tmp_path)
+        first = run_pipeline(base_config(corpus_path, tmp_path / "first")).manifest["counts"]
+        second = run_pipeline(base_config(corpus_path, tmp_path / "second")).manifest["counts"]
+        assert first["document_bytes"] == second["document_bytes"]
+        docs = [normalize(raw) for raw in corpus]
+        arrays = sum(d.token_hashes.nbytes + d.token_spans.nbytes + d.raw_token_spans.nbytes for d in docs)
+        assert arrays == 40 * first["tokens"]
+        assert first["document_bytes"] == arrays + sum(sys.getsizeof(d.normalized_text) for d in docs)
+
     def test_corpus_is_read_once(self, tmp_path, monkeypatch):
         corpus_path, _, _ = synthetic_corpus_file(tmp_path)
         opened = []
@@ -453,6 +464,40 @@ config = RunConfig(input=corpus, output_dir=out_dir, min_words=10, retrieval_mod
 counts = run_pipeline(config).manifest["counts"]
 print(json.dumps({"cases": counts["cases"]}))
 """
+
+
+class TestHotPathsReadNoTokenStrings:
+    """``Document.tokens`` splits the normalized text anew on every read; no
+    program path may read it."""
+
+    def outputs(self, corpus_path, out):
+        blobs = {}
+        for mode in ("ngram", "minhash", "exact"):
+            config = base_config(corpus_path, out / mode, retrieval_mode=mode)
+            blobs[mode] = run_pipeline(config).cases_path.read_bytes()
+        config = base_config(corpus_path, out / "resumed", checkpoint_dir=str(out / "ckpt"))
+        run_pipeline(config, stop_after="retrieve")
+        blobs["resumed"] = run_pipeline(config).cases_path.read_bytes()
+        docs, _ = pipeline.load_documents(config)
+        cases = run_alignment(docs, read_candidates(out / "ckpt" / "candidates.tsv"), config)
+        spans = []
+        for doc in docs:
+            end = int(doc.raw_token_spans[-1, 1])
+            spans += [raw_span_to_normalized(doc, b, e) for b, e in ((0, 1), (3, 40), (end - 5, end))]
+        return blobs, cases, spans
+
+    def test_outputs_unchanged_when_tokens_raise(self, tmp_path, monkeypatch):
+        corpus_path, _, _ = synthetic_corpus_file(tmp_path)
+        expected = self.outputs(corpus_path, tmp_path / "free")
+        assert expected[1]
+
+        def unreadable(doc):
+            raise AssertionError("Document.tokens read on a program path")
+
+        monkeypatch.setattr(Document, "tokens", property(unreadable))
+        with pytest.raises(AssertionError, match="program path"):
+            doc_from_tokens(["alpha"]).tokens
+        assert self.outputs(corpus_path, tmp_path / "guarded") == expected
 
 
 class TestNoModeImportsScipy:
@@ -576,6 +621,14 @@ class TestRunAlignment:
         monkeypatch.setattr(pipeline, "window_hashes", constant_window_hashes)
         assert run_alignment(docs, pairs, config) == expected
 
+    def test_unsorted_pairs_give_the_sorted_cases(self):
+        docs = small_vocab_docs(random.Random(4), 4)
+        pairs = all_pairs(docs)
+        config = alignment_config(workers=1)
+        expected = run_alignment(docs, pairs, config)
+        assert expected
+        assert run_alignment(docs, pairs[::-1], config) == expected
+
     def test_pair_listed_twice_is_refused(self):
         docs = [doc_from_tokens(alpha_words("w", 20), doi=doi) for doi in ("a", "b", "c")]
         pairs = [CandidatePair("a", "b"), CandidatePair("b", "c"), CandidatePair("a", "b", 2)]
@@ -644,6 +697,13 @@ class TestCandidateSpill:
         write_candidates(path, pairs)
         assert path.read_text() == "a\tb\t3\na\tc\t1\n"
         assert read_candidates(path) == pairs
+
+    def test_unsorted_pairs_are_written_sorted(self, tmp_path):
+        pairs = [CandidatePair("b", "c", 2), CandidatePair("a", "c", 1), CandidatePair("a", "b", 3)]
+        path = tmp_path / "cand.tsv"
+        assert write_candidates(path, iter(pairs)) == 3
+        assert path.read_text() == "a\tb\t3\na\tc\t1\nb\tc\t2\n"
+        assert read_candidates(path) == pairs[::-1]
 
     @pytest.mark.parametrize(
         "line, message",

@@ -355,6 +355,18 @@ class TestMinhashMode:
         assert {p.key: p.evidence for p in pairs} == evidence
         assert counts == {"hash_postings": postings, "dropped_hashes": dropped, "pair_visits": visits}
 
+    @settings(max_examples=100, deadline=None)
+    @given(corpus=token_corpora(), passage_size=st.integers(1, 60), block=st.sampled_from([1, 2, 7, 64]))
+    @example(corpus=[["taaa", "taab"] * 40, [], ["taab"]], passage_size=60, block=7)
+    def test_sketches_do_not_depend_on_the_minima_block(self, corpus, passage_size, block):
+        """Blocks far smaller than one passage give the one-pass sketches."""
+        docs = [doc_from_tokens(tokens, doi=f"d{k}") for k, tokens in enumerate(corpus)]
+        owner, sketches = sketch_corpus(docs, passage_size, 6, 11)
+        with mock.patch.object(retrieval, "_MINIMA_BLOCK", block):
+            blocked_owner, blocked = sketch_corpus(docs, passage_size, 6, 11)
+        assert np.array_equal(blocked_owner, owner)
+        assert np.array_equal(blocked, sketches)
+
 
 class TestExactMode:
     def test_shared_verbatim_passage_included(self, rng, vocab):
