@@ -24,7 +24,6 @@ from .jsonl import atomic_open, scan_jsonl, write_json, write_jsonl
 from .retrieval import (
     RETRIEVAL_NGRAM_SIZE,
     CandidatePair,
-    _strictly_ascending,
     build_index,
     read_candidates,
     retrieve_candidates,
@@ -184,20 +183,16 @@ def run_alignment(
     Every document in a candidate pair has its n-grams hashed once. One join
     over those hash arrays finds the document pairs that share a window
     hash; only candidate pairs among them reach ``align_pair``, in sorted
-    order (pairs whose keys already strictly ascend are taken as given).
-    ``seed_matches`` seeds only on equal hashes, so a skipped pair has no
-    case. A pair listed twice, or an error while aligning, raises
+    order. ``seed_matches`` seeds only on equal hashes, so a skipped pair
+    has no case. A pair listed twice, or an error while aligning, raises
     ``PipelineError`` naming the pair. ``counts``, if given, receives
     ``documents_hashed`` and ``pairs_aligned``.
     """
     by_doi = {doc.doi: doc for doc in docs}
     params = config.alignment_params()
     namespace = case_namespace(config.seed)
-    doi_pairs = [pair.key for pair in pairs]
-    # Retrieval hands its pairs on in ascending order; others are sorted, and
-    # then a pair listed twice is next to its repeat.
-    if not _strictly_ascending(doi_pairs):
-        doi_pairs.sort()
+    doi_pairs = sorted(pair.key for pair in pairs)
+    # Sorted, a pair listed twice is next to its repeat.
     for previous, (doi_a, doi_b) in zip([None, *doi_pairs], doi_pairs):
         if doi_a not in by_doi or doi_b not in by_doi:
             raise PipelineError(f"candidate pair {(doi_a, doi_b)} references unknown documents")

@@ -37,9 +37,7 @@ The package needs numpy alone.
 from __future__ import annotations
 
 import logging
-import operator
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -193,9 +191,9 @@ def sketch_corpus(
     ``docs[owner[i]]``, passages in corpus order (``_split_passages``). A
     function's minimum over a passage's tokens is its minimum over the
     passage's distinct terms, so each function is one ``reduceat`` over the
-    corpus's word hashes (``MinHasher.minima``, block by block). Passages whose words all hash alike are skipped:
-    a near-constant passage sketches to copies of a single hash and floods
-    the index.
+    corpus's word hashes (``MinHasher.minima``, block by block). Passages
+    whose words all hash alike are skipped: a near-constant passage sketches
+    to copies of a single hash and floods the index.
     """
     hashes, starts, owner = _split_passages(docs, passage_size)
     # Every passage is reduced, then passages are dropped: a reduceat over
@@ -436,26 +434,16 @@ def retrieve_candidates_exact(
     return _candidates([doc.doi for doc in docs], doc_a[cross], doc_b[cross])
 
 
-def _strictly_ascending(keys: Sequence) -> bool:
-    """Whether every key is below the next, so none repeats."""
-    return all(map(operator.lt, keys, islice(keys, 1, None)))
-
-
 def write_candidates(path: str | Path, pairs: Iterable[CandidatePair]) -> int:
     """Spill candidate pairs to a tab-separated checkpoint file, sorted.
 
-    Pairs whose keys already strictly ascend, as every retrieval mode
-    returns them, are written in the order given; others are sorted first.
     The file appears whole or not at all (see ``atomic_open``).
     """
-    pairs = list(pairs)
-    if not _strictly_ascending([pair.key for pair in pairs]):
-        pairs.sort(key=lambda p: p.key)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
     with atomic_open(path) as fh:
-        for pair in pairs:
+        for pair in sorted(pairs, key=lambda p: p.key):
             fh.write(f"{pair.doi_a}\t{pair.doi_b}\t{pair.evidence}\n")
             count += 1
     return count
