@@ -20,7 +20,6 @@ import numpy as np
 
 from . import spans as sp
 from .ingest import Document
-from .ingest import _CHAR_BASE, _MIX_A, _MIX_B, _token_hashes  # noqa: F401  re-exported
 
 # Fixed root for deterministic case ids; run namespaces derive from it.
 _CASE_NAMESPACE_ROOT = uuid.uuid5(uuid.NAMESPACE_URL, "textreuse/case")

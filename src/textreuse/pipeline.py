@@ -99,10 +99,10 @@ class RunConfig:
 @dataclass
 class PipelineResult:
     manifest: dict
-    manifest_path: Path | None = None
-    cases_path: Path | None = None
-    publications_path: Path | None = None
-    stats_path: Path | None = None
+    manifest_path: Path
+    cases_path: Path
+    publications_path: Path
+    stats_path: Path
     candidates_path: Path | None = None
 
 
@@ -250,8 +250,8 @@ def publication_record(doc: Document) -> dict:
     }
 
 
-def run_pipeline(config: RunConfig, stop_after: str | None = None) -> PipelineResult:
-    """Run the full pipeline; ``stop_after='retrieve'`` checkpoints and returns.
+def run_pipeline(config: RunConfig) -> PipelineResult:
+    """Run the full pipeline.
 
     With a checkpoint directory set, a rerun picks the candidate file up and
     skips retrieval; a checkpoint written under a different configuration or
@@ -296,12 +296,6 @@ def run_pipeline(config: RunConfig, stop_after: str | None = None) -> PipelineRe
     total_pairs = math.comb(len(docs), 2)
     counts["candidate_pairs"] = len(pairs)
     counts["pruning_ratio"] = round(1.0 - len(pairs) / total_pairs, 6) if total_pairs else 1.0
-
-    if stop_after == "retrieve":
-        manifest = {"config": asdict(config), "counts": counts}
-        return PipelineResult(manifest=manifest, candidates_path=candidates_path)
-    if stop_after is not None:
-        raise ValueError("stop_after must be None or 'retrieve'")
 
     cases = run_alignment(docs, pairs, config, counts)
     counts["cases"] = len(cases)

@@ -14,21 +14,21 @@ Every mode reads words as ``Document.token_hashes``, the 64-bit word hashes
 that ``normalize`` computes once per document; no mode touches a token
 string. Two bag-of-words modes are kept as references. Both split documents
 into the same consecutive fixed-size passages (``_split_passages``), and a
-term is a word's hash (``window_hashes`` of one-word windows, the hash of
-ngram mode and alignment). ``retrieve_candidates_exact`` builds the binary
-passage×term matrix (``_passage_matrix``, as numpy CSR arrays), enumerates
-exactly the pairs with a passage-level overlap of at least
-``min_shared_terms`` distinct terms, and doubles as the testing oracle for
-the sketched path. In ``minhash`` mode min-hash function j of a word is
-splitmix64's finalizer of its hash xor a seeded key, each passage's sketch
-is the per-function minimum over its tokens (``sketch_corpus``), an
-inverted index lists each passage under its distinct sketch values
-(``build_index``), and every document pair whose sketches collide is kept
-(``retrieve_candidates``). On Zipfian text frequent words win the
-min-hashes and nearly every document pair survives.
+term is a word's ``token_hashes`` entry. ``retrieve_candidates_exact``
+builds the binary term×passage matrix as its distinct (term, passage)
+entries (``_passage_matrix``), enumerates exactly the pairs with a
+passage-level overlap of at least ``min_shared_terms`` distinct terms, and
+doubles as the testing oracle for the sketched path. In ``minhash`` mode
+min-hash function j of a word is splitmix64's finalizer of its hash xor a
+seeded key, each passage's sketch is the per-function minimum over its
+tokens (``sketch_corpus``), an inverted index lists each passage under its
+distinct sketch values (``build_index``), and every document pair whose
+sketches collide is kept (``retrieve_candidates``). On Zipfian text
+frequent words win the min-hashes and nearly every document pair survives.
 
 Every mode, and alignment, reads its pairs off one sorted numpy join of a
-count matrix with itself (``cooccurring_pairs``); exact mode passes its
+count matrix with itself (``cooccurring_pairs``), to which each caller
+hands its ``(row, column)`` entries as built; exact mode passes its
 threshold into the join, which drops the passage pairs below it block by
 block. Every mode returns its pairs in ascending ``(doi_a, doi_b)`` order.
 The package needs numpy alone.
@@ -142,9 +142,9 @@ def _split_passages(docs: Sequence[Document], passage_size: int) -> tuple[np.nda
 
     Each document splits into consecutive passages of ``passage_size``
     tokens, the last possibly shorter, so every passage holds at least one
-    token; an empty document has none. A word's hash is its one-word
-    ``window_hashes`` value, the hash of ngram mode and alignment, which is
-    the document's ``token_hashes`` entry.
+    token; an empty document has none. A word's hash is its
+    ``Document.token_hashes`` entry, which is also its one-word
+    ``window_hashes`` value in ngram mode and alignment.
     """
     if passage_size < 1:
         raise ValueError("passage_size must be >= 1")
@@ -155,26 +155,26 @@ def _split_passages(docs: Sequence[Document], passage_size: int) -> tuple[np.nda
     k = np.arange(owner.size) - (np.cumsum(passages) - passages)[owner]
     starts = (np.cumsum(lengths) - lengths)[owner] + k * passage_size
     # The empty leading array lets an empty corpus concatenate too.
-    hashes = np.concatenate([np.empty(0, np.uint64), *(window_hashes(doc, 1, 0) for doc in docs)])
+    hashes = np.concatenate([np.empty(0, np.uint64), *(doc.token_hashes for doc in docs)])
     return hashes, starts, owner
 
 
 def _passage_matrix(docs: Sequence[Document], passage_size: int) -> tuple:
-    """Binary passage×term matrix of a corpus as CSR arrays ``(indptr,
-    indices)``, each row's document index, and the number of terms.
+    """Binary term×passage matrix of a corpus as its entries ``(term,
+    passage)``, each passage's document index, and the number of terms.
 
-    Row ``r`` is passage ``r`` of ``_split_passages`` and holds its distinct
-    terms ``indices[indptr[r]:indptr[r + 1]]`` in ascending order. Terms
-    are word hashes numbered in hash order, so two words that collide count
-    as one term, which can only add candidate pairs.
+    Passage ``p`` is passage ``p`` of ``_split_passages``; entry ``k`` says
+    that it holds term ``term[k]``. The entries are distinct and ascend by
+    ``(term, passage)``. Terms are word hashes numbered in hash order, so
+    two words that collide count as one term, which can only add candidate
+    pairs.
     """
     hashes, starts, owner = _split_passages(docs, passage_size)
     values, term = np.unique(hashes, return_inverse=True)
-    rows = np.repeat(np.arange(owner.size), np.diff(starts, append=hashes.size))
-    width = max(values.size, 1)
-    row, indices = np.divmod(_sum_by_key(rows * width + term)[0], width)
-    indptr = np.searchsorted(row, np.arange(owner.size + 1))
-    return indptr, indices, owner, values.size
+    passage = np.repeat(np.arange(owner.size), np.diff(starts, append=hashes.size))
+    width = max(owner.size, 1)
+    term, passage = np.divmod(_sum_by_key(term * width + passage)[0], width)
+    return term, passage, owner, values.size
 
 
 def sketch_corpus(
@@ -207,7 +207,8 @@ def sketch_corpus(
 class PassageIndex:
     """Inverted index over sketch values, as parallel entry arrays: entry
     ``k`` places one passage of document ``owner[k]`` in posting
-    ``posting[k]``, one posting per kept distinct value."""
+    ``posting[k]``, the rank of its value among all distinct values, dropped
+    ones included. ``postings`` counts the kept values."""
 
     posting: np.ndarray
     owner: np.ndarray
@@ -237,8 +238,7 @@ def build_index(owner: np.ndarray, sketches: np.ndarray, df_cap: int = 1000) -> 
     if dropped:
         log.warning("dropped %d over-frequent hash postings (df_cap=%d)", dropped, df_cap)
     entries = kept[posting]
-    renumbered = np.cumsum(kept) - 1
-    return PassageIndex(renumbered[posting[entries]], entry_owner[entries], len(values) - dropped, dropped)
+    return PassageIndex(posting[entries], entry_owner[entries], len(values) - dropped, dropped)
 
 
 def retrieve_candidates(
@@ -252,25 +252,27 @@ def retrieve_candidates(
     a pair's evidence is ``(C.T @ C)[a, b]`` (``cooccurring_pairs``, which
     records ``pair_visits`` in ``counts`` if given).
     """
-    a, b, weight = cooccurring_pairs(index.posting, index.owner, (index.postings, len(dois)), counts=counts)
+    a, b, weight = cooccurring_pairs(index.posting, index.owner, len(dois), counts=counts)
     return _candidates(dois, a, b, weight)
 
 
 def cooccurring_pairs(
     rows: ArrayLike,
     cols: ArrayLike,
-    shape: tuple[int, int],
+    n_cols: int,
     *,
     counts: dict | None = None,
     min_weight: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column pairs ``a < b`` that share a row, with their co-occurrence count.
 
-    Entry ``k`` places one count at ``C[rows[k], cols[k]]`` in a ``shape``
-    count matrix ``C``. Returns parallel ``int64`` arrays ``(a, b, weight)``
-    in ascending ``(a, b)`` order over the strict upper triangle of ``Cᵀ C``
-    where it reaches ``min_weight``: ``weight`` is the sum over rows ``r``
-    of ``C[r, a] * C[r, b]``.
+    Entry ``k`` places one count at ``C[rows[k], cols[k]]`` in a count
+    matrix ``C`` of ``n_cols`` columns, entries in any order. Row ids need
+    only be non-negative and equal for equal rows, not dense. Returns
+    parallel ``int64`` arrays ``(a, b, weight)`` in ascending ``(a, b)``
+    order over the strict upper triangle of ``Cᵀ C`` where it reaches
+    ``min_weight``: ``weight`` is the sum over rows ``r`` of
+    ``C[r, a] * C[r, b]``.
 
     A sorted join: the distinct entries of each row, with their counts, are
     expanded into that row's column pairs, and equal pairs are summed in
@@ -283,7 +285,6 @@ def cooccurring_pairs(
     ``counts``, if given, receives the number of column pairs visited as
     ``pair_visits``.
     """
-    n_cols = shape[1]
     keys, cell = np.unique(
         np.asarray(rows, dtype=np.int64) * n_cols + np.asarray(cols, dtype=np.int64), return_counts=True
     )
@@ -293,14 +294,14 @@ def cooccurring_pairs(
     visits = int(partners.sum())
     if counts is not None:
         counts["pair_visits"] = visits
-    # The entries that visit any, by column, rows ascending within each; a
-    # stable sort of 16-bit keys is numpy's radix sort, five times faster
-    # here than on int64.
+    # The entries that visit any, by column, rows ascending within each, in
+    # the narrowest unsigned type that holds every column: up to 16 bits a
+    # stable sort is numpy's radix sort, five times faster here than on
+    # int64.
     active = np.flatnonzero(partners)
-    lower = col[active]
-    by_col = active[np.argsort(lower.astype(np.uint16) if n_cols <= 2**16 else lower, kind="stable")]
+    by_col = active[np.argsort(col[active].astype(np.min_scalar_type(max(n_cols - 1, 0))), kind="stable")]
     load = partners[by_col]
-    del keys, row, partners, active, lower  # the blocks below need none of these
+    del keys, row, partners, active  # the blocks below need none of these
     before = np.cumsum(load) - load
     column_starts = np.flatnonzero(np.diff(col[by_col], prepend=-1))
     # Each block starts at the column whose visits cross the next multiple
@@ -360,7 +361,7 @@ def shared_hash_pairs(
     owner = np.repeat(np.arange(len(hashes)), [len(h) for h in hashes])
     if counts is not None:
         counts["hash_postings"] = len(values)
-    return cooccurring_pairs(posting, owner, (len(values), len(hashes)), counts=counts)
+    return cooccurring_pairs(posting, owner, len(hashes), counts=counts)
 
 
 def retrieve_candidates_ngram(
@@ -422,13 +423,10 @@ def retrieve_candidates_exact(
     """
     if min_shared_terms < 1:
         raise ValueError("min_shared_terms must be >= 1")
-    indptr, indices, owner, terms = _passage_matrix(docs, passage_size)
+    term, passage, owner, terms = _passage_matrix(docs, passage_size)
     if counts is not None:
         counts["passages"], counts["terms"] = owner.size, terms
-    passage = np.repeat(np.arange(owner.size), np.diff(indptr))
-    a, b, _ = cooccurring_pairs(
-        indices, passage, (terms, owner.size), counts=counts, min_weight=min_shared_terms
-    )
+    a, b, _ = cooccurring_pairs(term, passage, owner.size, counts=counts, min_weight=min_shared_terms)
     doc_a, doc_b = owner[a], owner[b]
     cross = doc_a != doc_b
     return _candidates([doc.doi for doc in docs], doc_a[cross], doc_b[cross])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from textreuse.alignment import _CHAR_BASE, _MIX_A, _MIX_B, _TOKEN_BASE, align_pair
-from textreuse.ingest import RawDocument, normalize
+from textreuse.alignment import _TOKEN_BASE, align_pair
+from textreuse.ingest import _CHAR_BASE, _MIX_A, _MIX_B, RawDocument, normalize
 from textreuse.retrieval import MinHasher, retrieve_candidates_exact
 
 

@@ -195,7 +195,7 @@ class TestRunPipeline:
             stripped = {k: v for k, v in full_record.items() if k not in text_fields}
             assert stripped == meta_record
 
-    def test_resume_after_retrieval_matches_uninterrupted_run(self, tmp_path):
+    def test_resume_after_retrieval_matches_uninterrupted_run(self, tmp_path, monkeypatch):
         corpus_path, _, _ = synthetic_corpus_file(tmp_path)
         fresh = run_pipeline(base_config(corpus_path, tmp_path / "fresh"))
 
@@ -203,9 +203,17 @@ class TestRunPipeline:
         interrupted_config = base_config(
             corpus_path, tmp_path / "resumed", checkpoint_dir=str(checkpoint)
         )
-        partial = run_pipeline(interrupted_config, stop_after="retrieve")
-        assert partial.cases_path is None
+
+        def interrupted(*args, **kwargs):
+            raise RuntimeError("interrupted during alignment")
+
+        monkeypatch.setattr(pipeline, "run_alignment", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_pipeline(interrupted_config)
+        monkeypatch.undo()
         assert (checkpoint / "candidates.tsv").exists()
+        assert not (tmp_path / "resumed" / "cases.jsonl").exists()
+        assert not (tmp_path / "resumed" / "manifest.json").exists()
 
         resumed = run_pipeline(interrupted_config)
         assert resumed.cases_path.read_bytes() == fresh.cases_path.read_bytes()
@@ -215,7 +223,7 @@ class TestRunPipeline:
         corpus_path, _, _ = synthetic_corpus_file(tmp_path)
         checkpoint = tmp_path / "ckpt"
         config = base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(checkpoint))
-        run_pipeline(config, stop_after="retrieve")
+        run_pipeline(config)
         changed = base_config(
             corpus_path,
             tmp_path / "out2",
@@ -231,7 +239,7 @@ class TestRunPipeline:
         config = base_config(
             corpus_path, tmp_path / "out", retrieval_mode="ngram", checkpoint_dir=str(checkpoint)
         )
-        run_pipeline(config, stop_after="retrieve")
+        run_pipeline(config)
         changed = base_config(
             corpus_path,
             tmp_path / "out2",
@@ -247,7 +255,7 @@ class TestRunPipeline:
         corpus_path, _, _ = synthetic_corpus_file(tmp_path)
         checkpoint = tmp_path / "ckpt"
         config = base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(checkpoint))
-        run_pipeline(config, stop_after="retrieve")
+        run_pipeline(config)
         with open(corpus_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"doi": "extra", "text": " ".join(alpha_words("xx", 60))}) + "\n")
         with pytest.raises(CheckpointMismatch):
@@ -284,7 +292,7 @@ class TestRunPipeline:
         corpus_path, _, _ = synthetic_corpus_file(tmp_path)
         checkpoint = tmp_path / "ckpt"
         config = base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(checkpoint))
-        expected = run_pipeline(config, stop_after="retrieve").manifest
+        expected = run_pipeline(config).manifest
         (checkpoint / "candidates.tsv").unlink()
 
         # a run under another configuration dies between its candidates and its state file
@@ -299,7 +307,7 @@ class TestRunPipeline:
         monkeypatch.undo()
         assert not (checkpoint / "retrieval.json").exists()
 
-        assert run_pipeline(config, stop_after="retrieve").manifest == expected
+        assert run_pipeline(config).manifest == expected
 
     def test_invalid_config_rejected(self, tmp_path):
         corpus_path, _, _ = synthetic_corpus_file(tmp_path)
@@ -476,7 +484,7 @@ class TestHotPathsReadNoTokenStrings:
             config = base_config(corpus_path, out / mode, retrieval_mode=mode)
             blobs[mode] = run_pipeline(config).cases_path.read_bytes()
         config = base_config(corpus_path, out / "resumed", checkpoint_dir=str(out / "ckpt"))
-        run_pipeline(config, stop_after="retrieve")
+        run_pipeline(config)
         blobs["resumed"] = run_pipeline(config).cases_path.read_bytes()
         docs, _ = pipeline.load_documents(config)
         cases = run_alignment(docs, read_candidates(out / "ckpt" / "candidates.tsv"), config)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from textreuse.alignment import AlignmentParams, _token_hashes, align_pair
-from textreuse.ingest import normalize
+from textreuse.alignment import AlignmentParams, align_pair
+from textreuse.ingest import _token_hashes, normalize
 from textreuse import retrieval
 from textreuse.pipeline import RunConfig, run_retrieval
 from textreuse.retrieval import (
@@ -34,7 +35,6 @@ from conftest import (
     alpha_words,
     brute_force_posting_pairs,
     capped_postings,
-    constant_window_hashes,
     doc_from_tokens,
     exact_pair_visits,
     minhash_reference,
@@ -84,15 +84,18 @@ def sketch_lists():
 
 
 def matrix_rows(docs, passage_size):
-    """``_passage_matrix`` as (doc index, set of term hashes) per row; each
-    row lists distinct terms in ascending order, and terms are numbered in
-    hash order."""
-    indptr, indices, owner, terms = _passage_matrix(docs, passage_size)
-    rows = [indices[indptr[row] : indptr[row + 1]].tolist() for row in range(owner.size)]
-    assert all(row == sorted(set(row)) for row in rows)
+    """``_passage_matrix`` as (doc index, set of term hashes) per passage;
+    its entries are distinct and ascend by (term, passage), and terms are
+    numbered in hash order."""
+    term, passage, owner, terms = _passage_matrix(docs, passage_size)
+    entries = list(zip(term.tolist(), passage.tolist()))
+    assert entries == sorted(set(entries))
     hashes = sorted({h for doc in docs for h in _token_hashes(doc.tokens).tolist()})
     assert terms == len(hashes)
-    return [(doc, {hashes[j] for j in row}) for doc, row in zip(owner.tolist(), rows)]
+    rows = [set() for _ in range(owner.size)]
+    for j, row in entries:
+        rows[row].add(hashes[j])
+    return list(zip(owner.tolist(), rows))
 
 
 def term_hashes(tokens):
@@ -134,8 +137,8 @@ class TestChunkPassages:
 
     def test_empty_document(self, rng, vocab):
         assert matrix_rows([doc_from_tokens([])], 50) == []
-        indptr, indices, owner, terms = _passage_matrix([], 50)
-        assert indptr.tolist() == [0] and indices.size == owner.size == terms == 0
+        term, passage, owner, terms = _passage_matrix([], 50)
+        assert term.size == passage.size == owner.size == terms == 0
         # An empty document between two others owns no row.
         docs = [doc_from_tokens(random_words(rng, 60, vocab), doi=d) for d in "ab"]
         docs.insert(1, doc_from_tokens([], doi="e"))
@@ -417,14 +420,14 @@ class TestExactMode:
         assert len(got) == len(pairs)
         assert got == brute_force_candidates(docs, passage_size, min_shared_terms)
 
-    def test_colliding_words_count_as_one_term(self, monkeypatch):
+    def test_colliding_words_count_as_one_term(self):
         # Under a hash where every word collides, each passage holds one
         # term: a collision can only add candidates.
         docs = [doc_from_tokens(alpha_words(p, 20), doi=p) for p in ("qa", "zb", "xc")]
         assert retrieve_candidates_exact(docs, 50, 1) == []
-        monkeypatch.setattr(retrieval, "window_hashes", constant_window_hashes)
+        colliding = [dataclasses.replace(doc, token_hashes=np.zeros_like(doc.token_hashes)) for doc in docs]
         counts = {}
-        pairs = retrieve_candidates_exact(docs, 50, 1, counts=counts)
+        pairs = retrieve_candidates_exact(colliding, 50, 1, counts=counts)
         assert {p.key for p in pairs} == {("qa", "xc"), ("qa", "zb"), ("xc", "zb")}
         assert counts == {"passages": 3, "terms": 1, "pair_visits": 3}
 
@@ -464,6 +467,15 @@ def count_entries(draw):
     return [r for r, _ in entries], [c for _, c in entries], shape
 
 
+# A 3 × 131072 count matrix with repeated cells, in columns on both sides of
+# 2**16.
+WIDE = (
+    [0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2],
+    [0, 65535, 65536, 65536, 131071, 65535, 65536, 70000, 0, 70000, 131071, 131071],
+    (3, 131072),
+)
+
+
 class TestCooccurringPairs:
     @settings(max_examples=300, deadline=None)
     @given(matrix=count_entries(), block=st.sampled_from([1, 2, 3, 5, 2**18]), min_weight=st.integers(1, 4))
@@ -471,6 +483,11 @@ class TestCooccurringPairs:
     @example(matrix=([0, 1, 2, 2], [0, 0, 0, 0], (3, 1)), block=1, min_weight=1)
     @example(matrix=([0, 0, 0, 0, 1, 1], [2, 2, 0, 1, 0, 2], (2, 3)), block=2**18, min_weight=2)
     @example(matrix=([0] * 7 + [1] * 5, list(range(7)) + list(range(5)), (2, 7)), block=4, min_weight=2)
+    # More than 2**16 columns: the join sorts on keys wider than 16 bits.
+    @example(matrix=WIDE, block=1, min_weight=1)
+    @example(matrix=WIDE, block=1, min_weight=2)
+    @example(matrix=WIDE, block=2**18, min_weight=1)
+    @example(matrix=WIDE, block=2**18, min_weight=2)
     def test_matches_the_sparse_product(self, matrix, block, min_weight):
         """Against ``triu(Cᵀ C, 1)`` filtered at ``min_weight``, at block
         sizes that split the visits into many blocks, some smaller than
@@ -485,7 +502,7 @@ class TestCooccurringPairs:
         )
         record = {}
         with mock.patch.object(retrieval, "_JOIN_BLOCK", block):
-            a, b, weight = cooccurring_pairs(rows, cols, shape, counts=record, min_weight=min_weight)
+            a, b, weight = cooccurring_pairs(rows, cols, shape[1], counts=record, min_weight=min_weight)
         assert list(zip(a.tolist(), b.tolist(), weight.tolist())) == expected
         assert a.dtype == b.dtype == weight.dtype == np.int64
         distinct = Counter(r for r, _ in set(zip(rows, cols)))
