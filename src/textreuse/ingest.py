@@ -14,8 +14,18 @@ to this normalized text, so the rules here are part of the output contract:
 
 A normalized ``Document`` holds no per-token objects: each token is its
 64-bit word hash (``token_hashes``, computed here once), and its offsets in
-the normalized and in the raw text are two ``(n, 2)`` integer arrays. The
-words themselves are read back from ``normalized_text``.
+the normalized and in the raw text are two ``(n, 2)`` ``int32`` arrays, 24
+bytes per token in all. The words themselves are read back from
+``normalized_text``.
+
+Normalization works in whole-text passes over the text's code points. A
+128-entry table classifies ASCII; only the distinct non-ASCII code points
+are classified in Python. Word hashes are differences of one prefix sum
+per text: with ``P[i] = sum(c_k * B**(k + 1) for k < i)`` modulo 2**64 over
+the code points ``c_k``, the token ``[b, e)`` hashes to
+``_mix((P[e] - P[b]) * B**-b)``, which is ``_mix(sum(c_(b+j) * B**(j + 1)))``
+over its characters bit for bit. ``B = _CHAR_BASE`` is odd, so it is a unit
+modulo 2**64 and ``B**-b`` exists.
 """
 
 from __future__ import annotations
@@ -37,10 +47,16 @@ log = logging.getLogger(__name__)
 # modulo 2**64. The hash depends on the word only, not on the process or the
 # corpus, so each document is hashed on its own.
 _CHAR_BASE = 0x9E3779B97F4A7C15
+_CHAR_BASE_INVERSE = pow(_CHAR_BASE, -1, 1 << 64)
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 _METADATA_LISTS = ("field", "area", "discipline")
+
+# Which ASCII code points are letters, and the translation of the others to
+# a space.
+_ASCII_LETTERS = np.array([chr(c).isalpha() for c in range(128)])
+_ASCII_TO_SPACE = {c: " " for c in range(128) if not chr(c).isalpha()}
 
 
 @dataclass(frozen=True)
@@ -61,6 +77,8 @@ class RawDocument:
             raise ValueError("doi contains a tab or line break")  # candidates.tsv could not hold it
         if not isinstance(self.text, str):
             raise ValueError("text must be a string")
+        if len(self.text) >= 2**31:
+            raise ValueError("text is too long for int32 offsets")
         for name in _METADATA_LISTS:
             values = getattr(self, name)
             if values is not None and any(not v for v in values):
@@ -71,10 +89,13 @@ class RawDocument:
 class Document:
     """Normalized document: one word hash and two offset pairs per token.
 
-    ``token_hashes`` is a ``uint64`` array holding each token's word hash
-    (``_token_hashes``), the one token representation that retrieval and
-    alignment read. ``token_spans`` and ``raw_token_spans`` are ``(n, 2)``
-    ``int64`` arrays of ``[begin, end)`` offsets, one row per token.
+    ``token_hashes`` is a ``uint64`` array holding each token's word hash,
+    the one token representation that retrieval and alignment read: token
+    ``[b, e)`` of code points ``c`` hashes to ``_mix((P[e] - P[b]) * B**-b)``
+    with ``P[i] = sum(c_k * B**(k + 1) for k < i)`` modulo 2**64, which equals
+    ``_mix(sum(c_(b+j) * B**(j + 1)))`` because the odd ``B = _CHAR_BASE`` is
+    invertible modulo 2**64. ``token_spans`` and ``raw_token_spans`` are
+    ``(n, 2)`` ``int32`` arrays of ``[begin, end)`` offsets, one row per token.
     ``token_spans`` index into ``normalized_text``; ``raw_token_spans``
     index into the original raw text, which lets external (raw-offset)
     annotations be carried over to normalized coordinates. Documents
@@ -112,55 +133,100 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _code_points(text: str) -> np.ndarray:
+    """The code points of ``text`` as a ``uint32`` array; a lone surrogate,
+    which JSON's ``\\ud800`` escapes can produce, is kept as its code point."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def _powers(base: int, n: int) -> np.ndarray:
+    """``base**k`` modulo 2**64 for ``k`` in ``range(n)``, as ``uint64``."""
+    powers = np.empty(n, dtype=np.uint64)
+    powers[0] = 1
+    powers[1:] = base
+    return np.cumprod(powers, out=powers)
+
+
+def _span_hashes(codes: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """Word hash of each ``[begin, end)`` row of ``spans`` over the code
+    points ``codes``: one prefix sum of ``codes`` weighted by powers of
+    ``_CHAR_BASE``, differenced at each span and shifted back to its first
+    character by an inverse power (uint64 wraps)."""
+    n = codes.size + 1
+    prefix = np.zeros(n, dtype=np.uint64)
+    np.multiply(codes, _powers(_CHAR_BASE, n)[1:], out=prefix[1:])
+    np.cumsum(prefix[1:], out=prefix[1:])
+    begins, ends = spans[:, 0], spans[:, 1]
+    return _mix((prefix[ends] - prefix[begins]) * _powers(_CHAR_BASE_INVERSE, n)[begins])
+
+
+def _joined_spans(lengths: np.ndarray) -> np.ndarray:
+    """``int32`` ``[begin, end)`` rows of tokens of ``lengths`` joined by single spaces."""
+    ends = np.cumsum(lengths) + np.arange(len(lengths))
+    return np.column_stack((ends - lengths, ends)).astype(np.int32)
+
+
+def _join_tokens(tokens: Sequence[str]) -> tuple[str, np.ndarray, np.ndarray]:
+    """The tokens joined by single spaces, their spans in it and their word hashes."""
+    text = " ".join(tokens)
+    spans = _joined_spans(np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens)))
+    return text, spans, _span_hashes(_code_points(text), spans)
+
+
 def _token_hashes(tokens: Sequence[str]) -> np.ndarray:
-    """One ``uint64`` word hash per token, in whole-array operations over the
-    joined tokens' code points; memory is linear in the number of characters."""
-    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    codes = np.frombuffer("".join(tokens).encode("utf-32-le"), dtype="<u4").astype(np.uint64)
-    begins = np.cumsum(lengths) - lengths
-    powers = np.cumprod(np.full(lengths.max(initial=0), _CHAR_BASE, dtype=np.uint64))
-    position = np.arange(codes.size) - np.repeat(begins, lengths)
-    # Each token's polynomial is a difference of prefix sums (uint64 wraps).
-    prefix = np.zeros(codes.size + 1, dtype=np.uint64)
-    np.cumsum(codes * powers[position], out=prefix[1:])
-    return _mix(prefix[begins + lengths] - prefix[begins])
+    """One ``uint64`` word hash per token."""
+    return _join_tokens(tokens)[2]
 
 
 def normalize(raw: RawDocument) -> Document:
     """Normalize a raw document into lowercase alphabetic tokens.
 
-    Tokens are found by whole-text operations: every non-alphabetic
-    character is translated to a space (so positions are kept), and the
-    raw spans are the edges of the resulting alphabetic mask. The tokens are
-    the lowercased text split on spaces when every alphabetic character of
-    the text lowercases to exactly one alphabetic character (virtually all
-    text); otherwise each run is folded on its own and runs that fold to
-    nothing are dropped with their spans.
+    Tokens are found by whole-text operations over the raw code points:
+    ASCII is classified by table and each distinct non-ASCII code point once,
+    and the raw spans are the edges of the resulting alphabetic mask. When
+    every alphabetic character of the text lowercases to exactly one
+    alphabetic character (virtually all text), the non-letters are
+    translated to spaces, the whole text is lowercased (which keeps every
+    position), and the normalized text is its letters plus one space after
+    each token but the last. Otherwise each run is folded on its own and
+    runs that fold to nothing are dropped with their spans.
     """
     if not isinstance(raw.text, str):
         raise TypeError("raw.text must be decoded text, not bytes")
-    chars = set(raw.text)
-    letters = {c for c in chars if c.isalpha()}
-    spaced = raw.text.translate({ord(c): " " for c in chars - letters})
-    mask = np.zeros(len(spaced) + 2, dtype=bool)
-    mask[1:-1] = np.frombuffer(spaced.encode("utf-32-le"), dtype=np.uint32) != 32
+    codes = _code_points(raw.text)
+    mask = np.zeros(codes.size + 2, dtype=bool)
+    letter = mask[1:-1]
+    _ASCII_LETTERS.take(codes, out=letter, mode="clip")  # code point 127 is no letter
+    to_space = _ASCII_TO_SPACE
+    wide_letters = []
+    wide = codes >= 128
+    if wide.any():
+        points, inverse = np.unique(codes[wide], return_inverse=True)
+        is_alpha = np.array([chr(c).isalpha() for c in points.tolist()], dtype=bool)
+        letter[wide] = is_alpha[inverse]
+        to_space = _ASCII_TO_SPACE | dict.fromkeys(points[~is_alpha].tolist(), " ")
+        wide_letters = [chr(c) for c in points[is_alpha].tolist()]
     raw_spans = np.flatnonzero(mask[1:] != mask[:-1]).reshape(-1, 2)
+    spaced = raw.text.translate(to_space)
 
-    if all(len(low := c.lower()) == 1 and low.isalpha() for c in letters):
-        tokens = spaced.lower().split()
+    if all(len(low := c.lower()) == 1 and low.isalpha() for c in wide_letters):
+        lowered = _code_points(spaced.lower())
+        keep = letter.copy()
+        keep[raw_spans[:-1, 1]] = True  # the space after each token but the last
+        normalized_text = lowered[keep].tobytes().decode("utf-32-le")
+        token_spans = _joined_spans(raw_spans[:, 1] - raw_spans[:, 0])
+        token_hashes = _span_hashes(lowered, raw_spans)
     else:
         folded = ["".join(c for c in run.lower() if c.isalpha()) for run in spaced.split()]
         raw_spans = raw_spans[np.fromiter(map(bool, folded), dtype=bool, count=len(folded))]
-        tokens = [token for token in folded if token]
+        normalized_text, token_spans, token_hashes = _join_tokens([token for token in folded if token])
 
-    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    ends = np.cumsum(lengths) + np.arange(len(tokens))
     return Document(
         doi=raw.doi,
-        token_hashes=_token_hashes(tokens),
-        token_spans=np.column_stack((ends - lengths, ends)),
-        raw_token_spans=raw_spans.astype(np.int64, copy=False),
-        normalized_text=" ".join(tokens),
+        token_hashes=token_hashes,
+        token_spans=token_spans,
+        raw_token_spans=raw_spans.astype(np.int32),
+        normalized_text=normalized_text,
         year=raw.year,
         field=raw.field,
         area=raw.area,

@@ -44,6 +44,26 @@ def constant_window_hashes(doc, ngram_size=8, ngram_overlap=7):
     return np.zeros(len(range(0, len(doc.tokens) - ngram_size + 1, ngram_size - ngram_overlap)), np.uint64)
 
 
+def reference_normalize(text):
+    """Independent single-pass character walk applying the stated rules."""
+    tokens = []
+    current = []
+    for ch in text:
+        if ch.isalpha():
+            current.append(ch)
+        elif current:
+            tokens.append("".join(current))
+            current = []
+    if current:
+        tokens.append("".join(current))
+    out = []
+    for run in tokens:
+        token = "".join(c for c in run.lower() if c.isalpha())
+        if token:
+            out.append(token)
+    return out
+
+
 def make_doc(text, doi="doc-a", **metadata):
     return normalize(RawDocument(doi=doi, text=text, **metadata))
 

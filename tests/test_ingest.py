@@ -4,9 +4,10 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import textreuse.ingest as ingest
 from textreuse.ingest import (
     _CHAR_BASE,
     Document,
@@ -18,27 +19,7 @@ from textreuse.ingest import (
 )
 from textreuse.pan import raw_span_to_normalized
 
-from conftest import make_doc, splitmix
-
-
-def reference_normalize(text):
-    """Independent single-pass character walk applying the stated rules."""
-    tokens = []
-    current = []
-    for ch in text:
-        if ch.isalpha():
-            current.append(ch)
-        elif current:
-            tokens.append("".join(current))
-            current = []
-    if current:
-        tokens.append("".join(current))
-    out = []
-    for run in tokens:
-        token = "".join(c for c in run.lower() if c.isalpha())
-        if token:
-            out.append(token)
-    return out
+from conftest import make_doc, reference_normalize, splitmix
 
 
 def reference_corpus_digest(path):
@@ -49,6 +30,21 @@ def reference_corpus_digest(path):
         digest.update(file.name.encode("utf-8"))
         digest.update(file.read_bytes())
     return digest.hexdigest()
+
+
+# ASCII-only text, which the character table classifies without any
+# per-code-point Python work; plain st.text() draws are mostly non-ASCII.
+_ASCII_TEXT = st.text(st.characters(max_codepoint=127), max_size=300)
+# ASCII next to one non-ASCII letter or separator, and a text long enough
+# that the per-document power tables run past 2**16.
+_MIXED_TEXTS = ["naïve—ΟΔΟΣ", "a\u00a0b", "ﬁne İstanbul x²", "naïve ΟΔΟΣ. " * 6000]
+
+
+def mixed_examples(test):
+    """Runs a property test on every text of ``_MIXED_TEXTS`` too."""
+    for text in reversed(_MIXED_TEXTS):
+        test = example(text)(test)
+    return test
 
 
 class TestNormalize:
@@ -89,7 +85,8 @@ class TestNormalize:
         doc = make_doc(text)
         assert [text[b:e].lower() for b, e in doc.raw_token_spans] == ["alpha", "beta"]
 
-    @given(st.text(max_size=300))
+    @given(st.one_of(st.text(max_size=300), _ASCII_TEXT))
+    @mixed_examples
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_walk(self, text):
         assert list(normalize(RawDocument(doi="d", text=text)).tokens) == reference_normalize(text)
@@ -102,7 +99,8 @@ class TestNormalize:
         assert twice.normalized_text == once.normalized_text
         assert twice.tokens == once.tokens
 
-    @given(st.text(max_size=300))
+    @given(st.one_of(st.text(max_size=300), _ASCII_TEXT))
+    @mixed_examples
     @settings(max_examples=200, deadline=None)
     def test_offset_round_trip(self, text):
         doc = normalize(RawDocument(doi="d", text=text))
@@ -128,7 +126,7 @@ class TestNormalize:
 # non-letter, a combining mark, a case-ignorable modifier letter, accents,
 # digits and punctuation.
 _EDGE_ALPHABET = "aZ İΣσς ǅﬁ²\u0345ʰé.'1\t"
-_EDGE_TEXTS = ["İstanbul", "ΟΔΟΣ ΟΔΟΣ.", "ǅemal", "ﬁne", "abc²def", "été", "123 -- 4.5!", ""]
+_EDGE_TEXTS = ["İstanbul", "ΟΔΟΣ ΟΔΟΣ.", "ǅemal", "ﬁne", "abc²def", "été", "123 -- 4.5!", "", "a\ud800b"]
 
 
 def check_offsets(text):
@@ -138,7 +136,7 @@ def check_offsets(text):
     n = len(doc.tokens)
     for spans in (doc.token_spans, doc.raw_token_spans):
         assert isinstance(spans, np.ndarray)
-        assert spans.shape == (n, 2) and spans.dtype == np.int64
+        assert spans.shape == (n, 2) and spans.dtype == np.int32
     for i, token in enumerate(doc.tokens):
         begin, end = doc.raw_token_spans[i]
         assert "".join(c for c in text[begin:end].lower() if c.isalpha()) == token
@@ -155,7 +153,8 @@ class TestNormalizeSpans:
         assert doc.tokens == ("istanbul", "ankara")
         assert doc.raw_token_spans.tolist() == [[0, 8], [9, 15]]
 
-    @given(st.one_of(st.text(max_size=300), st.text(alphabet=_EDGE_ALPHABET, max_size=60)))
+    @given(st.one_of(st.text(max_size=300), _ASCII_TEXT, st.text(alphabet=_EDGE_ALPHABET, max_size=60)))
+    @mixed_examples
     @settings(max_examples=300, deadline=None)
     def test_raw_spans_fold_to_tokens(self, text):
         check_offsets(text)
@@ -175,11 +174,12 @@ def check_token_hashes(text):
 
 
 class TestTokenHashes:
-    @pytest.mark.parametrize("text", ["İ", "ǅ", "İstanbul ǅemal 𝔄𝔅", "", "123 -- 4.5!"])
+    @pytest.mark.parametrize("text", ["İ", "ǅ", "İstanbul ǅemal 𝔄𝔅", "", "123 -- 4.5!", "a\ud800b"])
     def test_fold_path_and_empty_documents_match_reference(self, text):
         check_token_hashes(text)
 
-    @given(st.one_of(st.text(max_size=300), st.text(alphabet=_EDGE_ALPHABET + "𝔄", max_size=60)))
+    @given(st.one_of(st.text(max_size=300), _ASCII_TEXT, st.text(alphabet=_EDGE_ALPHABET + "𝔄", max_size=60)))
+    @mixed_examples
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_reference(self, text):
         check_token_hashes(text)
@@ -206,7 +206,19 @@ class TestLengthFilter:
         assert length_filter(a) == length_filter(b) is True
 
 
+class LongText(str):
+    """A short string that reports 2**31 characters, one more than int32
+    offsets index."""
+
+    def __len__(self):
+        return 2**31
+
+
 class TestRawDocument:
+    def test_rejects_text_too_long_for_int32_offsets(self):
+        with pytest.raises(ValueError, match="int32"):
+            RawDocument(doi="d", text=LongText("x"))
+
     def test_rejects_empty_doi(self):
         with pytest.raises(ValueError):
             RawDocument(doi="", text="x")
@@ -270,6 +282,24 @@ class TestLoadCorpus:
         assert [d.doi for d in docs] == ["10.1/c"]
         assert report.malformed == 1
         assert any(":1:" in r.message and "tab or line break" in r.message for r in caplog.records)
+
+    def test_text_too_long_for_int32_offsets_is_a_malformed_record(self, tmp_path, monkeypatch, caplog):
+        path = tmp_path / "corpus.jsonl"
+        self._write(path, [json.dumps({"doi": doi, "text": "hello"}) for doi in ("d0", "d1")])
+        scan_jsonl = ingest.scan_jsonl
+
+        def scan_with_long_first_text(file, digest):
+            for lineno, record, error in scan_jsonl(file, digest):
+                if lineno == 1:
+                    record["text"] = LongText(record["text"])
+                yield lineno, record, error
+
+        monkeypatch.setattr(ingest, "scan_jsonl", scan_with_long_first_text)
+        with caplog.at_level(logging.ERROR):
+            docs, report = load_corpus_report(path)
+        assert [d.doi for d in docs] == ["d1"]
+        assert report.malformed == 1
+        assert any(":1:" in r.message and "int32" in r.message for r in caplog.records)
 
     def test_duplicate_doi_last_wins(self, tmp_path, caplog):
         path = tmp_path / "corpus.jsonl"

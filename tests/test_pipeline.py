@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import textreuse.pipeline as pipeline
 from textreuse.alignment import align_pair, case_namespace
 from textreuse.ingest import Document, document_record, normalize
-from textreuse.jsonl import write_jsonl
+from textreuse.jsonl import read_jsonl, write_jsonl
 from textreuse.pan import raw_span_to_normalized
 from textreuse.pipeline import (
     CHECKPOINT_STATE_FILE,
@@ -43,6 +43,7 @@ from conftest import (
     exact_pair_visits,
     minhash_reference,
     ngram_holders,
+    reference_normalize,
 )
 
 
@@ -442,7 +443,7 @@ class TestManifestIngestAndExactCounters:
         assert first["document_bytes"] == second["document_bytes"]
         docs = [normalize(raw) for raw in corpus]
         arrays = sum(d.token_hashes.nbytes + d.token_spans.nbytes + d.raw_token_spans.nbytes for d in docs)
-        assert arrays == 40 * first["tokens"]
+        assert arrays == 24 * first["tokens"]
         assert first["document_bytes"] == arrays + sum(sys.getsizeof(d.normalized_text) for d in docs)
 
     def test_corpus_is_read_once(self, tmp_path, monkeypatch):
@@ -522,6 +523,30 @@ class TestNoModeImportsScipy:
         )  # fmt: skip
         probe = json.loads(run.stdout.splitlines()[-1])
         assert probe["cases"] > 0
+
+
+# Twelve documents in Latin with diacritics and ligatures, Greek, Cyrillic,
+# CJK, Turkish and a mix of Arabic, Hebrew, Fraktur and symbols. Each
+# script's pair shares one 45-word passage, written with other case and
+# separators (no-break and thin spaces, dashes, middle dots, digits) on side
+# 1. The documents holding "İ" normalize on the per-run fold path.
+MIXED_SCRIPT_CORPUS = Path(__file__).resolve().parent / "data" / "mixed_script.jsonl"
+
+
+class TestMixedScriptCorpus:
+    @pytest.mark.parametrize("mode", ["ngram", "minhash", "exact"])
+    def test_cases_slice_the_reference_normalization(self, tmp_path, mode):
+        config = base_config(MIXED_SCRIPT_CORPUS, tmp_path, min_words=0, retrieval_mode=mode)
+        cases = list(read_jsonl(run_pipeline(config).cases_path))
+        records = list(read_jsonl(MIXED_SCRIPT_CORPUS))
+        normalized = {r["doi"]: " ".join(reference_normalize(r["text"])) for r in records}
+        scripts = {doi.rsplit(".", 1)[0] for doi in normalized}
+        assert {(case["doi_a"], case["doi_b"]) for case in cases} == {(f"{s}.0", f"{s}.1") for s in scripts}
+        for case in cases:
+            for side in "ab":
+                text = normalized[case[f"doi_{side}"]]
+                assert case[f"text_{side}"] == text[case[f"begin_{side}"] : case[f"end_{side}"]]
+                assert case[f"doc_length_{side}"] == len(text)
 
 
 class TestAtomicOutputs:
