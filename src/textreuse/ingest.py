@@ -53,10 +53,8 @@ _MIX_B = 0x94D049BB133111EB
 
 _METADATA_LISTS = ("field", "area", "discipline")
 
-# Which ASCII code points are letters, and the translation of the others to
-# a space.
+# Which ASCII code points are letters.
 _ASCII_LETTERS = np.array([chr(c).isalpha() for c in range(128)])
-_ASCII_TO_SPACE = {c: " " for c in range(128) if not chr(c).isalpha()}
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,7 @@ def normalize(raw: RawDocument) -> Document:
     and the raw spans are the edges of the resulting alphabetic mask. When
     every alphabetic character of the text lowercases to exactly one
     alphabetic character (virtually all text), the non-letters are
-    translated to spaces, the whole text is lowercased (which keeps every
+    replaced by spaces, the whole text is lowercased (which keeps every
     position), and the normalized text is its letters plus one space after
     each token but the last. Otherwise each run is folded on its own and
     runs that fold to nothing are dropped with their spans.
@@ -197,17 +195,16 @@ def normalize(raw: RawDocument) -> Document:
     mask = np.zeros(codes.size + 2, dtype=bool)
     letter = mask[1:-1]
     _ASCII_LETTERS.take(codes, out=letter, mode="clip")  # code point 127 is no letter
-    to_space = _ASCII_TO_SPACE
     wide_letters = []
     wide = codes >= 128
     if wide.any():
         points, inverse = np.unique(codes[wide], return_inverse=True)
         is_alpha = np.array([chr(c).isalpha() for c in points.tolist()], dtype=bool)
         letter[wide] = is_alpha[inverse]
-        to_space = _ASCII_TO_SPACE | dict.fromkeys(points[~is_alpha].tolist(), " ")
         wide_letters = [chr(c) for c in points[is_alpha].tolist()]
     raw_spans = np.flatnonzero(mask[1:] != mask[:-1]).reshape(-1, 2)
-    spaced = raw.text.translate(to_space)
+    # Every non-letter becomes a space; no surrogate is a letter, so this decodes.
+    spaced = np.where(letter, codes, 32).astype("<u4").tobytes().decode("utf-32-le")
 
     if all(len(low := c.lower()) == 1 and low.isalpha() for c in wide_letters):
         lowered = _code_points(spaced.lower())
