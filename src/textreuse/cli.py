@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .alignment import case_from_record, case_record
-from .ingest import document_record, length_filter, load_corpus_report, normalize
+from .ingest import document_record
 from .jsonl import read_jsonl, write_json, write_jsonl
 from .metrics import evaluate_cases, format_report_table, load_gold, report_records, write_gold
 from .pipeline import (
@@ -166,23 +166,13 @@ def _config(args, **values) -> RunConfig:
 
 def cmd_normalize(args) -> int:
     config = _config(args, output_dir=str(Path(args.output).parent), min_words=0)
-    raw_docs, report = load_corpus_report(config.input)
-    normalized_records = []
-    publications = []
-    kept = 0
-    for raw in raw_docs:
-        doc = normalize(raw)
-        if not length_filter(doc, config.min_words, config.max_words):
-            continue
-        kept += 1
-        normalized_records.append(document_record(raw, text=doc.normalized_text))
-        publications.append(publication_record(doc))
-    write_jsonl(args.output, normalized_records)
+    docs, counts = load_documents(config)
+    write_jsonl(args.output, (document_record(doc, text=doc.normalized_text) for doc in docs))
     if args.publications:
-        write_jsonl(args.publications, publications)
+        write_jsonl(args.publications, (publication_record(doc) for doc in docs))
     print(
-        f"documents={len(raw_docs)} kept={kept} malformed={report.malformed} "
-        f"duplicates={report.duplicates} -> {args.output}"
+        f"documents={counts['documents_loaded']} kept={counts['documents_used']} "
+        f"malformed={counts['records_malformed']} duplicates={counts['duplicate_dois']} -> {args.output}"
     )
     return 0
 

@@ -6,8 +6,9 @@ single spaces. All character offsets emitted by the downstream stages refer
 to this normalized text, so the rules here are part of the output contract:
 
 * a token is a maximal run of Unicode-alphabetic characters in the raw text,
-  lowercased (characters whose lowercase expansion is not itself alphabetic
-  are dropped from the token);
+  lowercased; every letter but U+0130 lowercases to exactly one letter, and
+  U+0130 "İ", whose lowercase is "i" and a combining dot above, reads as "i",
+  so a token has as many characters as its raw run;
 * everything between tokens collapses to a single space, with no leading or
   trailing whitespace;
 * normalizing already-normalized text is the identity.
@@ -18,9 +19,9 @@ the normalized and in the raw text are two ``(n, 2)`` ``int32`` arrays, 24
 bytes per token in all. The words themselves are read back from
 ``normalized_text``.
 
-Normalization works in whole-text passes over the text's code points. A
-128-entry table classifies ASCII; only the distinct non-ASCII code points
-are classified in Python. Word hashes are differences of one prefix sum
+Normalization takes one path, in whole-text passes over the text's code
+points. A 128-entry table classifies ASCII; only the distinct non-ASCII code
+points are classified in Python. Word hashes are differences of one prefix sum
 per text: with ``P[i] = sum(c_k * B**(k + 1) for k < i)`` modulo 2**64 over
 the code points ``c_k``, the token ``[b, e)`` hashes to
 ``_mix((P[e] - P[b]) * B**-b)``, which is ``_mix(sum(c_(b+j) * B**(j + 1)))``
@@ -164,16 +165,10 @@ def _joined_spans(lengths: np.ndarray) -> np.ndarray:
     return np.column_stack((ends - lengths, ends)).astype(np.int32)
 
 
-def _join_tokens(tokens: Sequence[str]) -> tuple[str, np.ndarray, np.ndarray]:
-    """The tokens joined by single spaces, their spans in it and their word hashes."""
-    text = " ".join(tokens)
-    spans = _joined_spans(np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens)))
-    return text, spans, _span_hashes(_code_points(text), spans)
-
-
 def _token_hashes(tokens: Sequence[str]) -> np.ndarray:
     """One ``uint64`` word hash per token."""
-    return _join_tokens(tokens)[2]
+    spans = _joined_spans(np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens)))
+    return _span_hashes(_code_points(" ".join(tokens)), spans)
 
 
 def normalize(raw: RawDocument) -> Document:
@@ -181,13 +176,12 @@ def normalize(raw: RawDocument) -> Document:
 
     Tokens are found by whole-text operations over the raw code points:
     ASCII is classified by table and each distinct non-ASCII code point once,
-    and the raw spans are the edges of the resulting alphabetic mask. When
-    every alphabetic character of the text lowercases to exactly one
-    alphabetic character (virtually all text), the non-letters are
-    replaced by spaces, the whole text is lowercased (which keeps every
-    position), and the normalized text is its letters plus one space after
-    each token but the last. Otherwise each run is folded on its own and
-    runs that fold to nothing are dropped with their spans.
+    and the raw spans are the edges of the resulting alphabetic mask. Every
+    letter but U+0130 lowercases to exactly one letter; U+0130 "İ", whose
+    lowercase is "i" and a combining dot above, is read as "i". So the
+    non-letters are replaced by spaces, the whole text is lowercased (which
+    keeps every position), and the normalized text is its letters plus one
+    space after each token but the last.
     """
     if not isinstance(raw.text, str):
         raise TypeError("raw.text must be decoded text, not bytes")
@@ -195,35 +189,26 @@ def normalize(raw: RawDocument) -> Document:
     mask = np.zeros(codes.size + 2, dtype=bool)
     letter = mask[1:-1]
     _ASCII_LETTERS.take(codes, out=letter, mode="clip")  # code point 127 is no letter
-    wide_letters = []
     wide = codes >= 128
     if wide.any():
         points, inverse = np.unique(codes[wide], return_inverse=True)
         is_alpha = np.array([chr(c).isalpha() for c in points.tolist()], dtype=bool)
         letter[wide] = is_alpha[inverse]
-        wide_letters = [chr(c) for c in points[is_alpha].tolist()]
+        if 0x130 in points:
+            codes = np.where(codes == 0x130, np.uint32(ord("i")), codes)
     raw_spans = np.flatnonzero(mask[1:] != mask[:-1]).reshape(-1, 2)
     # Every non-letter becomes a space; no surrogate is a letter, so this decodes.
     spaced = np.where(letter, codes, 32).astype("<u4").tobytes().decode("utf-32-le")
-
-    if all(len(low := c.lower()) == 1 and low.isalpha() for c in wide_letters):
-        lowered = _code_points(spaced.lower())
-        keep = letter.copy()
-        keep[raw_spans[:-1, 1]] = True  # the space after each token but the last
-        normalized_text = lowered[keep].tobytes().decode("utf-32-le")
-        token_spans = _joined_spans(raw_spans[:, 1] - raw_spans[:, 0])
-        token_hashes = _span_hashes(lowered, raw_spans)
-    else:
-        folded = ["".join(c for c in run.lower() if c.isalpha()) for run in spaced.split()]
-        raw_spans = raw_spans[np.fromiter(map(bool, folded), dtype=bool, count=len(folded))]
-        normalized_text, token_spans, token_hashes = _join_tokens([token for token in folded if token])
+    lowered = _code_points(spaced.lower())
+    keep = letter.copy()
+    keep[raw_spans[:-1, 1]] = True  # the space after each token but the last
 
     return Document(
         doi=raw.doi,
-        token_hashes=token_hashes,
-        token_spans=token_spans,
+        token_hashes=_span_hashes(lowered, raw_spans),
+        token_spans=_joined_spans(raw_spans[:, 1] - raw_spans[:, 0]),
         raw_token_spans=raw_spans.astype(np.int32),
-        normalized_text=normalized_text,
+        normalized_text=lowered[keep].tobytes().decode("utf-32-le"),
         year=raw.year,
         field=raw.field,
         area=raw.area,
@@ -271,13 +256,14 @@ def parse_record(record: dict) -> RawDocument:
     return RawDocument(doi=doi, text=text, year=year, **lists)
 
 
-def document_record(raw: RawDocument, text: str | None = None) -> dict:
-    """Corpus-format record for a document; pass text to emit a rewritten body."""
-    record = {"doi": raw.doi, "text": raw.text if text is None else text}
-    if raw.year is not None:
-        record["year"] = raw.year
+def document_record(doc: RawDocument | Document, text: str | None = None) -> dict:
+    """Corpus-format record for a raw or a normalized document; pass text to
+    emit a rewritten body (a ``Document`` keeps no raw text, so it needs one)."""
+    record = {"doi": doc.doi, "text": doc.text if text is None else text}
+    if doc.year is not None:
+        record["year"] = doc.year
     for name in _METADATA_LISTS:
-        values = getattr(raw, name)
+        values = getattr(doc, name)
         if values is not None:
             record[name] = list(values)
     return record

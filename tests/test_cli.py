@@ -8,10 +8,12 @@ import pytest
 
 import textreuse.cli as cli
 from textreuse.cli import main
-from textreuse.jsonl import write_jsonl
+from textreuse.jsonl import read_jsonl, write_jsonl
 from textreuse.ingest import document_record
 from textreuse.pipeline import RunConfig
 from textreuse.synthgen import GenSpec, generate
+
+from conftest import reference_normalize
 
 
 @pytest.fixture
@@ -54,6 +56,31 @@ class TestNormalizeCommand:
         assert list(pub_records[0]) == ["doi", "doc_length", "year", "field", "area", "discipline"]
         assert pub_records[0]["doc_length"] == len("the cats running")
         assert "documents=2 kept=2" in capsys.readouterr().out
+
+    def test_mixed_script_corpus_with_a_malformed_line_and_a_duplicate(self, tmp_path, capsys):
+        fixture = Path(__file__).resolve().parent / "data" / "mixed_script.jsonl"
+        duplicate = {"doi": "10.1000/mixed.dup", "text": "first version"}
+        last = {"doi": "10.1000/mixed.dup", "text": "ΣİΣ aİ — İ\u0307ΣΑ", "year": 2006, "field": ["linguistics"]}
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(
+            fixture.read_text(encoding="utf-8")
+            + json.dumps(duplicate, ensure_ascii=False) + "\n{broken\n"
+            + json.dumps(last, ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )  # fmt: skip
+        expected = {r["doi"]: r for r in [*read_jsonl(fixture), last]}
+        once = tmp_path / "once.jsonl"
+        assert main(["normalize", "--input", str(raw), "--output", str(once)]) == 0
+        assert f"documents=13 kept=13 malformed=1 duplicates=1 -> {once}" in capsys.readouterr().out
+        records = list(read_jsonl(once))
+        assert [r["doi"] for r in records] == list(expected)
+        for record in records:
+            source = expected[record["doi"]]
+            assert record["text"] == " ".join(reference_normalize(source["text"]))
+            assert {k: v for k, v in record.items() if k != "text"} == {k: v for k, v in source.items() if k != "text"}
+        twice = tmp_path / "twice.jsonl"
+        assert main(["normalize", "--input", str(once), "--output", str(twice)]) == 0
+        assert twice.read_bytes() == once.read_bytes()
 
     def test_word_filter(self, tmp_path, capsys):
         raw = tmp_path / "raw.jsonl"

@@ -121,12 +121,15 @@ class TestNormalize:
         assert doc.normalized_text == doc.normalized_text.strip()
 
 
-# Characters near the edges of the fast path: a capital whose lowercase is two
+# Characters at the edges of the normalization rules: a capital whose lowercase is two
 # characters, final sigma, a titlecase digraph, a ligature, a wordish
 # non-letter, a combining mark, a case-ignorable modifier letter, accents,
 # digits and punctuation.
 _EDGE_ALPHABET = "aZ İΣσς ǅﬁ²\u0345ʰé.'1\t"
-_EDGE_TEXTS = ["İstanbul", "ΟΔΟΣ ΟΔΟΣ.", "ǅemal", "ﬁne", "abc²def", "été", "123 -- 4.5!", "", "a\ud800b"]
+_EDGE_TEXTS = [
+    "İstanbul", "ΟΔΟΣ ΟΔΟΣ.", "ǅemal", "ﬁne", "abc²def", "été", "123 -- 4.5!", "", "a\ud800b",
+    "ΣİΣ", "ΟΔΟΣ İΣ", "İΣ", "aİ", "İ\u0307",
+]  # fmt: skip
 
 
 def check_offsets(text):
@@ -147,6 +150,16 @@ class TestNormalizeSpans:
     @pytest.mark.parametrize("text", _EDGE_TEXTS)
     def test_edge_texts_match_reference(self, text):
         check_offsets(text)
+
+    def test_dotted_capital_i_is_the_only_letter_not_lowercasing_to_one_letter(self):
+        # normalize lowercases every letter in place and reads U+0130 as "i".
+        odd = [
+            c
+            for c in map(chr, range(0x110000))
+            if c.isalpha() and not (len(low := c.lower()) == 1 and low.isalpha())
+        ]
+        assert odd == ["\u0130"]
+        assert "".join(c for c in "\u0130".lower() if c.isalpha()) == "i"
 
     def test_dotted_capital_i_folds_per_run(self):
         doc = make_doc("İstanbul Ankara")
@@ -174,7 +187,7 @@ def check_token_hashes(text):
 
 
 class TestTokenHashes:
-    @pytest.mark.parametrize("text", ["İ", "ǅ", "İstanbul ǅemal 𝔄𝔅", "", "123 -- 4.5!", "a\ud800b"])
+    @pytest.mark.parametrize("text", ["İ", "ǅ", "İstanbul ǅemal 𝔄𝔅", "", "123 -- 4.5!", "a\ud800b", "ΣİΣ"])
     def test_fold_path_and_empty_documents_match_reference(self, text):
         check_token_hashes(text)
 

@@ -529,7 +529,7 @@ class TestNoModeImportsScipy:
 # CJK, Turkish and a mix of Arabic, Hebrew, Fraktur and symbols. Each
 # script's pair shares one 45-word passage, written with other case and
 # separators (no-break and thin spaces, dashes, middle dots, digits) on side
-# 1. The documents holding "İ" normalize on the per-run fold path.
+# 1. Some documents hold "İ", which normalizes to "i".
 MIXED_SCRIPT_CORPUS = Path(__file__).resolve().parent / "data" / "mixed_script.jsonl"
 
 
