@@ -3,18 +3,19 @@
 Both documents are chunked into overlapping word n-grams, hashed into one flat
 ``uint64`` table per document from the word hashes that ingest computed
 once (``Document.token_hashes``); n-grams with equal hashes (re-verified by
-comparing their normalized text) become seeds, and seeds whose character
-gap is at most ``max_gap`` on *both* sides are merged transitively into
-reuse cases. A case's spans are the bounding intervals of its member seeds,
-so reordered or interleaved reuse still collapses into one case per coherent
-region.
+comparing their normalized text) become seeds. Seeds whose character gap
+is at most ``max_gap`` on *both* sides are merged transitively into reuse
+cases, and cases whose spans overlap on both sides are fused by the same
+single-linkage routine, repeated until nothing changes. A case's spans are
+the bounding intervals of its member seeds, so reordered or interleaved
+reuse still collapses into one case per coherent region.
 """
 
 from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, fields
-from typing import Sequence, get_args, get_type_hints
+from typing import NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -35,9 +36,9 @@ class NGram:
     hash: int
 
 
-@dataclass(frozen=True, order=True)
-class Seed:
-    """A verified matching n-gram occurrence pair (char spans per side)."""
+class Seed(NamedTuple):
+    """A verified matching n-gram occurrence pair (char spans per side); a
+    case's bounding box is the same pair, so ``extend`` clusters both alike."""
 
     span_a: tuple[int, int]
     span_b: tuple[int, int]
@@ -202,14 +203,24 @@ def extend(
     """Merge seeds into cases by single-linkage clustering.
 
     Two seeds link iff their character gap is <= max_gap on both sides;
-    clusters below min_seeds are discarded; surviving bounding boxes that
-    overlap on both sides are fused so no nested duplicates are emitted.
-    """
-    if not seeds:
-        return []
-    ordered = sorted(seeds)
-    n = len(ordered)
-    parent = list(range(n))
+    clusters below min_seeds are discarded. Surviving bounding boxes are
+    clustered at overlap on both sides until nothing changes, so no nested
+    duplicates are emitted; boxes that overlap end up in one case whatever
+    the order of merges, so the result is unique."""
+    boxes = _clusters(seeds, max_gap, min_seeds)
+    while (fused := _clusters(boxes, -1, 1)) != boxes:
+        boxes = fused
+    return boxes
+
+
+def _clusters(
+    boxes: Sequence[tuple[sp.Span, sp.Span]], max_gap: int, min_size: int
+) -> list[tuple[sp.Span, sp.Span]]:
+    """Sorted bounding boxes of the single-linkage clusters of span pairs with
+    at least min_size members. Two pairs link iff ``sp.gap`` is <= max_gap
+    on both sides; at max_gap -1 they must overlap on both sides."""
+    ordered = sorted(boxes)
+    parent = list(range(len(ordered)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -219,48 +230,33 @@ def extend(
 
     # Sorted by span_a begin, any linkable pair (i, j) satisfies
     # begin_j - begin_i <= max_gap + longest span on side a, which bounds the
-    # backward scan window. A pair already in one cluster is not tested, and
-    # the gap test is ``sp.gap`` on both sides, inlined.
-    longest_a = max(s.span_a[1] - s.span_a[0] for s in ordered)
-    window = max_gap + longest_a
-    for j in range(n):
-        (begin_a, end_a), (begin_b, end_b) = ordered[j].span_a, ordered[j].span_b
-        i = j - 1
-        while i >= 0 and begin_a - ordered[i].span_a[0] <= window:
-            root_i, root_j = find(i), find(j)
-            if root_i != root_j:
-                span_a, span_b = ordered[i].span_a, ordered[i].span_b
-                if (
-                    max(span_a[0], begin_a) - min(span_a[1], end_a) <= max_gap
-                    and max(span_b[0], begin_b) - min(span_b[1], end_b) <= max_gap
-                ):
-                    parent[root_j] = root_i
-            i -= 1
+    # backward scan. Pairs first[j]..j were one cluster once pair j was
+    # placed, and clusters only grow: a scan that finds pair i in its own
+    # cluster jumps to first[i] - 1 without testing the pairs in between.
+    window = max_gap + max((span_a[1] - span_a[0] for span_a, _ in ordered), default=0)
+    first: list[int] = []
+    for j, (span_a, span_b) in enumerate(ordered):
+        start, i = j, j - 1
+        while i >= 0 and span_a[0] - ordered[i][0][0] <= window:
+            root = find(i)
+            if root != j:  # j stays the root of its cluster while it is placed
+                if sp.gap(ordered[i][0], span_a) > max_gap or sp.gap(ordered[i][1], span_b) > max_gap:
+                    i -= 1
+                    continue
+                parent[root] = j
+            if i == start - 1:
+                start = first[i]
+            i = first[i] - 1
+        first.append(start)
 
-    clusters: dict[int, list[Seed]] = {}
-    for idx, seed in enumerate(ordered):
-        clusters.setdefault(find(idx), []).append(seed)
-
-    boxes = [
-        (sp.bounding([s.span_a for s in members]), sp.bounding([s.span_b for s in members]))
-        for members in clusters.values()
-        if len(members) >= min_seeds
-    ]
-
-    merged = True
-    while merged:
-        merged = False
-        fused: list[tuple[tuple[int, int], tuple[int, int]]] = []
-        for box in sorted(boxes):
-            for k, other in enumerate(fused):
-                if sp.overlaps(box[0], other[0]) and sp.overlaps(box[1], other[1]):
-                    fused[k] = (sp.bounding([box[0], other[0]]), sp.bounding([box[1], other[1]]))
-                    merged = True
-                    break
-            else:
-                fused.append(box)
-        boxes = fused
-    return sorted(boxes)
+    members: dict[int, list[tuple[sp.Span, sp.Span]]] = {}
+    for k, box in enumerate(ordered):
+        members.setdefault(find(k), []).append(box)
+    return sorted(
+        (sp.bounding([a for a, _ in group]), sp.bounding([b for _, b in group]))
+        for group in members.values()
+        if len(group) >= min_size
+    )
 
 
 def case_namespace(seed: int) -> uuid.UUID:

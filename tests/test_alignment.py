@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -285,6 +286,17 @@ class TestExtend:
     def test_empty_input(self):
         assert extend([], 250, 2) == []
 
+    def test_fusing_repeats_until_no_boxes_overlap(self):
+        # Clusters X = {x1, x2} and Y = {y1, y2} link no seed across, but
+        # their boxes overlap on both sides; Z overlaps neither box, only
+        # the box of X and Y fused. A fuse that stops after one pass leaves
+        # Z apart.
+        x1, x2 = Seed((100, 200), (100, 110)), Seed((190, 200), (100, 200))
+        y1, y2 = Seed((50, 150), (150, 200)), Seed((50, 60), (190, 250))
+        z = Seed((60, 90), (110, 140))
+        seeds = [x1, x2, y1, y2, z]
+        assert extend(seeds, max_gap=0, min_seeds=1) == brute_force_extend(seeds, 0, 1) == [((50, 200), (100, 250))]
+
     def test_matches_brute_force_on_random_seed_sets(self):
         rng = random.Random(31337)
         for _ in range(100):
@@ -299,10 +311,10 @@ class TestExtend:
             min_seeds = rng.choice([1, 2, 3])
             assert extend(seeds, max_gap, min_seeds) == brute_force_extend(seeds, max_gap, min_seeds)
 
-    @given(seed_strategy(), st.integers(0, 400))
+    @given(seed_strategy(), st.integers(0, 400), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
-    def test_equals_connected_components_oracle(self, seeds, max_gap):
-        assert extend(seeds, max_gap, 1) == brute_force_extend(seeds, max_gap, 1)
+    def test_equals_connected_components_oracle(self, seeds, max_gap, min_seeds):
+        assert extend(seeds, max_gap, min_seeds) == brute_force_extend(seeds, max_gap, min_seeds)
 
     @given(seed_strategy(), st.integers(0, 300), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
@@ -375,6 +387,16 @@ class TestAlignPair:
         case = cases[0]
         assert (case.begin_a, case.end_a) == (0, a.doc_length)
         assert (case.begin_b, case.end_b) == (0, b.doc_length)
+
+    def test_one_repeated_word_is_one_case_without_a_stall(self):
+        # 100 copies of one word give 8,649 seeds, all in one dense cluster.
+        a = doc_from_tokens(["word"] * 100, doi="a")
+        b = doc_from_tokens(["word"] * 100, doi="b")
+        start = time.perf_counter()
+        cases = align_pair(a, b)
+        elapsed = time.perf_counter() - start
+        assert [(c.begin_a, c.end_a, c.begin_b, c.end_b) for c in cases] == [(0, 499, 0, 499)]
+        assert elapsed < 2.0, f"align_pair took {elapsed:.2f} s"
 
     def test_symmetry_under_side_swap(self):
         paragraph = alpha_words("sh", 30)
