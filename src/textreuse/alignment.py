@@ -327,24 +327,40 @@ _TEXT_FIELDS = ("text_a", "before_a", "after_a", "text_b", "before_b", "after_b"
 # Tuples in a case, lists in a record; None and an empty tuple are both [].
 _LIST_FIELDS = ("field_a", "area_a", "discipline_a", "field_b", "area_b", "discipline_b")
 _METADATA_FIELDS = tuple(name for name in _FIELDS if name not in _TEXT_FIELDS)
-_NULLABLE_FIELDS = frozenset(
-    name for name, hint in get_type_hints(ReuseCase).items() if type(None) in get_args(hint)
-)
+# The types each other field's record value may take: its annotation's.
+_SCALAR_TYPES = {
+    name: get_args(hint) or (hint,) for name, hint in get_type_hints(ReuseCase).items() if name not in _LIST_FIELDS
+}
 
 
 def case_from_record(record: dict) -> ReuseCase:
-    """Rebuild a case from an emitted record; text fields may be absent
-    (metadata-only files) and come back empty."""
+    """Rebuild a case from an emitted record; raises ValueError when the
+    record is malformed.
+
+    Text fields may be absent (metadata-only files) and come back empty, and
+    so may years and metadata, whose lists must hold non-empty strings. Every
+    other field is required. Each value must have its annotated type (a bool
+    is no int), each side's span must satisfy ``0 <= begin < end``, and its
+    doi must not be empty.
+    """
     values = {}
     for name in _FIELDS:
-        if name in _TEXT_FIELDS:
-            values[name] = record.get(name, "")
-        elif name in _LIST_FIELDS:
-            values[name] = tuple(record.get(name) or ()) or None
-        elif name in _NULLABLE_FIELDS:
-            values[name] = record.get(name)
-        else:
-            values[name] = record[name]
+        value = record.get(name, "" if name in _TEXT_FIELDS else None)
+        if name in _LIST_FIELDS:
+            value = [] if value is None else value
+            if not isinstance(value, list) or not all(isinstance(v, str) and v for v in value):
+                raise ValueError(f"{name} must be an array of non-empty strings")
+            value = tuple(value) or None
+        elif isinstance(value, bool) or not isinstance(value, _SCALAR_TYPES[name]):
+            if name not in record:
+                raise ValueError(f"missing {name}")
+            raise ValueError(f"{name} must be {_SCALAR_TYPES[name][0].__name__}, not {type(value).__name__}")
+        values[name] = value
+    for side in ("a", "b"):
+        if not 0 <= values[f"begin_{side}"] < values[f"end_{side}"]:
+            raise ValueError(f"invalid span on side {side}")
+        if not values[f"doi_{side}"]:
+            raise ValueError(f"empty doi_{side}")
     return ReuseCase(**values)
 
 

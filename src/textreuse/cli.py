@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .alignment import case_from_record, case_record
 from .ingest import document_record
-from .jsonl import read_jsonl, write_json, write_jsonl
+from .jsonl import read_records, write_json, write_jsonl
 from .metrics import evaluate_cases, format_report_table, load_gold, report_records, write_gold
 from .pipeline import (
     OUTPUT_MODES,
@@ -46,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (PipelineError, ValueError, FileNotFoundError) as exc:
+    except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -236,7 +236,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_evaluate(args) -> int:
     gold = load_gold(args.gold)
-    cases = [case_from_record(r) for r in read_jsonl(args.cases)]
+    cases = read_records(args.cases, case_from_record)
     report = evaluate_cases(
         gold,
         cases,

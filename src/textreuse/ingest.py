@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -78,10 +78,20 @@ class RawDocument:
             raise ValueError("text must be a string")
         if len(self.text) >= 2**31:
             raise ValueError("text is too long for int32 offsets")
+        if self.year is not None and (isinstance(self.year, bool) or not isinstance(self.year, int)):
+            raise ValueError("year must be an integer")
+        labels = [self.doi]
         for name in _METADATA_LISTS:
             values = getattr(self, name)
-            if values is not None and any(not v for v in values):
-                raise ValueError(f"{name} contains an empty string")
+            if values is None:
+                continue
+            if not isinstance(values, tuple) or not all(isinstance(v, str) and v for v in values):
+                raise ValueError(f"{name} must be an array of non-empty strings")
+            labels.extend(values)
+        try:  # JSON's "\ud800" escapes give lone surrogates, which no output file could hold
+            "".join(labels).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("doi or metadata is not valid UTF-8") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +193,6 @@ def normalize(raw: RawDocument) -> Document:
     keeps every position), and the normalized text is its letters plus one
     space after each token but the last.
     """
-    if not isinstance(raw.text, str):
-        raise TypeError("raw.text must be decoded text, not bytes")
     codes = _code_points(raw.text)
     mask = np.zeros(codes.size + 2, dtype=bool)
     letter = mask[1:-1]
@@ -234,26 +242,10 @@ class LoadReport:
 
 
 def parse_record(record: dict) -> RawDocument:
-    """Validate and convert one corpus record; raises ValueError when malformed."""
-    doi = record.get("doi")
-    text = record.get("text")
-    if not isinstance(doi, str) or not doi:
-        raise ValueError("missing or invalid 'doi'")
-    if not isinstance(text, str):
-        raise ValueError("missing or invalid 'text'")
-    year = record.get("year")
-    if year is not None and (isinstance(year, bool) or not isinstance(year, int)):
-        raise ValueError("'year' must be an integer")
-    lists: dict[str, tuple[str, ...] | None] = {}
-    for name in _METADATA_LISTS:
-        values = record.get(name)
-        if values is None:
-            lists[name] = None
-            continue
-        if not isinstance(values, list) or any(not isinstance(v, str) or not v for v in values):
-            raise ValueError(f"'{name}' must be an array of non-empty strings")
-        lists[name] = tuple(values)
-    return RawDocument(doi=doi, text=text, year=year, **lists)
+    """One corpus record as a ``RawDocument``, JSON arrays read as tuples;
+    ``RawDocument`` raises ValueError when a value is malformed."""
+    values = (record.get(f.name) for f in fields(RawDocument))
+    return RawDocument(*(tuple(v) if isinstance(v, list) else v for v in values))
 
 
 def document_record(doc: RawDocument | Document, text: str | None = None) -> dict:

@@ -6,7 +6,9 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, TypeVar
+
+T = TypeVar("T")
 
 
 @contextmanager
@@ -27,11 +29,24 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Strict reader; raises on the first bad line."""
+    """Strict reader of the records as parsed; raises on the first bad line."""
+    return iter(read_records(path, lambda record: record))
+
+
+def read_records(path: str | Path, build: Callable[[dict], T]) -> list[T]:
+    """Strict reader: ``build(record)`` for every record, in file order. The
+    first line that is not a JSON object, or whose record ``build`` refuses
+    with ValueError, raises ValueError naming ``path:line``."""
+    built = []
     for lineno, record, error in scan_jsonl(path):
+        if error is None:
+            try:
+                built.append(build(record))
+            except ValueError as exc:
+                error = str(exc)
         if error is not None:
             raise ValueError(f"{path}:{lineno}: {error}")
-        yield record
+    return built
 
 
 def scan_jsonl(path: str | Path, digest: Any = None) -> Iterator[tuple[int, dict | None, str | None]]:
@@ -49,7 +64,8 @@ def scan_jsonl(path: str | Path, digest: Any = None) -> Iterator[tuple[int, dict
                 continue
             try:
                 record = json.loads(blob.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            # RecursionError: arrays or objects nested deeper than the parser goes
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 yield lineno, None, str(exc)
                 continue
             if not isinstance(record, dict):

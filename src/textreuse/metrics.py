@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import spans as sp
 from .alignment import AlignmentParams, ReuseCase, align_pair
 from .ingest import Document
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_records, write_jsonl
 
 STRATEGIES = ("none", "no-plagiarism", "random", "translation", "summary")
 
@@ -38,6 +39,11 @@ class GoldSpan:
     begin_b: int
     end_b: int
 
+    def __post_init__(self):
+        for begin, end, side in ((self.begin_a, self.end_a, "a"), (self.begin_b, self.end_b, "b")):
+            if any(isinstance(v, bool) or not isinstance(v, Integral) for v in (begin, end)) or not 0 <= begin < end:
+                raise ValueError(f"invalid gold span on side {side}")
+
 
 @dataclass(frozen=True)
 class GoldAnnotation:
@@ -50,6 +56,8 @@ class GoldAnnotation:
     strategy: str = "none"
 
     def __post_init__(self):
+        if not all(isinstance(v, str) for v in (self.pair_id, self.doi_a, self.doi_b)):
+            raise ValueError("pair_id, doi_a and doi_b must be strings")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.doi_a >= self.doi_b:
@@ -256,15 +264,25 @@ def write_gold(path: str | Path, annotations: Iterable[GoldAnnotation]) -> int:
 def _from_record(cls, record: dict):
     """``cls`` built from a record's entries for its fields; other keys are
     ignored and a field with a default may be absent."""
-    return cls(**{f.name: record[f.name] for f in fields(cls) if f.name in record or f.default is MISSING})
+    if not isinstance(record, dict):
+        raise ValueError(f"{cls.__name__} record is not a JSON object")
+    for f in fields(cls):
+        if f.name not in record and f.default is MISSING:
+            raise ValueError(f"missing {f.name}")
+    return cls(**{f.name: record[f.name] for f in fields(cls) if f.name in record})
+
+
+def _gold_from_record(record: dict) -> GoldAnnotation:
+    if not isinstance(record.get("spans"), list):
+        raise ValueError("spans must be an array")
+    spans = tuple(_from_record(GoldSpan, s) for s in record["spans"])
+    return _from_record(GoldAnnotation, {**record, "spans": spans})
 
 
 def load_gold(path: str | Path) -> list[GoldAnnotation]:
-    annotations = []
-    for record in read_jsonl(path):
-        spans = tuple(_from_record(GoldSpan, s) for s in record["spans"])
-        annotations.append(_from_record(GoldAnnotation, {**record, "spans": spans}))
-    return annotations
+    """Gold annotations in file order; the first line that is not JSON or
+    not a valid annotation raises ValueError naming ``path:line``."""
+    return read_records(path, _gold_from_record)
 
 
 def report_records(report: EvaluationReport) -> list[dict]:

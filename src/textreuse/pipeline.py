@@ -18,7 +18,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
-from .alignment import AlignmentParams, ReuseCase, align_pair, case_namespace, case_record, window_hashes
+from .alignment import (
+    AlignmentParams, ReuseCase, align_pair, case_from_record, case_namespace, case_record, window_hashes
+)
 from .ingest import Document, length_filter, load_corpus_report, normalize
 from .jsonl import atomic_open, scan_jsonl, write_json, write_jsonl
 from .retrieval import (
@@ -326,7 +328,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
 
 def summarize_cases(path: str | Path) -> dict:
-    """Aggregate statistics over a case file; malformed records are counted."""
+    """Aggregate statistics over a case file. Each record is read by
+    ``case_from_record``; a line it refuses, or that is not JSON, is logged
+    and counted as malformed."""
     by_year: Counter[str] = Counter()
     by_field: Counter[str] = Counter()
     by_area: Counter[str] = Counter()
@@ -337,23 +341,26 @@ def summarize_cases(path: str | Path) -> dict:
     malformed = 0
     for lineno, record, error in scan_jsonl(path):
         if error is None:
-            error = _case_record_error(record)
+            try:
+                case = case_from_record(record)
+            except ValueError as exc:
+                error = str(exc)
         if error is not None:
             malformed += 1
             log.error("%s:%d: skipping malformed case: %s", path, lineno, error)
             continue
         cases += 1
         for side in ("a", "b"):
-            year = record.get(f"year_{side}")
+            year = getattr(case, f"year_{side}")
             if year is not None:
                 by_year[str(year)] += 1
             for counter, key in ((by_field, "field"), (by_area, "area"), (by_discipline, "discipline")):
-                for value in record.get(f"{key}_{side}") or []:
+                for value in getattr(case, f"{key}_{side}") or ():
                     counter[value] += 1
-            length = record[f"end_{side}"] - record[f"begin_{side}"]
+            length = getattr(case, f"end_{side}") - getattr(case, f"begin_{side}")
             length_hist[str(length // 100 * 100)] += 1
-        partners[record["doi_a"]].add(record["doi_b"])
-        partners[record["doi_b"]].add(record["doi_a"])
+        partners[case.doi_a].add(case.doi_b)
+        partners[case.doi_b].add(case.doi_a)
 
     pairs_per_doc = Counter(str(len(p)) for p in partners.values())
     return {
@@ -366,15 +373,3 @@ def summarize_cases(path: str | Path) -> dict:
         "case_length_hist": dict(sorted(length_hist.items(), key=lambda kv: int(kv[0]))),
         "pairs_per_document": dict(sorted(pairs_per_doc.items(), key=lambda kv: int(kv[0]))),
     }
-
-
-def _case_record_error(record: dict) -> str | None:
-    for side in ("a", "b"):
-        for key in (f"begin_{side}", f"end_{side}"):
-            if not isinstance(record.get(key), int):
-                return f"missing or non-integer {key}"
-        if record[f"begin_{side}"] < 0 or record[f"end_{side}"] <= record[f"begin_{side}"]:
-            return f"invalid span on side {side}"
-        if not isinstance(record.get(f"doi_{side}"), str) or not record[f"doi_{side}"]:
-            return f"missing doi_{side}"
-    return None

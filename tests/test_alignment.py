@@ -1,7 +1,7 @@
 import json
 import random
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -485,14 +485,33 @@ class TestCaseRecords:
 
 TEXT_FIELDS = {"text_a", "before_a", "after_a", "text_b", "before_b", "after_b"}
 LIST_FIELDS = ("field_a", "area_a", "discipline_a", "field_b", "area_b", "discipline_b")
-# Metadata lists are None or non-empty; the other fields follow their annotations.
+# Metadata lists are None or non-empty, dois are non-empty and spans satisfy
+# 0 <= begin < end; the other fields follow their annotations.
 any_case = st.builds(
     ReuseCase,
+    begin_a=st.integers(min_value=0),
+    begin_b=st.integers(min_value=0),
+    doi_a=st.text(min_size=1),
+    doi_b=st.text(min_size=1),
     **{
         name: st.none() | st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=3).map(tuple)
         for name in LIST_FIELDS
     },
+).flatmap(
+    lambda case: st.builds(
+        replace,
+        st.just(case),
+        end_a=st.integers(min_value=case.begin_a + 1),
+        end_b=st.integers(min_value=case.begin_b + 1),
+    )
 )
+
+
+# The required fields only: no text, year or metadata lists.
+METADATA_ONLY_RECORD = {
+    "id": "x", "begin_a": 0, "end_a": 10, "doc_length_a": 100, "doi_a": "a",
+    "begin_b": 0, "end_b": 10, "doc_length_b": 100, "doi_b": "b",
+}
 
 
 class TestCaseCodec:
@@ -513,3 +532,39 @@ class TestCaseCodec:
         revived = case_from_record(json.loads(json.dumps(meta)))
         assert all(getattr(revived, name) == "" for name in TEXT_FIELDS)
         assert all(getattr(revived, name) == getattr(case, name) for name in meta)
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            ({"id": None}, "missing id"),
+            ({"begin_a": None}, "missing begin_a"),
+            ({"doi_b": None}, "missing doi_b"),
+            ({"field_a": 5}, "field_a must be an array of non-empty strings"),
+            ({"field_a": "bio"}, "field_a must be an array of non-empty strings"),
+            ({"area_b": [1]}, "area_b must be an array of non-empty strings"),
+            ({"discipline_a": [""]}, "discipline_a must be an array of non-empty strings"),
+            ({"begin_a": True}, "begin_a must be int, not bool"),
+            ({"end_b": 2.0}, "end_b must be int, not float"),
+            ({"year_a": "1999"}, "year_a must be int, not str"),
+            ({"doc_length_a": None}, "missing doc_length_a"),
+            ({"text_a": 5}, "text_a must be str, not int"),
+            ({"begin_a": 5, "end_a": 2}, "invalid span on side a"),
+            ({"begin_b": 3, "end_b": 3}, "invalid span on side b"),
+            ({"begin_a": -1}, "invalid span on side a"),
+            ({"doi_a": ""}, "empty doi_a"),
+            ({"doi_b": 7}, "doi_b must be str, not int"),
+        ],
+    )
+    def test_malformed_record_refused(self, change, reason):
+        record = {**METADATA_ONLY_RECORD, "field_a": ["biology"], "text_a": "words"}
+        for name, value in change.items():
+            if value is None:
+                del record[name]
+            else:
+                record[name] = value
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            case_from_record(record)
+
+    def test_absent_or_null_metadata_and_absent_text_read_back_empty(self):
+        case = case_from_record({**METADATA_ONLY_RECORD, "year_a": None, "field_a": None})
+        assert (case.text_a, case.year_a, case.year_b, case.field_a, case.area_b) == ("", None, None, None, None)

@@ -144,6 +144,26 @@ class TestStageCommands:
         assert main([*run, "--output-dir", str(tmp_path / "resumed")]) == 0
         assert "skipping malformed record" in caplog.text
 
+    @pytest.mark.parametrize("metadata", [{"doi": "10.1/a\ud800"}, {"doi": "10.1/a", "field": ["bio\udc00"]}])
+    def test_doi_or_metadata_not_utf8_is_a_malformed_record(self, tmp_path, caplog, metadata):
+        # JSON's \ud800 escapes decode to lone surrogates, which no output file can hold
+        corpus = tmp_path / "corpus.jsonl"
+        text = " ".join(f"word{chr(97 + i % 26)}{chr(97 + i // 26)}" for i in range(40))
+        records = [{**metadata, "text": text}, {"doi": "10.1/b", "text": text}]
+        corpus.write_text("".join(json.dumps(record) + "\n" for record in records))
+        commands = [
+            ["normalize", "--output", str(tmp_path / "normalized.jsonl")],
+            ["retrieve", "--output", str(tmp_path / "cand.tsv")],
+            ["pipeline", "--output-dir", str(tmp_path / "out")],
+        ]
+        for command in commands:
+            caplog.clear()
+            assert main([*command, "--input", str(corpus), "--min-words", "1"]) == 0
+            assert [r.message for r in caplog.records if "skipping malformed record" in r.message] == [
+                f"{corpus}:1: skipping malformed record: doi or metadata is not valid UTF-8"
+            ]
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["counts"]["records_malformed"] == 1
+
     def test_pipeline_outputs(self, tmp_path, corpus_file, capsys):
         corpus, gold = corpus_file
         out_dir = tmp_path / "out"
@@ -269,6 +289,32 @@ class TestEvaluateCommand:
         assert "granularity" in overall
 
 
+    @pytest.mark.parametrize(
+        "change, reason",
+        [({"id": None}, "missing id"), ({"begin_a": 5, "end_a": 2}, "invalid span on side a")],
+    )
+    def test_malformed_case_stops_at_its_line(self, tmp_path, capsys, change, reason):
+        good = {
+            "id": "x", "begin_a": 0, "end_a": 10, "doc_length_a": 100, "doi_a": "a",
+            "begin_b": 0, "end_b": 10, "doc_length_b": 100, "doi_b": "b",
+        }
+        bad = {name: value for name, value in {**good, **change}.items() if value is not None}
+        cases = tmp_path / "cases.jsonl"
+        write_jsonl(cases, [good, bad])
+        gold = tmp_path / "gold.jsonl"
+        write_jsonl(gold, [{"pair_id": "p", "doi_a": "a", "doi_b": "b", "spans": []}])
+        assert main(["evaluate", "--cases", str(cases), "--gold", str(gold)]) == 1
+        assert capsys.readouterr().err == f"error: {cases}:2: {reason}\n"
+
+    def test_gold_record_without_a_field_stops_at_its_line(self, tmp_path, capsys):
+        cases = tmp_path / "cases.jsonl"
+        cases.write_text("")
+        gold = tmp_path / "gold.jsonl"
+        write_jsonl(gold, [{"doi_a": "a", "doi_b": "b", "spans": []}])
+        assert main(["evaluate", "--cases", str(cases), "--gold", str(gold)]) == 1
+        assert capsys.readouterr().err == f"error: {gold}:1: missing pair_id\n"
+
+
 class TestGenCorpusCommand:
     def test_generates_corpus_gold_and_manifest(self, tmp_path, capsys):
         out_dir = tmp_path / "gen"
@@ -335,6 +381,12 @@ class TestErrorPaths:
             "--output", str(tmp_path / "cand.tsv"),
         ]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unreadable_case_file(self, tmp_path, capsys):
+        # a directory is an OSError other than FileNotFoundError
+        assert main(["stats", "--cases", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_metadata_only_pipeline(self, tmp_path, corpus_file):
         corpus, _ = corpus_file

@@ -247,7 +247,35 @@ class TestRawDocument:
             RawDocument(doi=doi, text="x")
 
 
+    @pytest.mark.parametrize("values", [{"doi": "d\ud800"}, {"field": ("ok", "\udfff")}, {"discipline": ("\ud83d",)}])
+    def test_rejects_doi_or_metadata_not_utf8(self, values):
+        with pytest.raises(ValueError, match="not valid UTF-8"):
+            RawDocument(**{"doi": "d", "text": "x", **values})
+
+    def test_text_may_hold_a_lone_surrogate(self):
+        assert normalize(RawDocument(doi="d", text="ab\ud800cd")).normalized_text == "ab cd"
+
+    @pytest.mark.parametrize("year", [True, "1999", 1999.0])
+    def test_rejects_year_that_is_not_an_integer(self, year):
+        with pytest.raises(ValueError, match="year"):
+            RawDocument(doi="d", text="x", year=year)
+
+    @pytest.mark.parametrize("field", [["a"], "a", ("a", 3), {"a": 1}])
+    def test_rejects_metadata_that_is_not_a_tuple_of_strings(self, field):
+        with pytest.raises(ValueError, match="field"):
+            RawDocument(doi="d", text="x", field=field)
+
+
 class TestParseRecord:
+    def test_arrays_become_tuples(self):
+        record = {"doi": "d", "text": "x", "year": 1999, "field": ["a"], "area": [], "extra": 1}
+        assert parse_record(record) == RawDocument(doi="d", text="x", year=1999, field=("a",), area=())
+
+    def test_missing_doi_or_text_rejected(self):
+        for record in ({"text": "x"}, {"doi": "d"}):
+            with pytest.raises(ValueError):
+                parse_record(record)
+
     def test_year_must_be_integer(self):
         with pytest.raises(ValueError):
             parse_record({"doi": "d", "text": "x", "year": "1999"})

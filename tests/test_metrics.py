@@ -230,6 +230,11 @@ class TestEvaluateCases:
             make_gold("a", "b", [], strategy="cosmic")
 
 
+# Each side's (begin, end) satisfies 0 <= begin < end.
+ordered_span = st.lists(st.integers(0, 10**6), min_size=2, max_size=2, unique=True).map(sorted)
+ordered_gold_span = st.builds(lambda a, b: GoldSpan(*a, *b), ordered_span, ordered_span)
+
+
 class TestGoldIO:
     def test_round_trip(self, tmp_path):
         gold = [
@@ -248,7 +253,7 @@ class TestGoldIO:
                 pair_id=st.text(max_size=10),
                 doi_a=st.just("doc-a"),
                 doi_b=st.text(min_size=1, max_size=10).map(lambda s: "doc-b" + s),
-                spans=st.lists(st.builds(GoldSpan, *[st.integers(0, 10**6)] * 4), max_size=3).map(tuple),
+                spans=st.lists(ordered_gold_span, max_size=3).map(tuple),
                 strategy=st.sampled_from(STRATEGIES),
             ),
             max_size=4,
@@ -265,6 +270,38 @@ class TestGoldIO:
         record = {"pair_id": "p", "doi_a": "a", "doi_b": "b", "spans": [span], "extra": 1}
         path.write_text(json.dumps(record) + "\n")
         assert load_gold(path) == [make_gold("a", "b", [((0, 10), (5, 15))], pair_id="p")]
+
+    @pytest.mark.parametrize(
+        "span",
+        [(5, 2, 0, 10), (0, 10, 3, 3), (-1, 10, 0, 10), (0, 10, True, 10), (0, 10.0, 0, 10), ("0", 10, 0, 10)],
+    )
+    def test_gold_span_refuses_a_span_that_is_not_ordered_integers(self, span):
+        with pytest.raises(ValueError, match="invalid gold span"):
+            GoldSpan(*span)
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            ({"pair_id": None}, "missing pair_id"),
+            ({"doi_b": None}, "missing doi_b"),
+            ({"spans": None}, "spans must be an array"),
+            ({"spans": [{"begin_a": 0, "end_a": 10, "begin_b": 5}]}, "missing end_b"),
+            ({"spans": [{"begin_a": 10, "end_a": 0, "begin_b": 5, "end_b": 15}]}, "invalid gold span on side a"),
+            ({"spans": [[0, 10, 5, 15]]}, "GoldSpan record is not a JSON object"),
+            ({"doi_a": 1}, "pair_id, doi_a and doi_b must be strings"),
+        ],
+    )
+    def test_malformed_record_names_its_line(self, tmp_path, change, reason):
+        good = gold_record(make_gold("a", "b", [((0, 10), (5, 15))], pair_id="p"))
+        bad = {**good, **change}
+        for name, value in change.items():
+            if value is None:
+                del bad[name]
+        path = tmp_path / "gold.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_gold(path)
+        assert str(info.value) == f"{path}:2: {reason}"
 
     def test_record_shape(self):
         record = gold_record(make_gold("a", "b", [((0, 10), (5, 15))]))

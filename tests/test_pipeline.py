@@ -827,6 +827,28 @@ class TestStats:
         assert summary["pairs_per_document"] == {"2": 3}
         assert summary["case_length_hist"] == {"100": 6}
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"field_a": 5},  # a TypeError while counting
+            {"field_a": "bio"},  # counted as the fields b, i and o
+            {"field_a": [1]},  # a TypeError while sorting beside "biology"
+            {"begin_a": True},
+            {"begin_a": 5, "end_a": 2},
+            {"doi_b": ""},
+            {"id": None},
+        ],
+    )
+    def test_record_the_case_reader_refuses_is_malformed(self, tmp_path, change):
+        bad = self._record(**change)
+        if bad["id"] is None:
+            del bad["id"]
+        path = tmp_path / "cases.jsonl"
+        write_jsonl(path, [self._record(), bad])
+        summary = summarize_cases(path)
+        assert (summary["cases"], summary["malformed"]) == (1, 1)
+        assert summary["by_field"] == {"biology": 1, "physics": 1}
+
     def test_totals_equal_records_minus_malformed(self, tmp_path):
         path = tmp_path / "cases.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
