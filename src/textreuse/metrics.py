@@ -91,28 +91,60 @@ def f_beta(precision: float, recall: float, beta: float = 0.5) -> float:
     return (1 + beta * beta) * precision * recall / denom
 
 
-def _group_detections(
-    gold: Sequence[GoldAnnotation], detected: Iterable[ReuseCase]
-) -> dict[tuple[str, str], list[ReuseCase]]:
-    known = {(g.doi_a, g.doi_b) for g in gold}
-    groups: dict[tuple[str, str], list[ReuseCase]] = {key: [] for key in known}
+def _pair_entries(gold: Sequence[GoldAnnotation], detected: Iterable[ReuseCase]) -> list[tuple[int, ...]]:
+    """Per annotation, in gold order: intersection, detected and gold characters
+    over both sides; gold spans; detections; gold spans some detection overlaps;
+    detections overlapping those. A pair annotated twice or a detection on a
+    pair without annotation raises ValueError."""
+    groups: dict[tuple[str, str], list[ReuseCase]] = {}
+    for ann in gold:
+        if (ann.doi_a, ann.doi_b) in groups:
+            raise ValueError(f"pair {ann.doi_a}/{ann.doi_b} annotated twice")
+        groups[(ann.doi_a, ann.doi_b)] = []
     for case in detected:
-        if case.pair_key not in known:
+        if case.pair_key not in groups:
             raise ValueError(f"detection references unknown pair {case.pair_key}")
         groups[case.pair_key].append(case)
-    return groups
+    entries = []
+    for ann in gold:
+        cases = groups[(ann.doi_a, ann.doi_b)]
+        gold_a = sp.merge((s.begin_a, s.end_a) for s in ann.spans)
+        gold_b = sp.merge((s.begin_b, s.end_b) for s in ann.spans)
+        det_a = sp.merge((c.begin_a, c.end_a) for c in cases)
+        det_b = sp.merge((c.begin_b, c.end_b) for c in cases)
+        covered_spans = hits = 0
+        for span in ann.spans:
+            count = sum(
+                sp.overlaps((span.begin_a, span.end_a), (c.begin_a, c.end_a))
+                and sp.overlaps((span.begin_b, span.end_b), (c.begin_b, c.end_b))
+                for c in cases
+            )
+            covered_spans += count > 0
+            hits += count
+        inter = sp.intersect_length(det_a, gold_a) + sp.intersect_length(det_b, gold_b)
+        det = sp.total_length(det_a) + sp.total_length(det_b)
+        gld = sp.total_length(gold_a) + sp.total_length(gold_b)
+        entries.append((inter, det, gld, len(ann.spans), len(cases), covered_spans, hits))
+    return entries
 
 
-def _pair_char_counts(
-    ann: GoldAnnotation, cases: Sequence[ReuseCase]
-) -> tuple[int, int, int]:
-    """(intersection, detected, gold) character counts over both sides."""
-    gold_a = sp.merge((s.begin_a, s.end_a) for s in ann.spans)
-    gold_b = sp.merge((s.begin_b, s.end_b) for s in ann.spans)
-    det_a = sp.merge((c.begin_a, c.end_a) for c in cases)
-    det_b = sp.merge((c.begin_b, c.end_b) for c in cases)
-    inter = sp.intersect_length(det_a, gold_a) + sp.intersect_length(det_b, gold_b)
-    return inter, sp.total_length(det_a) + sp.total_length(det_b), sp.total_length(gold_a) + sp.total_length(gold_b)
+def _precision_recall(entries: Sequence[tuple[int, ...]], average: str) -> tuple[float, float]:
+    """Micro: ratios of the pooled characters; macro: means of the per-pair ratios."""
+    if average not in ("macro", "micro"):
+        raise ValueError("average must be 'macro' or 'micro'")
+    if not entries:
+        return 1.0, 1.0
+    if average == "micro":
+        inter, det, gld = (sum(e[i] for e in entries) for i in range(3))
+        return (inter / det if det else 1.0), (inter / gld if gld else 1.0)
+    precision = sum(inter / det if det else 1.0 for inter, det, *_ in entries)
+    recall = sum(inter / gld if gld else 1.0 for inter, _, gld, *_ in entries)
+    return precision / len(entries), recall / len(entries)
+
+
+def _granularity(entries: Sequence[tuple[int, ...]]) -> float:
+    covered_spans = sum(e[5] for e in entries)
+    return sum(e[6] for e in entries) / covered_spans if covered_spans else 1.0
 
 
 def char_precision_recall(
@@ -121,45 +153,13 @@ def char_precision_recall(
     average: str = "macro",
 ) -> tuple[float, float]:
     """Character-level precision and recall across all annotated pairs."""
-    if average not in ("macro", "micro"):
-        raise ValueError("average must be 'macro' or 'micro'")
-    groups = _group_detections(gold, detected)
-    if not gold:
-        return 1.0, 1.0
-    precisions, recalls = [], []
-    inter_total = det_total = gold_total = 0
-    for ann in gold:
-        inter, det, gld = _pair_char_counts(ann, groups[(ann.doi_a, ann.doi_b)])
-        precisions.append(inter / det if det else 1.0)
-        recalls.append(inter / gld if gld else 1.0)
-        inter_total += inter
-        det_total += det
-        gold_total += gld
-    if average == "micro":
-        precision = inter_total / det_total if det_total else 1.0
-        recall = inter_total / gold_total if gold_total else 1.0
-        return precision, recall
-    return sum(precisions) / len(precisions), sum(recalls) / len(recalls)
+    _precision_recall((), average)  # refuses an invalid average before any pair
+    return _precision_recall(_pair_entries(gold, detected), average)
 
 
 def granularity(gold: Sequence[GoldAnnotation], detected: Iterable[ReuseCase]) -> float:
     """Mean number of detections overlapping each detected gold span (1.0 ideal)."""
-    groups = _group_detections(gold, detected)
-    hits = 0
-    covered_spans = 0
-    for ann in gold:
-        cases = groups[(ann.doi_a, ann.doi_b)]
-        for span in ann.spans:
-            count = sum(
-                1
-                for c in cases
-                if sp.overlaps((span.begin_a, span.end_a), (c.begin_a, c.end_a))
-                and sp.overlaps((span.begin_b, span.end_b), (c.begin_b, c.end_b))
-            )
-            if count:
-                covered_spans += 1
-                hits += count
-    return hits / covered_spans if covered_spans else 1.0
+    return _granularity(_pair_entries(gold, detected))
 
 
 def evaluate_cases(
@@ -169,38 +169,29 @@ def evaluate_cases(
     beta: float = 0.5,
     with_granularity: bool = False,
 ) -> EvaluationReport:
-    """Full report: overall scores plus one row per strategy present in gold."""
-    detected = list(detected)
-    _group_detections(gold, detected)  # validates pair ids up front
+    """Full report: overall scores plus one row per strategy present in gold.
+    Each pair is scored once; every row aggregates the entries of its pairs."""
+    entries = _pair_entries(gold, detected)
+    groups: dict[str, list[tuple[int, ...]]] = {s: [] for s in STRATEGIES}
+    for ann, entry in zip(gold, entries):
+        groups[ann.strategy].append(entry)
     rows = []
-    groups: dict[str, list[GoldAnnotation]] = {}
-    for ann in gold:
-        groups.setdefault(ann.strategy, []).append(ann)
-    for strategy in [s for s in STRATEGIES if s in groups]:
-        anns = groups[strategy]
-        keys = {(a.doi_a, a.doi_b) for a in anns}
-        cases = [c for c in detected if c.pair_key in keys]
-        rows.append(_score_row(strategy, anns, cases, average, beta, with_granularity))
-    overall = _score_row("entire", list(gold), detected, average, beta, with_granularity)
-    return EvaluationReport(overall=overall, by_strategy=rows)
-
-
-def _score_row(label, anns, cases, average, beta, with_granularity) -> StrategyScores:
-    precision, recall = char_precision_recall(anns, cases, average)
-    score = StrategyScores(
-        strategy=label,
-        precision=precision,
-        recall=recall,
-        f_score=f_beta(precision, recall, beta),
-        pair_count=len(anns),
-        gold_span_count=sum(len(a.spans) for a in anns),
-        detection_count=len(cases),
-    )
-    if with_granularity:
-        score.granularity = granularity(anns, cases)
-        f1 = f_beta(precision, recall, 1.0)
-        score.plagdet = f1 / math.log2(1 + score.granularity)
-    return score
+    for label, subset in [(s, groups[s]) for s in STRATEGIES if groups[s]] + [("entire", entries)]:
+        precision, recall = _precision_recall(subset, average)
+        row = StrategyScores(
+            strategy=label,
+            precision=precision,
+            recall=recall,
+            f_score=f_beta(precision, recall, beta),
+            pair_count=len(subset),
+            gold_span_count=sum(e[3] for e in subset),
+            detection_count=sum(e[4] for e in subset),
+        )
+        if with_granularity:
+            row.granularity = _granularity(subset)
+            row.plagdet = f_beta(precision, recall, 1.0) / math.log2(1 + row.granularity)
+        rows.append(row)
+    return EvaluationReport(overall=rows.pop(), by_strategy=rows)
 
 
 @dataclass(frozen=True)
@@ -272,17 +263,24 @@ def _from_record(cls, record: dict):
     return cls(**{f.name: record[f.name] for f in fields(cls) if f.name in record})
 
 
-def _gold_from_record(record: dict) -> GoldAnnotation:
+def _gold_from_record(record: dict, seen: set[tuple[str, str]]) -> GoldAnnotation:
+    """The annotation of ``record``, whose pair must not be in ``seen``; adds it."""
     if not isinstance(record.get("spans"), list):
         raise ValueError("spans must be an array")
     spans = tuple(_from_record(GoldSpan, s) for s in record["spans"])
-    return _from_record(GoldAnnotation, {**record, "spans": spans})
+    ann = _from_record(GoldAnnotation, {**record, "spans": spans})
+    if (ann.doi_a, ann.doi_b) in seen:
+        raise ValueError(f"pair {ann.doi_a}/{ann.doi_b} annotated twice")
+    seen.add((ann.doi_a, ann.doi_b))
+    return ann
 
 
 def load_gold(path: str | Path) -> list[GoldAnnotation]:
-    """Gold annotations in file order; the first line that is not JSON or
-    not a valid annotation raises ValueError naming ``path:line``."""
-    return read_records(path, _gold_from_record)
+    """Gold annotations in file order; the first line that is not JSON, not a
+    valid annotation or a pair annotated twice raises ValueError naming
+    ``path:line``."""
+    seen: set[tuple[str, str]] = set()
+    return read_records(path, lambda record: _gold_from_record(record, seen))
 
 
 def report_records(report: EvaluationReport) -> list[dict]:

@@ -53,17 +53,21 @@ def raw_span_to_normalized(doc: Document, begin: int, end: int) -> tuple[int, in
 
 
 def load_pan_corpus(base: str | Path) -> tuple[list[RawDocument], list[GoldAnnotation]]:
-    """Load a PAN-style corpus directory into (raw documents, gold annotations)."""
+    """Load a PAN-style corpus directory into (raw documents, gold annotations).
+    A ``pairs`` line that is not two file names raises ValueError naming
+    ``pairs:line``."""
     base = Path(base)
     pairs_file = base / "pairs"
     if not pairs_file.exists():
         raise FileNotFoundError(f"{pairs_file} not found")
     pair_names = []
-    for line in pairs_file.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            susp, src = line.split()
-            pair_names.append((susp, src))
+    for lineno, line in enumerate(pairs_file.read_text(encoding="utf-8").splitlines(), 1):
+        names = line.split()
+        if not names:
+            continue
+        if len(names) != 2:
+            raise ValueError(f"{pairs_file}:{lineno}: expected 2 file names, found {len(names)}")
+        pair_names.append((names[0], names[1]))
 
     raw_docs: dict[str, RawDocument] = {}
     documents: dict[str, Document] = {}
@@ -117,7 +121,9 @@ def load_pan_corpus(base: str | Path) -> tuple[list[RawDocument], list[GoldAnnot
 
 
 def _read_features(xml_path: Path):
-    """[(susp (offset, length), src (offset, length)), ...], obfuscation attr."""
+    """[(susp (offset, length), src (offset, length)), ...], obfuscation attr.
+    A feature without an integer offset or length raises ValueError naming
+    ``xml_path``."""
     root = ElementTree.parse(xml_path).getroot()
     features = []
     obfuscation = None
@@ -125,10 +131,14 @@ def _read_features(xml_path: Path):
         if feature.get("name") not in ("plagiarism", "detected-plagiarism"):
             continue
         obfuscation = feature.get("obfuscation", obfuscation)
-        features.append(
-            (
-                (int(feature.get("this_offset")), int(feature.get("this_length"))),
-                (int(feature.get("source_offset")), int(feature.get("source_length"))),
-            )
-        )
+        numbers = []
+        for name in ("this_offset", "this_length", "source_offset", "source_length"):
+            value = feature.get(name)
+            try:
+                numbers.append(int(value))
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{xml_path}: {feature.get('name')} feature needs an integer {name}, not {value!r}"
+                ) from None
+        features.append(((numbers[0], numbers[1]), (numbers[2], numbers[3])))
     return features, obfuscation

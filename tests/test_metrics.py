@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -159,6 +160,15 @@ class TestCharPrecisionRecall:
         with pytest.raises(ValueError, match="unknown pair"):
             char_precision_recall(gold, [make_case("a", "zz", (0, 10), (0, 10))])
 
+    @pytest.mark.parametrize("score", [char_precision_recall, granularity, evaluate_cases])
+    def test_pair_annotated_twice_rejected(self, score):
+        gold = [
+            make_gold("a", "b", [((0, 100), (0, 100))]),
+            make_gold("a", "b", [], strategy="no-plagiarism", pair_id="again"),
+        ]
+        with pytest.raises(ValueError, match="^pair a/b annotated twice$"):
+            score(gold, [make_case("a", "b", (0, 100), (0, 100))])
+
     def test_micro_pools_characters(self):
         gold = [
             make_gold("a", "b", [((0, 100), (0, 100))]),
@@ -208,6 +218,10 @@ class TestGranularity:
         assert granularity(gold, []) == 1.0
 
 
+# An ordered span in a short text, so that drawn spans often overlap.
+near_span = st.lists(st.integers(0, 200), min_size=2, max_size=2, unique=True).map(sorted)
+
+
 class TestEvaluateCases:
     def test_per_strategy_rows(self):
         gold = [
@@ -228,6 +242,37 @@ class TestEvaluateCases:
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
             make_gold("a", "b", [], strategy="cosmic")
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(STRATEGIES),
+                st.lists(st.tuples(near_span, near_span), max_size=3),
+                st.lists(st.tuples(near_span, near_span), max_size=4),
+            ),
+            max_size=8,
+        ),
+        st.sampled_from(("macro", "micro")),
+    )
+    def test_rows_score_their_subsets(self, pairs, average):
+        gold, cases = [], []
+        for k, (strategy, spans, detections) in enumerate(pairs):
+            gold.append(make_gold(f"a{k}", f"b{k}", spans, strategy))
+            cases += [make_case(f"a{k}", f"b{k}", span_a, span_b) for span_a, span_b in detections]
+        report = evaluate_cases(gold, cases, average=average, with_granularity=True)
+        assert [row.strategy for row in report.by_strategy] == [s for s in STRATEGIES if s in {a.strategy for a in gold}]
+        for row in report.by_strategy + [report.overall]:
+            anns = [a for a in gold if row.strategy in (a.strategy, "entire")]
+            keys = {(a.doi_a, a.doi_b) for a in anns}
+            dets = [c for c in cases if c.pair_key in keys]
+            precision, recall = char_precision_recall(anns, dets, average)
+            assert (row.precision, row.recall, row.f_score) == (precision, recall, f_beta(precision, recall))
+            assert row.granularity == granularity(anns, dets)
+            assert row.plagdet == f_beta(precision, recall, 1.0) / math.log2(1 + row.granularity)
+            assert row.pair_count == len(anns)
+            assert row.gold_span_count == sum(len(a.spans) for a in anns)
+            assert row.detection_count == len(dets)
 
 
 # Each side's (begin, end) satisfies 0 <= begin < end.
@@ -257,6 +302,7 @@ class TestGoldIO:
                 strategy=st.sampled_from(STRATEGIES),
             ),
             max_size=4,
+            unique_by=lambda ann: ann.doi_b,  # a pair may be annotated once
         )
     )
     def test_any_annotations_round_trip(self, tmp_path_factory, gold):
@@ -289,6 +335,7 @@ class TestGoldIO:
             ({"spans": [{"begin_a": 10, "end_a": 0, "begin_b": 5, "end_b": 15}]}, "invalid gold span on side a"),
             ({"spans": [[0, 10, 5, 15]]}, "GoldSpan record is not a JSON object"),
             ({"doi_a": 1}, "pair_id, doi_a and doi_b must be strings"),
+            ({"pair_id": "q", "spans": [], "strategy": "no-plagiarism"}, "pair a/b annotated twice"),
         ],
     )
     def test_malformed_record_names_its_line(self, tmp_path, change, reason):

@@ -1,3 +1,7 @@
+import re
+
+import pytest
+
 from textreuse.ingest import RawDocument, normalize
 from textreuse.pan import load_pan_corpus, raw_span_to_normalized
 
@@ -111,7 +115,22 @@ class TestLoadPanCorpus:
         assert precision == 1.0
 
     def test_missing_pairs_file(self, tmp_path):
-        import pytest
-
         with pytest.raises(FileNotFoundError):
             load_pan_corpus(tmp_path)
+
+    def test_pairs_line_with_one_name_names_its_line(self, tmp_path):
+        build_pan_dir(tmp_path)
+        pairs = tmp_path / "pairs"
+        pairs.write_text(pairs.read_text(encoding="utf-8") + "\nsuspicious-document00003.txt\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_pan_corpus(tmp_path)
+        assert str(info.value) == f"{pairs}:4: expected 2 file names, found 1"
+
+    def test_feature_without_source_length_names_its_file(self, tmp_path):
+        build_pan_dir(tmp_path)
+        (xml,) = (tmp_path / "02-no-obfuscation").glob("*.xml")
+        text = xml.read_text(encoding="utf-8")
+        xml.write_text(re.sub(r' source_length="\d+"', "", text), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_pan_corpus(tmp_path)
+        assert str(info.value) == f"{xml}: plagiarism feature needs an integer source_length, not None"
