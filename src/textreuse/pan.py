@@ -54,19 +54,26 @@ def raw_span_to_normalized(doc: Document, begin: int, end: int) -> tuple[int, in
 
 def load_pan_corpus(base: str | Path) -> tuple[list[RawDocument], list[GoldAnnotation]]:
     """Load a PAN-style corpus directory into (raw documents, gold annotations).
-    A ``pairs`` line that is not two file names raises ValueError naming
+    A ``pairs`` line that is not two file names, or that repeats the
+    document pair of an earlier line, raises ValueError naming
     ``pairs:line``."""
     base = Path(base)
     pairs_file = base / "pairs"
     if not pairs_file.exists():
         raise FileNotFoundError(f"{pairs_file} not found")
     pair_names = []
+    seen: set[tuple[str, str]] = set()
     for lineno, line in enumerate(pairs_file.read_text(encoding="utf-8").splitlines(), 1):
         names = line.split()
         if not names:
             continue
         if len(names) != 2:
             raise ValueError(f"{pairs_file}:{lineno}: expected 2 file names, found {len(names)}")
+        # Documents are keyed by file stem, so a pair is its two stems in order.
+        key = tuple(sorted(Path(name).stem for name in names))
+        if key in seen:
+            raise ValueError(f"{pairs_file}:{lineno}: pair {key[0]}/{key[1]} listed twice")
+        seen.add(key)
         pair_names.append((names[0], names[1]))
 
     raw_docs: dict[str, RawDocument] = {}
@@ -122,9 +129,12 @@ def load_pan_corpus(base: str | Path) -> tuple[list[RawDocument], list[GoldAnnot
 
 def _read_features(xml_path: Path):
     """[(susp (offset, length), src (offset, length)), ...], obfuscation attr.
-    A feature without an integer offset or length raises ValueError naming
-    ``xml_path``."""
-    root = ElementTree.parse(xml_path).getroot()
+    A file that is not well-formed XML, or a feature without an integer
+    offset or length, raises ValueError naming ``xml_path``."""
+    try:
+        root = ElementTree.parse(xml_path).getroot()
+    except ElementTree.ParseError as exc:
+        raise ValueError(f"{xml_path}: {exc}") from None
     features = []
     obfuscation = None
     for feature in root.iter("feature"):

@@ -56,9 +56,10 @@ _KEY_STEP = 0x9E3779B97F4A7C15
 # Words per window in ngram mode; capped at alignment's ngram_size.
 RETRIEVAL_NGRAM_SIZE = 3
 
-# Pair visits ``cooccurring_pairs`` expands at a time: its working memory is
-# bounded by this plus its output, not by the number of visits. Of 2**15 to
-# 2**18, 2**16 ran exact mode's join fastest on 1,000 documents.
+# Pair visits ``cooccurring_pairs`` expands at a time: besides its arrays
+# over the entries, its working memory is bounded by this plus its output,
+# not by the number of visits. Of 2**15 to 2**18, 2**16 ran exact mode's
+# join fastest on 1,000 documents.
 _JOIN_BLOCK = 2**16
 
 # Word hashes ``MinHasher.minima`` reduces at a time. On 1.0M hashes and 10
@@ -164,17 +165,26 @@ def _passage_matrix(docs: Sequence[Document], passage_size: int) -> tuple:
     passage)``, each passage's document index, and the number of terms.
 
     Passage ``p`` is passage ``p`` of ``_split_passages``; entry ``k`` says
-    that it holds term ``term[k]``. The entries are distinct and ascend by
-    ``(term, passage)``. Terms are word hashes numbered in hash order, so
-    two words that collide count as one term, which can only add candidate
-    pairs.
+    that it holds term ``term[k]``. The entries are distinct, ascend by
+    ``(term, passage)`` and are ``int32`` while the corpus has fewer than
+    2**31 tokens. Terms are word hashes numbered in hash order
+    (``_dense_ranks``), so two words that collide count as one term, which
+    can only add candidate pairs.
     """
     hashes, starts, owner = _split_passages(docs, passage_size)
-    values, term = np.unique(hashes, return_inverse=True)
-    passage = np.repeat(np.arange(owner.size), np.diff(starts, append=hashes.size))
+    term, terms = _dense_ranks(hashes)
+    index = term.dtype
+    passage = np.repeat(np.arange(owner.size, dtype=index), np.diff(starts, append=hashes.size))
+    del hashes
     width = max(owner.size, 1)
-    term, passage = np.divmod(_sum_by_key(term * width + passage)[0], width)
-    return term, passage, owner, values.size
+    keys = np.multiply(term, width, dtype=np.int64)
+    keys += passage
+    del term, passage
+    keys.sort()
+    keys = keys[_run_starts(keys)]
+    term, passage = np.empty_like(keys, dtype=index), np.empty_like(keys, dtype=index)
+    np.divmod(keys, width, out=(term, passage), casting="unsafe")
+    return term, passage, owner, terms
 
 
 def sketch_corpus(
@@ -228,17 +238,17 @@ def build_index(owner: np.ndarray, sketches: np.ndarray, df_cap: int = 1000) -> 
     ordered = np.sort(sketches, axis=1)
     first = np.ones(ordered.shape, dtype=bool)
     first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    values, posting = np.unique(ordered[first], return_inverse=True)
+    posting, distinct = _dense_ranks(ordered[first])
     entry_owner = np.broadcast_to(owner[:, None], ordered.shape)[first]
     # Documents per value: the distinct (posting, owner) keys of each posting.
     width = int(owner.max()) + 1 if owner.size else 1
-    df = np.bincount(_sum_by_key(posting * width + entry_owner)[0] // width, minlength=len(values))
+    df = np.bincount(_sum_by_key(posting.astype(np.int64) * width + entry_owner)[0] // width, minlength=distinct)
     kept = df <= df_cap
-    dropped = len(values) - int(kept.sum())
+    dropped = distinct - int(kept.sum())
     if dropped:
         log.warning("dropped %d over-frequent hash postings (df_cap=%d)", dropped, df_cap)
     entries = kept[posting]
-    return PassageIndex(posting[entries], entry_owner[entries], len(values) - dropped, dropped)
+    return PassageIndex(posting[entries], entry_owner[entries], distinct - dropped, dropped)
 
 
 def retrieve_candidates(
@@ -279,49 +289,109 @@ def cooccurring_pairs(
     integers. The expansion runs by the lower column ``a``, whole columns
     and about ``_JOIN_BLOCK`` visits at a time, so each block holds every
     visit of its pairs and drops those below ``min_weight`` before it is
-    kept: working memory is bounded by a block plus the kept output. Above
-    1, ``min_weight`` makes this the thresholded all-pairs overlap query of
-    Bayardo, Ma & Srikant (WWW 2007), without their prefix filtering.
-    ``counts``, if given, receives the number of column pairs visited as
-    ``pair_visits``.
+    kept. Above 1, ``min_weight`` makes this the thresholded all-pairs
+    overlap query of Bayardo, Ma & Srikant (WWW 2007), without their prefix
+    filtering. ``counts``, if given, receives the number of column pairs
+    visited as ``pair_visits``.
+
+    Working memory is a block, the kept output, and arrays over the
+    entries, which set the peak: the ``row * n_cols + col`` keys, sorted in
+    place as ``int64``, then each distinct entry's column in the narrowest
+    type that holds ``n_cols`` and ``int32`` indices (below 2**31 entries),
+    each temporary dropped before the next is built. On 100,000
+    term×passage entries tracemalloc sees a peak of about 24 bytes per
+    entry.
     """
-    keys, cell = np.unique(
-        np.asarray(rows, dtype=np.int64) * n_cols + np.asarray(cols, dtype=np.int64), return_counts=True
-    )
-    row, col = np.divmod(keys, n_cols)
+    keys = np.array(rows, dtype=np.int64)
+    keys *= n_cols
+    keys += np.asarray(cols, dtype=np.int64)
+    keys.sort()
+    index = _index_type(keys.size)
+    # A run of equal keys is one cell; with no run longer than one, every
+    # visit weighs one and a pair's weight is the number of its visits.
+    fresh = _run_starts(keys)
+    starts = None if fresh.all() else np.flatnonzero(fresh)
+    del fresh
+    cell = None
+    if starts is not None:
+        cell = np.empty(starts.size, dtype=index)
+        np.subtract(starts[1:], starts[:-1], out=cell[:-1], casting="unsafe")
+        cell[-1:] = keys.size - starts[-1:]
+        keys = keys[starts]
+    del starts
+    # Columns in the narrowest unsigned type that holds every column: up to
+    # 16 bits a stable sort is numpy's radix sort, five times faster here
+    # than on int64.
+    col = np.empty(keys.size, dtype=np.min_scalar_type(max(n_cols - 1, 0)))
+    np.remainder(keys, n_cols, out=col, casting="unsafe")
+    keys //= n_cols
     # Entry i visits each later entry of its row: a column above its own.
-    partners = np.searchsorted(row, row, side="right") - np.arange(keys.size) - 1
+    # The k-th row, counting from 1, ends at ``ends[k]``, where the next
+    # one starts.
+    fresh = _run_starts(keys)
+    del keys
+    ends = np.flatnonzero(np.append(fresh, True)).astype(index)
+    partners = ends[np.cumsum(fresh, dtype=index)]
+    del fresh, ends
+    partners -= np.arange(1, partners.size + 1, dtype=index)
     visits = int(partners.sum())
     if counts is not None:
         counts["pair_visits"] = visits
-    # The entries that visit any, by column, rows ascending within each, in
-    # the narrowest unsigned type that holds every column: up to 16 bits a
-    # stable sort is numpy's radix sort, five times faster here than on
-    # int64.
-    active = np.flatnonzero(partners)
-    by_col = active[np.argsort(col[active].astype(np.min_scalar_type(max(n_cols - 1, 0))), kind="stable")]
+    # The entries that visit any, by column, rows ascending within each.
+    active = np.flatnonzero(partners).astype(index)
+    by_col = active[np.argsort(col[active], kind="stable")]
+    del active
     load = partners[by_col]
-    del keys, row, partners, active  # the blocks below need none of these
-    before = np.cumsum(load) - load
-    column_starts = np.flatnonzero(np.diff(col[by_col], prepend=-1))
+    del partners
+    before = np.cumsum(load, dtype=np.int64) - load
+    column_starts = np.flatnonzero(_run_starts(col[by_col]))
     # Each block starts at the column whose visits cross the next multiple
     # of _JOIN_BLOCK, so it expands at most _JOIN_BLOCK plus one column's
     # visits, and no column is split between two blocks.
     crossed = np.searchsorted(before[column_starts], np.arange(0, visits, _JOIN_BLOCK), side="right") - 1
-    bounds = column_starts[np.unique(crossed)].tolist()
-    # With unit cells every visit weighs one, and a pair's weight is the
-    # number of its visits.
-    unit = cell.max(initial=0) <= 1
+    bounds = column_starts[crossed[_run_starts(crossed)]].tolist()
     pairs, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for lo, hi in zip(bounds, [*bounds[1:], by_col.size]):
         left = np.repeat(by_col[lo:hi], load[lo:hi])
         right = left + 1 + np.arange(left.size) - np.repeat(before[lo:hi] - before[lo], load[lo:hi])
-        pair, weight = _sum_by_key(col[left] * n_cols + col[right], None if unit else cell[left] * cell[right])
+        weight = None if cell is None else cell[left].astype(np.int64) * cell[right]
+        pair, weight = _sum_by_key(col[left].astype(np.int64) * n_cols + col[right], weight)
         kept = weight >= min_weight
         pairs.append(pair[kept])
         weights.append(weight[kept])
     a, b = np.divmod(np.concatenate(pairs), n_cols)
     return a, b, np.concatenate(weights)
+
+
+def _index_type(size: int) -> type:
+    """The integer type of indices into ``size`` entries: ``int32`` below
+    2**31, which halves every index array, else ``int64``."""
+    return np.int32 if size < 2**31 else np.int64
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one
+    before them; the first is True."""
+    fresh = np.empty(ordered.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return fresh
+
+
+def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each value's rank among the distinct ``values``, and their number.
+
+    The ranks equal ``np.unique(values, return_inverse=True)[1]``, in
+    ``_index_type``: one argsort, the mask of where the sorted values
+    change, and its running count.
+    """
+    order = np.argsort(values)
+    ranks = np.cumsum(_run_starts(values[order]), dtype=_index_type(values.size))
+    distinct = int(ranks[-1]) if ranks.size else 0
+    ranks -= 1
+    inverse = np.empty_like(ranks)
+    inverse[order] = ranks
+    return inverse, distinct
 
 
 def _sum_by_key(keys: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -337,9 +407,7 @@ def _sum_by_key(keys: np.ndarray, weights: np.ndarray | None = None) -> tuple[np
     else:
         order = np.argsort(keys)
         keys, weights = keys[order], weights[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(_run_starts(keys))
     if weights is None:
         return keys[starts], np.diff(np.append(starts, keys.size))
     return keys[starts], np.add.reduceat(weights, starts)
@@ -357,10 +425,10 @@ def shared_hash_pairs(
     join's ``pair_visits``.
     """
     # The empty leading array lets an empty list concatenate too.
-    values, posting = np.unique(np.concatenate([np.empty(0, np.uint64), *hashes]), return_inverse=True)
-    owner = np.repeat(np.arange(len(hashes)), [len(h) for h in hashes])
+    posting, distinct = _dense_ranks(np.concatenate([np.empty(0, np.uint64), *hashes]))
+    owner = np.repeat(np.arange(len(hashes), dtype=posting.dtype), [len(h) for h in hashes])
     if counts is not None:
-        counts["hash_postings"] = len(values)
+        counts["hash_postings"] = distinct
     return cooccurring_pairs(posting, owner, len(hashes), counts=counts)
 
 

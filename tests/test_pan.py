@@ -134,3 +134,24 @@ class TestLoadPanCorpus:
         with pytest.raises(ValueError) as info:
             load_pan_corpus(tmp_path)
         assert str(info.value) == f"{xml}: plagiarism feature needs an integer source_length, not None"
+
+    def test_pair_listed_twice_names_its_line(self, tmp_path):
+        build_pan_dir(tmp_path)
+        pairs = tmp_path / "pairs"
+        pairs.write_text(
+            pairs.read_text(encoding="utf-8") + "source-document00001.txt suspicious-document00001.txt\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as info:
+            load_pan_corpus(tmp_path)
+        assert str(info.value) == (
+            f"{pairs}:3: pair source-document00001/suspicious-document00001 listed twice"
+        )
+
+    def test_malformed_xml_names_its_file(self, tmp_path):
+        build_pan_dir(tmp_path)
+        (xml,) = (tmp_path / "02-no-obfuscation").glob("*.xml")
+        xml.write_text("<document><feature", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_pan_corpus(tmp_path)
+        assert str(info.value).startswith(f"{xml}: ")

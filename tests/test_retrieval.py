@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import random
+import tracemalloc
 import warnings
 from collections import Counter, defaultdict
 from unittest import mock
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from textreuse.alignment import AlignmentParams, align_pair
+from textreuse.alignment import AlignmentParams, align_pair, window_hashes
 from textreuse.ingest import _token_hashes, normalize
 from textreuse import retrieval
 from textreuse.pipeline import RunConfig, run_retrieval
@@ -21,12 +22,14 @@ from textreuse.retrieval import (
     RETRIEVAL_NGRAM_SIZE,
     CandidatePair,
     MinHasher,
+    _dense_ranks,
     _passage_matrix,
     build_index,
     cooccurring_pairs,
     retrieve_candidates,
     retrieve_candidates_exact,
     retrieve_candidates_ngram,
+    shared_hash_pairs,
     sketch_corpus,
 )
 from textreuse.synthgen import GenSpec, generate
@@ -507,6 +510,58 @@ class TestCooccurringPairs:
         assert a.dtype == b.dtype == weight.dtype == np.int64
         distinct = Counter(r for r, _ in set(zip(rows, cols)))
         assert record == {"pair_visits": sum(math.comb(n, 2) for n in distinct.values())}
+
+
+class TestDenseRanks:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1), max_size=40))
+    @example(values=[])
+    @example(values=[7] * 5)
+    @example(values=[2**64 - 1, 0, 2**64 - 1, 0])
+    def test_match_unique_inverse(self, values):
+        values = np.array(values, dtype=np.uint64)
+        ranks, distinct = _dense_ranks(values)
+        unique, inverse = np.unique(values, return_inverse=True)
+        assert ranks.tolist() == inverse.tolist()
+        assert distinct == unique.size
+        assert ranks.dtype == np.int32
+
+
+def traced_peak(call, *args, **kwargs):
+    """The peak of the memory ``call`` allocates, as tracemalloc sees it;
+    numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestJoinMemory:
+    """The join's working memory per term×passage or window entry, with
+    join blocks too small to count: 200 documents of 400-600 words hand it
+    about 100,000 entries."""
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        corpus, _ = generate(GenSpec(doc_count=200, doc_tokens=(400, 600), case_count=20, seed=3))
+        return [normalize(raw) for raw in corpus]
+
+    def test_exact_join_bytes_per_entry(self, docs):
+        term, passage, owner, _ = _passage_matrix(docs, 50)
+        assert term.size > 80_000
+        with mock.patch.object(retrieval, "_JOIN_BLOCK", 2**10):
+            peak = traced_peak(cooccurring_pairs, term, passage, owner.size, min_weight=9)
+        assert peak <= 48 * term.size
+
+    def test_window_join_bytes_per_entry(self, docs):
+        hashes = [window_hashes(doc, 3, 2) for doc in docs]
+        entries = sum(h.size for h in hashes)
+        assert entries > 80_000
+        with mock.patch.object(retrieval, "_JOIN_BLOCK", 2**10):
+            peak = traced_peak(shared_hash_pairs, hashes)
+        assert peak <= 48 * entries
 
 
 class TestNgramMode:
