@@ -113,7 +113,7 @@ def _window_starts(n_tokens: int, ngram_size: int, ngram_overlap: int) -> range:
 
 def _window_bounds(doc: Document, starts: np.ndarray, ngram_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Character begin and end of each window starting at a token in ``starts``."""
-    return doc.token_spans[starts, 0], doc.token_spans[starts + (ngram_size - 1), 1]
+    return doc.token_offsets[starts], doc.token_offsets[starts + ngram_size] - 1
 
 
 def window_hashes(doc: Document, ngram_size: int = 8, ngram_overlap: int = 7) -> np.ndarray:
@@ -137,7 +137,7 @@ def window_hashes(doc: Document, ngram_size: int = 8, ngram_overlap: int = 7) ->
 
 def chunk_ngrams(doc: Document, ngram_size: int = 8, ngram_overlap: int = 7) -> list[NGram]:
     """Sliding n-gram windows with stride ngram_size - ngram_overlap."""
-    starts = _window_starts(len(doc.token_spans), ngram_size, ngram_overlap)
+    starts = _window_starts(len(doc.token_hashes), ngram_size, ngram_overlap)
     hashes = window_hashes(doc, ngram_size, ngram_overlap).tolist()
     begins, ends = _window_bounds(doc, np.asarray(starts, dtype=np.int64), ngram_size)
     return [

@@ -14,10 +14,10 @@ to this normalized text, so the rules here are part of the output contract:
 * normalizing already-normalized text is the identity.
 
 A normalized ``Document`` holds no per-token objects: each token is its
-64-bit word hash (``token_hashes``, computed here once), and its offsets in
-the normalized and in the raw text are two ``(n, 2)`` ``int32`` arrays, 24
-bytes per token in all. The words themselves are read back from
-``normalized_text``.
+64-bit word hash (``token_hashes``, computed here once) and the ``int32``
+offset where it begins in the normalized text (``token_offsets``), 12 bytes
+per token in all. The words are read back from ``normalized_text``, and
+their offsets in the raw text from ``raw_token_runs``.
 
 Normalization takes one path, in whole-text passes over the text's code
 points. A 128-entry table classifies ASCII; only the distinct non-ASCII code
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -76,7 +77,7 @@ class RawDocument:
             raise ValueError("doi contains a tab or line break")  # candidates.tsv could not hold it
         if not isinstance(self.text, str):
             raise ValueError("text must be a string")
-        if len(self.text) >= 2**31:
+        if len(self.text) >= 2**31 - 1:  # token_offsets runs one past the normalized text
             raise ValueError("text is too long for int32 offsets")
         if self.year is not None and (isinstance(self.year, bool) or not isinstance(self.year, int)):
             raise ValueError("year must be an integer")
@@ -96,25 +97,23 @@ class RawDocument:
 
 @dataclass(frozen=True, eq=False)
 class Document:
-    """Normalized document: one word hash and two offset pairs per token.
+    """Normalized document: one word hash and one offset per token.
 
     ``token_hashes`` is a ``uint64`` array holding each token's word hash,
     the one token representation that retrieval and alignment read: token
     ``[b, e)`` of code points ``c`` hashes to ``_mix((P[e] - P[b]) * B**-b)``
     with ``P[i] = sum(c_k * B**(k + 1) for k < i)`` modulo 2**64, which equals
     ``_mix(sum(c_(b+j) * B**(j + 1)))`` because the odd ``B = _CHAR_BASE`` is
-    invertible modulo 2**64. ``token_spans`` and ``raw_token_spans`` are
-    ``(n, 2)`` ``int32`` arrays of ``[begin, end)`` offsets, one row per token.
-    ``token_spans`` index into ``normalized_text``; ``raw_token_spans``
-    index into the original raw text, which lets external (raw-offset)
-    annotations be carried over to normalized coordinates. Documents
-    compare by identity.
+    invertible modulo 2**64. ``token_offsets`` is an ``int32`` array of
+    ``n + 1`` entries: token ``i`` is ``normalized_text[token_offsets[i] :
+    token_offsets[i + 1] - 1]``, and the last entry is
+    ``len(normalized_text) + 1`` (0 for a document without tokens).
+    Documents compare by identity.
     """
 
     doi: str
     token_hashes: np.ndarray
-    token_spans: np.ndarray
-    raw_token_spans: np.ndarray
+    token_offsets: np.ndarray
     normalized_text: str
     year: int | None = None
     field: tuple[str, ...] | None = None
@@ -124,6 +123,11 @@ class Document:
     @property
     def doc_length(self) -> int:
         return len(self.normalized_text)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the document holds: its two arrays plus ``sys.getsizeof`` of its normalized text."""
+        return self.token_hashes.nbytes + self.token_offsets.nbytes + sys.getsizeof(self.normalized_text)
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -156,44 +160,35 @@ def _powers(base: int, n: int) -> np.ndarray:
     return np.cumprod(powers, out=powers)
 
 
-def _span_hashes(codes: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """Word hash of each ``[begin, end)`` row of ``spans`` over the code
-    points ``codes``: one prefix sum of ``codes`` weighted by powers of
+def _span_hashes(codes: np.ndarray, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Word hash of each span ``[begins[i], ends[i])`` over the code points
+    ``codes``: one prefix sum of ``codes`` weighted by powers of
     ``_CHAR_BASE``, differenced at each span and shifted back to its first
     character by an inverse power (uint64 wraps)."""
     n = codes.size + 1
     prefix = np.zeros(n, dtype=np.uint64)
     np.multiply(codes, _powers(_CHAR_BASE, n)[1:], out=prefix[1:])
     np.cumsum(prefix[1:], out=prefix[1:])
-    begins, ends = spans[:, 0], spans[:, 1]
     return _mix((prefix[ends] - prefix[begins]) * _powers(_CHAR_BASE_INVERSE, n)[begins])
 
 
-def _joined_spans(lengths: np.ndarray) -> np.ndarray:
-    """``int32`` ``[begin, end)`` rows of tokens of ``lengths`` joined by single spaces."""
-    ends = np.cumsum(lengths) + np.arange(len(lengths))
-    return np.column_stack((ends - lengths, ends)).astype(np.int32)
+def _token_offsets(lengths: np.ndarray) -> np.ndarray:
+    """``Document.token_offsets`` of tokens of ``lengths`` joined by single spaces."""
+    return np.concatenate(([0], np.cumsum(lengths + 1))).astype(np.int32)
 
 
 def _token_hashes(tokens: Sequence[str]) -> np.ndarray:
     """One ``uint64`` word hash per token."""
-    spans = _joined_spans(np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens)))
-    return _span_hashes(_code_points(" ".join(tokens)), spans)
+    offsets = _token_offsets(np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens)))
+    return _span_hashes(_code_points(" ".join(tokens)), offsets[:-1], offsets[1:] - 1)
 
 
-def normalize(raw: RawDocument) -> Document:
-    """Normalize a raw document into lowercase alphabetic tokens.
-
-    Tokens are found by whole-text operations over the raw code points:
-    ASCII is classified by table and each distinct non-ASCII code point once,
-    and the raw spans are the edges of the resulting alphabetic mask. Every
-    letter but U+0130 lowercases to exactly one letter; U+0130 "İ", whose
-    lowercase is "i" and a combining dot above, is read as "i". So the
-    non-letters are replaced by spaces, the whole text is lowercased (which
-    keeps every position), and the normalized text is its letters plus one
-    space after each token but the last.
-    """
-    codes = _code_points(raw.text)
+def raw_token_runs(text: str) -> tuple[np.ndarray, str]:
+    """``(runs, spaced)``: one ``[begin, end)`` row per raw token, a maximal
+    run of alphabetic characters in ``text``, and ``text`` with each
+    non-letter a space and U+0130 "İ" read as "i". ASCII is classified by
+    table and each distinct non-ASCII code point once."""
+    codes = _code_points(text)
     mask = np.zeros(codes.size + 2, dtype=bool)
     letter = mask[1:-1]
     _ASCII_LETTERS.take(codes, out=letter, mode="clip")  # code point 127 is no letter
@@ -204,18 +199,27 @@ def normalize(raw: RawDocument) -> Document:
         letter[wide] = is_alpha[inverse]
         if 0x130 in points:
             codes = np.where(codes == 0x130, np.uint32(ord("i")), codes)
-    raw_spans = np.flatnonzero(mask[1:] != mask[:-1]).reshape(-1, 2)
-    # Every non-letter becomes a space; no surrogate is a letter, so this decodes.
-    spaced = np.where(letter, codes, 32).astype("<u4").tobytes().decode("utf-32-le")
+    runs = np.flatnonzero(mask[1:] != mask[:-1]).reshape(-1, 2)
+    # No surrogate is a letter, so this decodes.
+    return runs, np.where(letter, codes, 32).astype("<u4").tobytes().decode("utf-32-le")
+
+
+def normalize(raw: RawDocument) -> Document:
+    """Normalize a raw document: its tokens are its raw token runs,
+    lowercased. Every letter but U+0130 lowercases to exactly one letter,
+    and ``raw_token_runs`` reads U+0130 "İ" (lowercase "i" and a combining
+    dot above) as "i". So the spaced text lowercases in place, and the
+    normalized text is its letters plus one space after each token but the
+    last."""
+    runs, spaced = raw_token_runs(raw.text)
     lowered = _code_points(spaced.lower())
-    keep = letter.copy()
-    keep[raw_spans[:-1, 1]] = True  # the space after each token but the last
+    keep = lowered != 32  # the letters
+    keep[runs[:-1, 1]] = True  # the space after each token but the last
 
     return Document(
         doi=raw.doi,
-        token_hashes=_span_hashes(lowered, raw_spans),
-        token_spans=_joined_spans(raw_spans[:, 1] - raw_spans[:, 0]),
-        raw_token_spans=raw_spans.astype(np.int32),
+        token_hashes=_span_hashes(lowered, runs[:, 0], runs[:, 1]),
+        token_offsets=_token_offsets(runs[:, 1] - runs[:, 0]),
         normalized_text=lowered[keep].tobytes().decode("utf-32-le"),
         year=raw.year,
         field=raw.field,
@@ -226,7 +230,7 @@ def normalize(raw: RawDocument) -> Document:
 
 def length_filter(doc: Document, min_words: int = 1000, max_words: int = 60000) -> bool:
     """Keep documents whose token count lies in [min_words, max_words]."""
-    return min_words <= len(doc.token_spans) <= max_words
+    return min_words <= len(doc.token_hashes) <= max_words
 
 
 @dataclass

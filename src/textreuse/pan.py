@@ -3,9 +3,9 @@
 Reads the ``pairs`` file plus ``susp/`` and ``src/`` text directories and the
 per-pair XML annotation files, and converts everything to the internal corpus
 and gold formats. Benchmark offsets refer to the raw text files, so each gold
-span is mapped to normalized coordinates through the token-level raw-offset
-map: the span becomes the bounding normalized span of all tokens whose raw
-span it intersects.
+span is mapped to normalized coordinates through the raw token runs of its
+text (``ingest.raw_token_runs``): the span becomes the bounding normalized
+span of all tokens whose raw run it intersects.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 
-from .ingest import Document, RawDocument, normalize
+from .ingest import Document, RawDocument, normalize, raw_token_runs
 from .metrics import GoldAnnotation, GoldSpan
 
 log = logging.getLogger(__name__)
@@ -40,23 +40,25 @@ def _strategy_for(xml_path: Path, feature_obfuscation: str | None) -> str:
     return "none"
 
 
-def raw_span_to_normalized(doc: Document, begin: int, end: int) -> tuple[int, int] | None:
-    """Bounding normalized span of the tokens intersecting raw [begin, end)."""
-    raw = doc.raw_token_spans
-    if end <= begin or len(raw) == 0:
+def raw_span_to_normalized(doc: Document, runs: np.ndarray, begin: int, end: int) -> tuple[int, int] | None:
+    """Bounding normalized span of the tokens of ``doc`` whose raw run
+    intersects raw ``[begin, end)``; ``runs`` is ``raw_token_runs`` of the
+    raw text ``doc`` was normalized from, one ``[begin, end)`` row per token."""
+    if end <= begin or len(runs) == 0:
         return None
-    first = int(np.searchsorted(raw[:, 1], begin, side="right"))  # first token ending after begin
-    last = int(np.searchsorted(raw[:, 0], end, side="left")) - 1  # last token starting before end
-    if first > last or first >= len(doc.token_spans):
+    first = int(np.searchsorted(runs[:, 1], begin, side="right"))  # first token ending after begin
+    last = int(np.searchsorted(runs[:, 0], end, side="left")) - 1  # last token starting before end
+    if first > last or first >= len(runs):
         return None
-    return (int(doc.token_spans[first, 0]), int(doc.token_spans[last, 1]))
+    return (int(doc.token_offsets[first]), int(doc.token_offsets[last + 1]) - 1)
 
 
 def load_pan_corpus(base: str | Path) -> tuple[list[RawDocument], list[GoldAnnotation]]:
     """Load a PAN-style corpus directory into (raw documents, gold annotations).
     A ``pairs`` line that is not two file names, or that repeats the
     document pair of an earlier line, raises ValueError naming
-    ``pairs:line``."""
+    ``pairs:line``; a feature whose range runs past the end of its text
+    raises ValueError naming its XML file."""
     base = Path(base)
     pairs_file = base / "pairs"
     if not pairs_file.exists():
@@ -76,24 +78,21 @@ def load_pan_corpus(base: str | Path) -> tuple[list[RawDocument], list[GoldAnnot
         seen.add(key)
         pair_names.append((names[0], names[1]))
 
-    raw_docs: dict[str, RawDocument] = {}
-    documents: dict[str, Document] = {}
+    documents: dict[str, tuple[RawDocument, Document, np.ndarray]] = {}
 
-    def get_doc(folder: str, name: str) -> Document:
+    def get_doc(folder: str, name: str) -> tuple[RawDocument, Document, np.ndarray]:
         doi = Path(name).stem
         if doi not in documents:
             text = (base / folder / name).read_text(encoding="utf-8", errors="replace")
             raw = RawDocument(doi=doi, text=text)
-            raw_docs[doi] = raw
-            documents[doi] = normalize(raw)
+            documents[doi] = (raw, normalize(raw), raw_token_runs(text)[0])
         return documents[doi]
 
     xml_by_stem = {path.stem: path for path in base.rglob("*.xml")}
 
     gold = []
     for susp_name, src_name in pair_names:
-        susp_doc = get_doc("susp", susp_name)
-        src_doc = get_doc("src", src_name)
+        sides = (get_doc("susp", susp_name), get_doc("src", src_name))
         stem = f"{Path(susp_name).stem}-{Path(src_name).stem}"
         xml_path = xml_by_stem.get(stem)
         spans: list[tuple[tuple[int, int], tuple[int, int]]] = []
@@ -101,36 +100,30 @@ def load_pan_corpus(base: str | Path) -> tuple[list[RawDocument], list[GoldAnnot
         if xml_path is not None:
             features, obfuscation = _read_features(xml_path)
             strategy = _strategy_for(xml_path, obfuscation) if features else "no-plagiarism"
-            for (s_begin, s_len), (r_begin, r_len) in features:
-                susp_span = raw_span_to_normalized(susp_doc, s_begin, s_begin + s_len)
-                src_span = raw_span_to_normalized(src_doc, r_begin, r_begin + r_len)
-                if susp_span is None or src_span is None:
+            for feature in features:
+                mapped = []
+                for side, (raw, doc, runs), (offset, length) in zip(("this", "source"), sides, feature):
+                    if offset + length > len(raw.text):
+                        past = f"{side}_offset + {side}_length is {offset + length}"
+                        raise ValueError(f"{xml_path}: {past}, past the {len(raw.text)} characters of {raw.doi}")
+                    mapped.append(raw_span_to_normalized(doc, runs, offset, offset + length))
+                if None in mapped:
                     log.warning("%s: dropping annotation outside tokenized text", xml_path)
                     continue
-                spans.append((susp_span, src_span))
+                spans.append(tuple(mapped))
 
-        if susp_doc.doi < src_doc.doi:
-            doi_a, doi_b = susp_doc.doi, src_doc.doi
-            gold_spans = tuple(GoldSpan(*sa, *sb) for sa, sb in spans)
-        else:
-            doi_a, doi_b = src_doc.doi, susp_doc.doi
-            gold_spans = tuple(GoldSpan(*sb, *sa) for sa, sb in spans)
-        gold.append(
-            GoldAnnotation(
-                pair_id=stem,
-                doi_a=doi_a,
-                doi_b=doi_b,
-                spans=gold_spans,
-                strategy=strategy,
-            )
-        )
-    return list(raw_docs.values()), gold
+        dois = (sides[0][0].doi, sides[1][0].doi)
+        if dois[1] < dois[0]:  # gold pairs are in doi order
+            dois, spans = dois[::-1], [(src_span, susp_span) for susp_span, src_span in spans]
+        gold_spans = tuple(GoldSpan(*span_a, *span_b) for span_a, span_b in spans)
+        gold.append(GoldAnnotation(pair_id=stem, doi_a=dois[0], doi_b=dois[1], spans=gold_spans, strategy=strategy))
+    return [raw for raw, _, _ in documents.values()], gold
 
 
 def _read_features(xml_path: Path):
     """[(susp (offset, length), src (offset, length)), ...], obfuscation attr.
-    A file that is not well-formed XML, or a feature without an integer
-    offset or length, raises ValueError naming ``xml_path``."""
+    A file that is not well-formed XML, or a feature without a non-negative
+    integer offset or length, raises ValueError naming ``xml_path``."""
     try:
         root = ElementTree.parse(xml_path).getroot()
     except ElementTree.ParseError as exc:
@@ -150,5 +143,7 @@ def _read_features(xml_path: Path):
                 raise ValueError(
                     f"{xml_path}: {feature.get('name')} feature needs an integer {name}, not {value!r}"
                 ) from None
+            if numbers[-1] < 0:
+                raise ValueError(f"{xml_path}: {feature.get('name')} feature has a negative {name}, {value!r}")
         features.append(((numbers[0], numbers[1]), (numbers[2], numbers[3])))
     return features, obfuscation

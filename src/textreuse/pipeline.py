@@ -12,11 +12,10 @@ import hashlib
 import json
 import logging
 import math
-import sys
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 from .alignment import (
     AlignmentParams, ReuseCase, align_pair, case_from_record, case_namespace, case_record, window_hashes
@@ -112,8 +111,7 @@ def load_documents(config: RunConfig, corpus: dict | None = None) -> tuple[list[
     """Load, normalize and length-filter the corpus; returns (docs, counts).
 
     ``counts`` holds, besides the document and record tallies, the tokens
-    of the documents used and their ``document_bytes``: the bytes of their
-    token hash and offset arrays plus the size of their normalized text.
+    of the documents used and their ``document_bytes`` (``Document.nbytes``).
     ``corpus``, if given, receives ``digest``, the hash of the corpus files
     as read (``LoadReport.digest``), which keys the retrieval checkpoint.
     """
@@ -134,14 +132,8 @@ def load_documents(config: RunConfig, corpus: dict | None = None) -> tuple[list[
         "documents_used": len(docs),
         "records_malformed": report.malformed,
         "duplicate_dois": report.duplicates,
-        "tokens": sum(len(doc.token_spans) for doc in docs),
-        "document_bytes": sum(
-            doc.token_hashes.nbytes
-            + doc.token_spans.nbytes
-            + doc.raw_token_spans.nbytes
-            + sys.getsizeof(doc.normalized_text)
-            for doc in docs
-        ),
+        "tokens": sum(len(doc.token_hashes) for doc in docs),
+        "document_bytes": sum(doc.nbytes for doc in docs),
     }
     return docs, counts
 
@@ -313,7 +305,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     publications_path = out_dir / "publications.jsonl"
     write_jsonl(publications_path, (publication_record(d) for d in sorted(docs, key=lambda d: d.doi)))
     stats_path = out_dir / "stats.json"
-    write_json(stats_path, summarize_cases(cases_path))
+    write_json(stats_path, case_stats(cases))
 
     manifest = {"config": asdict(config), "counts": counts}
     write_json(manifest_path, manifest)
@@ -327,49 +319,55 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     )
 
 
-def summarize_cases(path: str | Path) -> dict:
-    """Aggregate statistics over a case file. Each record is read by
-    ``case_from_record``; a line it refuses, or that is not JSON, is logged
-    and counted as malformed."""
-    by_year: Counter[str] = Counter()
-    by_field: Counter[str] = Counter()
-    by_area: Counter[str] = Counter()
-    by_discipline: Counter[str] = Counter()
-    length_hist: Counter[str] = Counter()
+def case_stats(cases: Iterable[ReuseCase]) -> dict:
+    """Aggregate statistics over cases, as ``stats.json`` holds them, with
+    no malformed case."""
+    by: defaultdict[str, Counter[str]] = defaultdict(Counter)
     partners: defaultdict[str, set[str]] = defaultdict(set)
-    cases = 0
-    malformed = 0
-    for lineno, record, error in scan_jsonl(path):
-        if error is None:
-            try:
-                case = case_from_record(record)
-            except ValueError as exc:
-                error = str(exc)
-        if error is not None:
-            malformed += 1
-            log.error("%s:%d: skipping malformed case: %s", path, lineno, error)
-            continue
-        cases += 1
+    count = 0
+    for case in cases:
+        count += 1
         for side in ("a", "b"):
             year = getattr(case, f"year_{side}")
             if year is not None:
-                by_year[str(year)] += 1
-            for counter, key in ((by_field, "field"), (by_area, "area"), (by_discipline, "discipline")):
-                for value in getattr(case, f"{key}_{side}") or ():
-                    counter[value] += 1
+                by["year"][str(year)] += 1
+            for key in ("field", "area", "discipline"):
+                by[key].update(getattr(case, f"{key}_{side}") or ())
             length = getattr(case, f"end_{side}") - getattr(case, f"begin_{side}")
-            length_hist[str(length // 100 * 100)] += 1
+            by["length"][str(length // 100 * 100)] += 1
         partners[case.doi_a].add(case.doi_b)
         partners[case.doi_b].add(case.doi_a)
 
     pairs_per_doc = Counter(str(len(p)) for p in partners.values())
     return {
-        "cases": cases,
-        "malformed": malformed,
-        "by_year": dict(sorted(by_year.items())),
-        "by_field": dict(sorted(by_field.items())),
-        "by_area": dict(sorted(by_area.items())),
-        "by_discipline": dict(sorted(by_discipline.items())),
-        "case_length_hist": dict(sorted(length_hist.items(), key=lambda kv: int(kv[0]))),
+        "cases": count,
+        "malformed": 0,
+        **{f"by_{key}": dict(sorted(by[key].items())) for key in ("year", "field", "area", "discipline")},
+        "case_length_hist": dict(sorted(by["length"].items(), key=lambda kv: int(kv[0]))),
         "pairs_per_document": dict(sorted(pairs_per_doc.items(), key=lambda kv: int(kv[0]))),
     }
+
+
+def summarize_cases(path: str | Path) -> dict:
+    """``case_stats`` over a case file. Each record is read by
+    ``case_from_record``; a line it refuses, or that is not JSON, is logged
+    and counted as malformed."""
+    malformed = 0
+
+    def read() -> Iterator[ReuseCase]:
+        nonlocal malformed
+        for lineno, record, error in scan_jsonl(path):
+            if error is None:
+                try:
+                    case = case_from_record(record)
+                except ValueError as exc:
+                    error = str(exc)
+            if error is not None:
+                malformed += 1
+                log.error("%s:%d: skipping malformed case: %s", path, lineno, error)
+                continue
+            yield case
+
+    summary = case_stats(read())
+    summary["malformed"] = malformed
+    return summary

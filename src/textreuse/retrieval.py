@@ -149,7 +149,7 @@ def _split_passages(docs: Sequence[Document], passage_size: int) -> tuple[np.nda
     """
     if passage_size < 1:
         raise ValueError("passage_size must be >= 1")
-    lengths = np.fromiter((len(doc.token_spans) for doc in docs), dtype=np.int64, count=len(docs))
+    lengths = np.fromiter((len(doc.token_hashes) for doc in docs), dtype=np.int64, count=len(docs))
     passages = -(-lengths // passage_size)
     owner = np.repeat(np.arange(len(docs), dtype=np.int64), passages)
     # Passage k of its document starts k * passage_size tokens in.

@@ -5,7 +5,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import example, settings
+from hypothesis import strategies as st
 
 from textreuse.alignment import _TOKEN_BASE, align_pair
 from textreuse.ingest import _CHAR_BASE, _MIX_A, _MIX_B, RawDocument, normalize
@@ -18,6 +19,25 @@ settings.register_profile("ci", print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _MASK = (1 << 64) - 1
+
+# ASCII-only text, which the character table classifies without any
+# per-code-point Python work; plain st.text() draws are mostly non-ASCII.
+ASCII_TEXT = st.text(st.characters(max_codepoint=127), max_size=300)
+# ASCII next to one non-ASCII letter or separator, and a text long enough
+# that the per-document power tables run past 2**16.
+_MIXED_TEXTS = ["naïve—ΟΔΟΣ", "a\u00a0b", "ﬁne İstanbul x²", "naïve ΟΔΟΣ. " * 6000]
+# Characters at the edges of the normalization rules: a capital whose lowercase is two
+# characters, final sigma, a titlecase digraph, a ligature, a wordish
+# non-letter, a combining mark, a case-ignorable modifier letter, accents,
+# digits and punctuation.
+EDGE_ALPHABET = "aZ İΣσς ǅﬁ²\u0345ʰé.'1\t"
+
+
+def mixed_examples(test):
+    """Runs a property test on every text of ``_MIXED_TEXTS`` too."""
+    for text in reversed(_MIXED_TEXTS):
+        test = example(text)(test)
+    return test
 
 
 def splitmix(x):
@@ -42,6 +62,17 @@ def ngram_hash(tokens):
 def constant_window_hashes(doc, ngram_size=8, ngram_overlap=7):
     """Stand-in for ``window_hashes`` under which every window collides."""
     return np.zeros(len(range(0, len(doc.tokens) - ngram_size + 1, ngram_size - ngram_overlap)), np.uint64)
+
+
+def token_spans(doc):
+    """Reference ``[begin, end)`` of each word of ``doc.tokens`` in
+    ``normalized_text``, found by searching the text for the words in order."""
+    spans, end = [], 0
+    for token in doc.tokens:
+        begin = doc.normalized_text.index(token, end)
+        end = begin + len(token)
+        spans.append((begin, end))
+    return spans
 
 
 def reference_normalize(text):

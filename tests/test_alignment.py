@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import textreuse.alignment as alignment
@@ -24,19 +24,30 @@ from textreuse.alignment import (
 )
 from textreuse.spans import bounding, gap, merge, overlaps, total_length
 
-from conftest import alpha_words, constant_window_hashes, doc_from_tokens, ngram_hash
+from conftest import (
+    ASCII_TEXT,
+    EDGE_ALPHABET,
+    alpha_words,
+    constant_window_hashes,
+    doc_from_tokens,
+    make_doc,
+    mixed_examples,
+    ngram_hash,
+    token_spans,
+)
 
 
 def brute_force_seeds(a, b, n, stride=1):
     """All-pairs n-gram comparison oracle over windows starting at multiples of stride."""
     seeds = []
+    spans_a, spans_b = token_spans(a), token_spans(b)
     for i in range(0, len(a.tokens) - n + 1, stride):
         for j in range(0, len(b.tokens) - n + 1, stride):
             if a.tokens[i : i + n] == b.tokens[j : j + n]:
                 seeds.append(
                     Seed(
-                        (a.token_spans[i][0], a.token_spans[i + n - 1][1]),
-                        (b.token_spans[j][0], b.token_spans[j + n - 1][1]),
+                        (spans_a[i][0], spans_a[i + n - 1][1]),
+                        (spans_b[j][0], spans_b[j + n - 1][1]),
                     )
                 )
     return sorted(seeds)
@@ -148,6 +159,25 @@ class TestChunkNgrams:
         doc = doc_from_tokens(alpha_words("w", 10))
         with pytest.raises(ValueError):
             chunk_ngrams(doc, 8, 8)
+
+
+class TestWindowBounds:
+    @given(st.one_of(st.text(max_size=300), ASCII_TEXT, st.text(alphabet=EDGE_ALPHABET, max_size=60)))
+    @example("")
+    @example("word")
+    @mixed_examples
+    @settings(max_examples=200, deadline=None)
+    def test_match_reference_spans(self, text):
+        """Every window of 1 to 4 tokens runs from the begin of its first
+        token to the end of its last; the last window ends the text."""
+        doc = make_doc(text)
+        spans = token_spans(doc)
+        for n in range(1, 5):
+            starts = np.arange(max(len(spans) - n + 1, 0))
+            begins, ends = alignment._window_bounds(doc, starts, n)
+            assert list(zip(begins.tolist(), ends.tolist())) == [(spans[i][0], spans[i + n - 1][1]) for i in starts]
+            if starts.size:
+                assert ends[-1] == doc.doc_length
 
 
 class TestSeedMatches:
@@ -341,13 +371,14 @@ def paragraph_pair(paragraph, doi_a="doc-a", doi_b="doc-b", insert_extra=None):
     )
     a = doc_from_tokens(bg_a_left + paragraph + bg_a_right, doi=doi_a, year=1999, field=("biology",))
     b = doc_from_tokens(bg_b_left + tokens_b + bg_b_right, doi=doi_b, year=2003)
+    spans_a, spans_b = token_spans(a), token_spans(b)
     span_a = (
-        a.token_spans[len(bg_a_left)][0],
-        a.token_spans[len(bg_a_left) + len(paragraph) - 1][1],
+        spans_a[len(bg_a_left)][0],
+        spans_a[len(bg_a_left) + len(paragraph) - 1][1],
     )
     span_b = (
-        b.token_spans[len(bg_b_left)][0],
-        b.token_spans[len(bg_b_left) + len(tokens_b) - 1][1],
+        spans_b[len(bg_b_left)][0],
+        spans_b[len(bg_b_left) + len(tokens_b) - 1][1],
     )
     return a, b, span_a, span_b
 

@@ -4,7 +4,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import textreuse.ingest as ingest
@@ -16,10 +16,11 @@ from textreuse.ingest import (
     load_corpus_report,
     normalize,
     parse_record,
+    raw_token_runs,
 )
 from textreuse.pan import raw_span_to_normalized
 
-from conftest import make_doc, reference_normalize, splitmix
+from conftest import ASCII_TEXT, EDGE_ALPHABET, make_doc, mixed_examples, reference_normalize, splitmix, token_spans
 
 
 def reference_corpus_digest(path):
@@ -30,21 +31,6 @@ def reference_corpus_digest(path):
         digest.update(file.name.encode("utf-8"))
         digest.update(file.read_bytes())
     return digest.hexdigest()
-
-
-# ASCII-only text, which the character table classifies without any
-# per-code-point Python work; plain st.text() draws are mostly non-ASCII.
-_ASCII_TEXT = st.text(st.characters(max_codepoint=127), max_size=300)
-# ASCII next to one non-ASCII letter or separator, and a text long enough
-# that the per-document power tables run past 2**16.
-_MIXED_TEXTS = ["naïve—ΟΔΟΣ", "a\u00a0b", "ﬁne İstanbul x²", "naïve ΟΔΟΣ. " * 6000]
-
-
-def mixed_examples(test):
-    """Runs a property test on every text of ``_MIXED_TEXTS`` too."""
-    for text in reversed(_MIXED_TEXTS):
-        test = example(text)(test)
-    return test
 
 
 class TestNormalize:
@@ -83,9 +69,9 @@ class TestNormalize:
     def test_raw_spans_point_at_source_runs(self):
         text = "  Alpha, beta!  "
         doc = make_doc(text)
-        assert [text[b:e].lower() for b, e in doc.raw_token_spans] == ["alpha", "beta"]
+        assert [text[b:e].lower() for b, e in raw_token_runs(text)[0]] == ["alpha", "beta"]
 
-    @given(st.one_of(st.text(max_size=300), _ASCII_TEXT))
+    @given(st.one_of(st.text(max_size=300), ASCII_TEXT))
     @mixed_examples
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_walk(self, text):
@@ -99,14 +85,15 @@ class TestNormalize:
         assert twice.normalized_text == once.normalized_text
         assert twice.tokens == once.tokens
 
-    @given(st.one_of(st.text(max_size=300), _ASCII_TEXT))
+    @given(st.one_of(st.text(max_size=300), ASCII_TEXT))
     @mixed_examples
     @settings(max_examples=200, deadline=None)
     def test_offset_round_trip(self, text):
         doc = normalize(RawDocument(doi="d", text=text))
         assert doc.doc_length == len(doc.normalized_text)
         previous_end = -1
-        for token, (begin, end) in zip(doc.tokens, doc.token_spans):
+        offsets = doc.token_offsets.tolist()
+        for token, begin, end in zip(doc.tokens, offsets, [offset - 1 for offset in offsets[1:]]):
             assert begin < end
             assert begin > previous_end
             assert doc.normalized_text[begin:end] == token
@@ -121,11 +108,6 @@ class TestNormalize:
         assert doc.normalized_text == doc.normalized_text.strip()
 
 
-# Characters at the edges of the normalization rules: a capital whose lowercase is two
-# characters, final sigma, a titlecase digraph, a ligature, a wordish
-# non-letter, a combining mark, a case-ignorable modifier letter, accents,
-# digits and punctuation.
-_EDGE_ALPHABET = "aZ İΣσς ǅﬁ²\u0345ʰé.'1\t"
 _EDGE_TEXTS = [
     "İstanbul", "ΟΔΟΣ ΟΔΟΣ.", "ǅemal", "ﬁne", "abc²def", "été", "123 -- 4.5!", "", "a\ud800b",
     "ΣİΣ", "ΟΔΟΣ İΣ", "İΣ", "aİ", "İ\u0307",
@@ -133,17 +115,21 @@ _EDGE_TEXTS = [
 
 
 def check_offsets(text):
-    """Every token is its raw run folded, and both offset maps agree."""
+    """Every token is its raw run folded, and the token offsets and the raw
+    runs agree with the reference spans."""
     doc = normalize(RawDocument(doi="d", text=text))
     assert list(doc.tokens) == reference_normalize(text)
     n = len(doc.tokens)
-    for spans in (doc.token_spans, doc.raw_token_spans):
-        assert isinstance(spans, np.ndarray)
-        assert spans.shape == (n, 2) and spans.dtype == np.int32
+    offsets, runs = doc.token_offsets, raw_token_runs(text)[0]
+    assert isinstance(offsets, np.ndarray) and offsets.shape == (n + 1,) and offsets.dtype == np.int32
+    assert offsets[-1] == (doc.doc_length + 1 if n else 0)
+    assert runs.shape == (n, 2)
+    spans = token_spans(doc)
+    assert list(zip(offsets[:-1].tolist(), (offsets[1:] - 1).tolist())) == spans
     for i, token in enumerate(doc.tokens):
-        begin, end = doc.raw_token_spans[i]
+        begin, end = runs[i]
         assert "".join(c for c in text[begin:end].lower() if c.isalpha()) == token
-        assert raw_span_to_normalized(doc, *doc.raw_token_spans[i]) == tuple(doc.token_spans[i].tolist())
+        assert raw_span_to_normalized(doc, runs, begin, end) == spans[i]
 
 
 class TestNormalizeSpans:
@@ -164,9 +150,9 @@ class TestNormalizeSpans:
     def test_dotted_capital_i_folds_per_run(self):
         doc = make_doc("İstanbul Ankara")
         assert doc.tokens == ("istanbul", "ankara")
-        assert doc.raw_token_spans.tolist() == [[0, 8], [9, 15]]
+        assert raw_token_runs("İstanbul Ankara")[0].tolist() == [[0, 8], [9, 15]]
 
-    @given(st.one_of(st.text(max_size=300), _ASCII_TEXT, st.text(alphabet=_EDGE_ALPHABET, max_size=60)))
+    @given(st.one_of(st.text(max_size=300), ASCII_TEXT, st.text(alphabet=EDGE_ALPHABET, max_size=60)))
     @mixed_examples
     @settings(max_examples=300, deadline=None)
     def test_raw_spans_fold_to_tokens(self, text):
@@ -191,7 +177,7 @@ class TestTokenHashes:
     def test_fold_path_and_empty_documents_match_reference(self, text):
         check_token_hashes(text)
 
-    @given(st.one_of(st.text(max_size=300), _ASCII_TEXT, st.text(alphabet=_EDGE_ALPHABET + "𝔄", max_size=60)))
+    @given(st.one_of(st.text(max_size=300), ASCII_TEXT, st.text(alphabet=EDGE_ALPHABET + "𝔄", max_size=60)))
     @mixed_examples
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_reference(self, text):
@@ -207,8 +193,7 @@ class TestLengthFilter:
         doc = Document(
             doi="d",
             token_hashes=np.zeros(count, np.uint64),
-            token_spans=tuple((2 * i, 2 * i + 1) for i in range(count)),
-            raw_token_spans=tuple((2 * i, 2 * i + 1) for i in range(count)),
+            token_offsets=np.arange(0, 2 * count + 1, 2, dtype=np.int32),
             normalized_text=" ".join(["w"] * count),
         )
         assert length_filter(doc) is expected

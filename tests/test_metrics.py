@@ -24,7 +24,7 @@ from textreuse.metrics import (
 )
 from textreuse.synthgen import GenSpec, generate
 
-from conftest import alpha_words, doc_from_tokens
+from conftest import alpha_words, doc_from_tokens, token_spans
 
 
 def make_case(doi_a, doi_b, span_a, span_b, case_id="case"):
@@ -423,7 +423,8 @@ class TestGridSearch:
         )
 
         def token_span(doc, start, count):
-            return (doc.token_spans[start][0], doc.token_spans[start + count - 1][1])
+            spans = token_spans(doc)
+            return (spans[start][0], spans[start + count - 1][1])
 
         gold = [
             make_gold(

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from textreuse.ingest import RawDocument, normalize
+from textreuse.ingest import RawDocument, normalize, raw_token_runs
 from textreuse.pan import load_pan_corpus, raw_span_to_normalized
 
 
@@ -55,23 +55,23 @@ class TestRawSpanMapping:
         raw = "Alpha, beta! gamma."
         doc = normalize(RawDocument(doi="d", text=raw))
         begin = raw.find("beta")
-        span = raw_span_to_normalized(doc, begin, begin + len("beta"))
+        span = raw_span_to_normalized(doc, raw_token_runs(raw)[0], begin, begin + len("beta"))
         assert doc.normalized_text[span[0] : span[1]] == "beta"
 
     def test_partial_token_overlap_rounds_to_whole_tokens(self):
         raw = "Alpha beta gamma"
         doc = normalize(RawDocument(doi="d", text=raw))
-        span = raw_span_to_normalized(doc, 2, 8)  # "pha be"
+        span = raw_span_to_normalized(doc, raw_token_runs(raw)[0], 2, 8)  # "pha be"
         assert doc.normalized_text[span[0] : span[1]] == "alpha beta"
 
     def test_span_in_punctuation_is_none(self):
         raw = "alpha ... beta"
         doc = normalize(RawDocument(doi="d", text=raw))
-        assert raw_span_to_normalized(doc, 6, 9) is None
+        assert raw_span_to_normalized(doc, raw_token_runs(raw)[0], 6, 9) is None
 
     def test_empty_span_is_none(self):
         doc = normalize(RawDocument(doi="d", text="alpha"))
-        assert raw_span_to_normalized(doc, 3, 3) is None
+        assert raw_span_to_normalized(doc, raw_token_runs("alpha")[0], 3, 3) is None
 
 
 class TestLoadPanCorpus:
@@ -155,3 +155,32 @@ class TestLoadPanCorpus:
         with pytest.raises(ValueError) as info:
             load_pan_corpus(tmp_path)
         assert str(info.value).startswith(f"{xml}: ")
+
+    @pytest.mark.parametrize(
+        "attribute,value,message",
+        [
+            ("source_length", "10000", "source_offset + source_length is 10021, past the 104 characters of source-document00001"),
+            ("this_offset", "-5", "plagiarism feature has a negative this_offset, '-5'"),
+            ("source_length", "-1", "plagiarism feature has a negative source_length, '-1'"),
+        ],
+        ids=["length-past-the-end", "negative-offset", "negative-length"],
+    )
+    def test_feature_outside_its_text_names_its_file(self, tmp_path, attribute, value, message):
+        build_pan_dir(tmp_path)
+        (xml,) = (tmp_path / "02-no-obfuscation").glob("*.xml")
+        text = xml.read_text(encoding="utf-8")
+        xml.write_text(re.sub(f' {attribute}="\\d+"', f' {attribute}="{value}"', text), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_pan_corpus(tmp_path)
+        assert str(info.value) == f"{xml}: {message}"
+
+    def test_feature_ending_at_its_text_end_is_kept(self, tmp_path):
+        build_pan_dir(tmp_path)
+        (xml,) = (tmp_path / "02-no-obfuscation").glob("*.xml")
+        text = xml.read_text(encoding="utf-8")
+        source = (tmp_path / "src" / "source-document00001.txt").read_text(encoding="utf-8")
+        offset = int(re.search(r' source_offset="(\d+)"', text).group(1))
+        xml.write_text(re.sub(r' source_length="\d+"', f' source_length="{len(source) - offset}"', text), encoding="utf-8")
+        _, gold = load_pan_corpus(tmp_path)
+        (span,) = next(g for g in gold if g.spans).spans
+        assert span.end_b - span.begin_b > 0

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import textreuse.pipeline as pipeline
 from textreuse.alignment import align_pair, case_namespace
-from textreuse.ingest import Document, document_record, normalize
-from textreuse.jsonl import read_jsonl, write_jsonl
+from textreuse.ingest import Document, document_record, load_corpus_report, normalize, raw_token_runs
+from textreuse.jsonl import read_jsonl, write_json, write_jsonl
 from textreuse.pan import raw_span_to_normalized
 from textreuse.pipeline import (
     CHECKPOINT_STATE_FILE,
@@ -442,8 +442,8 @@ class TestManifestIngestAndExactCounters:
         second = run_pipeline(base_config(corpus_path, tmp_path / "second")).manifest["counts"]
         assert first["document_bytes"] == second["document_bytes"]
         docs = [normalize(raw) for raw in corpus]
-        arrays = sum(d.token_hashes.nbytes + d.token_spans.nbytes + d.raw_token_spans.nbytes for d in docs)
-        assert arrays == 24 * first["tokens"]
+        arrays = sum(d.token_hashes.nbytes + d.token_offsets.nbytes for d in docs)
+        assert arrays == 12 * first["tokens"] + 4 * len(docs)
         assert first["document_bytes"] == arrays + sum(sys.getsizeof(d.normalized_text) for d in docs)
 
     def test_corpus_is_read_once(self, tmp_path, monkeypatch):
@@ -489,10 +489,12 @@ class TestHotPathsReadNoTokenStrings:
         blobs["resumed"] = run_pipeline(config).cases_path.read_bytes()
         docs, _ = pipeline.load_documents(config)
         cases = run_alignment(docs, read_candidates(out / "ckpt" / "candidates.tsv"), config)
+        texts = {raw.doi: raw.text for raw in load_corpus_report(corpus_path)[0]}
         spans = []
         for doc in docs:
-            end = int(doc.raw_token_spans[-1, 1])
-            spans += [raw_span_to_normalized(doc, b, e) for b, e in ((0, 1), (3, 40), (end - 5, end))]
+            runs = raw_token_runs(texts[doc.doi])[0]
+            end = int(runs[-1, 1])
+            spans += [raw_span_to_normalized(doc, runs, b, e) for b, e in ((0, 1), (3, 40), (end - 5, end))]
         return blobs, cases, spans
 
     def test_outputs_unchanged_when_tokens_raise(self, tmp_path, monkeypatch):
@@ -778,6 +780,18 @@ class TestAlignmentFailures:
 
 
 class TestStats:
+    @pytest.mark.parametrize("output_mode", ["full", "metadata-only"])
+    def test_pipeline_stats_come_from_its_cases_not_the_file(self, tmp_path, monkeypatch, output_mode):
+        corpus_path, _, _ = synthetic_corpus_file(tmp_path)
+        scanned = []
+        scan = pipeline.scan_jsonl
+        monkeypatch.setattr(pipeline, "scan_jsonl", lambda path, *args: scanned.append(path) or scan(path, *args))
+        result = run_pipeline(base_config(corpus_path, tmp_path / "out", output_mode=output_mode))
+        assert scanned == []
+        assert json.loads(result.stats_path.read_text())["cases"] > 0
+        write_json(tmp_path / "read-back.json", summarize_cases(result.cases_path))
+        assert result.stats_path.read_bytes() == (tmp_path / "read-back.json").read_bytes()
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "cases.jsonl"
         path.write_text("")

@@ -7,7 +7,7 @@ from textreuse.ingest import document_record, normalize
 from textreuse.metrics import char_precision_recall
 from textreuse.synthgen import GenSpec, ObfuscationIntensity, generate, obfuscate_random, spec_record
 
-from conftest import detect_cases
+from conftest import detect_cases, token_spans
 
 
 def levenshtein(a, b):
@@ -163,9 +163,8 @@ class TestGenerate:
                 assert 0 <= begin < end <= doc.doc_length
                 text = doc.normalized_text[begin:end]
                 assert not text.startswith(" ") and not text.endswith(" ")
-                starts = {b for b, _ in doc.token_spans}
-                ends = {e for _, e in doc.token_spans}
-                assert begin in starts and end in ends
+                spans = token_spans(doc)
+                assert begin in {b for b, _ in spans} and end in {e for _, e in spans}
 
     def test_obfuscation_intensity_zero_equals_verbatim(self):
         spec = small_spec(obfuscation="random", intensity=ObfuscationIntensity())
