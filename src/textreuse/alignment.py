@@ -276,7 +276,8 @@ def align_pair(
     """Detect all reuse cases between two documents.
 
     Callers supply the pair in canonical (doi_a < doi_b) order; the output
-    labels sides by argument position and is sorted by (begin_a, begin_b).
+    labels sides by argument position and comes in ``extend``'s box order,
+    by (begin_a, end_a, begin_b, end_b).
     Precomputed ``window_hashes`` of either side are passed on to
     ``seed_matches``, which hashes a side left out.
     """

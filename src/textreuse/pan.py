@@ -58,7 +58,8 @@ def load_pan_corpus(base: str | Path) -> tuple[list[RawDocument], list[GoldAnnot
     A ``pairs`` line that is not two file names, or that repeats the
     document pair of an earlier line, raises ValueError naming
     ``pairs:line``; a feature whose range runs past the end of its text
-    raises ValueError naming its XML file."""
+    raises ValueError naming its XML file, and two XML files of one pair
+    raise ValueError naming both."""
     base = Path(base)
     pairs_file = base / "pairs"
     if not pairs_file.exists():
@@ -88,7 +89,10 @@ def load_pan_corpus(base: str | Path) -> tuple[list[RawDocument], list[GoldAnnot
             documents[doi] = (raw, normalize(raw), raw_token_runs(text)[0])
         return documents[doi]
 
-    xml_by_stem = {path.stem: path for path in base.rglob("*.xml")}
+    xml_by_stem: dict[str, Path] = {}
+    for path in sorted(base.rglob("*.xml")):
+        if (first := xml_by_stem.setdefault(path.stem, path)) != path:
+            raise ValueError(f"{first} and {path} both annotate pair {path.stem}")
 
     gold = []
     for susp_name, src_name in pair_names:

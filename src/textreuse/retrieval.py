@@ -15,8 +15,8 @@ that ``normalize`` computes once per document; no mode touches a token
 string. Two bag-of-words modes are kept as references. Both split documents
 into the same consecutive fixed-size passages (``_split_passages``), and a
 term is a word's ``token_hashes`` entry. ``retrieve_candidates_exact``
-builds the binary term×passage matrix as its distinct (term, passage)
-entries (``_passage_matrix``), enumerates exactly the pairs with a
+builds the binary term×passage matrix as the keys of its distinct (term,
+passage) entries (``_passage_matrix``), enumerates exactly the pairs with a
 passage-level overlap of at least ``min_shared_terms`` distinct terms, and
 doubles as the testing oracle for the sketched path. In ``minhash`` mode
 min-hash function j of a word is splitmix64's finalizer of its hash xor a
@@ -27,11 +27,12 @@ sketches collide is kept (``retrieve_candidates``). On Zipfian text
 frequent words win the min-hashes and nearly every document pair survives.
 
 Every mode, and alignment, reads its pairs off one sorted numpy join of a
-count matrix with itself (``cooccurring_pairs``), to which each caller
-hands its ``(row, column)`` entries as built; exact mode passes its
-threshold into the join, which drops the passage pairs below it block by
-block. Every mode returns its pairs in ascending ``(doi_a, doi_b)`` order.
-The package needs numpy alone.
+count matrix with itself (``cooccurring_pairs``), whose one input is the
+ascending ``row * columns + column`` keys that ``_entry_keys`` sorts once:
+window hashes by document, words by passage, sketch values by document.
+Exact mode passes its threshold into the join, which drops the passage
+pairs below it block by block. Every mode returns its pairs in ascending
+``(doi_a, doi_b)`` order. The package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -160,31 +161,18 @@ def _split_passages(docs: Sequence[Document], passage_size: int) -> tuple[np.nda
     return hashes, starts, owner
 
 
-def _passage_matrix(docs: Sequence[Document], passage_size: int) -> tuple:
-    """Binary term×passage matrix of a corpus as its entries ``(term,
-    passage)``, each passage's document index, and the number of terms.
+def _passage_matrix(docs: Sequence[Document], passage_size: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Binary term×passage matrix of a corpus as the join's keys ``term *
+    passages + passage``, distinct and ascending; each passage's document
+    index; and the number of terms.
 
-    Passage ``p`` is passage ``p`` of ``_split_passages``; entry ``k`` says
-    that it holds term ``term[k]``. The entries are distinct, ascend by
-    ``(term, passage)`` and are ``int32`` while the corpus has fewer than
-    2**31 tokens. Terms are word hashes numbered in hash order
-    (``_dense_ranks``), so two words that collide count as one term, which
-    can only add candidate pairs.
+    Passage ``p`` is passage ``p`` of ``_split_passages``. Terms are word
+    hashes numbered in hash order (``_entry_keys``), so two words that
+    collide count as one term, which can only add candidate pairs.
     """
     hashes, starts, owner = _split_passages(docs, passage_size)
-    term, terms = _dense_ranks(hashes)
-    index = term.dtype
-    passage = np.repeat(np.arange(owner.size, dtype=index), np.diff(starts, append=hashes.size))
-    del hashes
-    width = max(owner.size, 1)
-    keys = np.multiply(term, width, dtype=np.int64)
-    keys += passage
-    del term, passage
-    keys.sort()
-    keys = keys[_run_starts(keys)]
-    term, passage = np.empty_like(keys, dtype=index), np.empty_like(keys, dtype=index)
-    np.divmod(keys, width, out=(term, passage), casting="unsafe")
-    return term, passage, owner, terms
+    keys, terms = _entry_keys(hashes, np.arange(owner.size), np.diff(starts, append=hashes.size), owner.size)
+    return keys[_run_starts(keys)], owner, terms
 
 
 def sketch_corpus(
@@ -215,13 +203,12 @@ def sketch_corpus(
 
 @dataclass
 class PassageIndex:
-    """Inverted index over sketch values, as parallel entry arrays: entry
-    ``k`` places one passage of document ``owner[k]`` in posting
-    ``posting[k]``, the rank of its value among all distinct values, dropped
-    ones included. ``postings`` counts the kept values."""
+    """Inverted index over sketch values: one join key ``posting * width +
+    document`` per passage in a posting (its value's rank among all values,
+    dropped ones included), ascending. ``postings`` counts the kept values."""
 
-    posting: np.ndarray
-    owner: np.ndarray
+    keys: np.ndarray
+    width: int
     postings: int
     dropped_hashes: int = 0
 
@@ -238,51 +225,45 @@ def build_index(owner: np.ndarray, sketches: np.ndarray, df_cap: int = 1000) -> 
     ordered = np.sort(sketches, axis=1)
     first = np.ones(ordered.shape, dtype=bool)
     first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    posting, distinct = _dense_ranks(ordered[first])
-    entry_owner = np.broadcast_to(owner[:, None], ordered.shape)[first]
-    # Documents per value: the distinct (posting, owner) keys of each posting.
     width = int(owner.max()) + 1 if owner.size else 1
-    df = np.bincount(_sum_by_key(posting.astype(np.int64) * width + entry_owner)[0] // width, minlength=distinct)
+    keys, distinct = _entry_keys(ordered[first], owner, first.sum(axis=1), width)
+    # Documents per value: the distinct keys of each posting.
+    df = np.bincount(keys[_run_starts(keys)] // width, minlength=distinct)
     kept = df <= df_cap
     dropped = distinct - int(kept.sum())
     if dropped:
         log.warning("dropped %d over-frequent hash postings (df_cap=%d)", dropped, df_cap)
-    entries = kept[posting]
-    return PassageIndex(posting[entries], entry_owner[entries], distinct - dropped, dropped)
+    return PassageIndex(keys[kept[keys // width]], width, distinct - dropped, dropped)
 
 
 def retrieve_candidates(
     index: PassageIndex, dois: Sequence[str], *, counts: dict | None = None
 ) -> list[CandidatePair]:
     """All unordered document pairs co-occurring in at least one posting, in
-    ascending ``(doi_a, doi_b)`` order; ``index.owner`` indexes ``dois``.
+    ascending ``(doi_a, doi_b)`` order; the index's owners index ``dois``.
 
     Evidence counts distinct (hash value, passage pair) co-occurrences. With
     ``C[r, d]`` the number of posting ``r``'s entries from document ``d``,
     a pair's evidence is ``(C.T @ C)[a, b]`` (``cooccurring_pairs``, which
     records ``pair_visits`` in ``counts`` if given).
     """
-    a, b, weight = cooccurring_pairs(index.posting, index.owner, len(dois), counts=counts)
+    # The join overwrites its keys; a copy leaves the index usable again.
+    a, b, weight = cooccurring_pairs(index.keys.copy(), index.width, counts=counts)
     return _candidates(dois, a, b, weight)
 
 
 def cooccurring_pairs(
-    rows: ArrayLike,
-    cols: ArrayLike,
-    n_cols: int,
-    *,
-    counts: dict | None = None,
-    min_weight: int = 1,
+    keys: np.ndarray, n_cols: int, *, counts: dict | None = None, min_weight: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column pairs ``a < b`` that share a row, with their co-occurrence count.
 
-    Entry ``k`` places one count at ``C[rows[k], cols[k]]`` in a count
-    matrix ``C`` of ``n_cols`` columns, entries in any order. Row ids need
-    only be non-negative and equal for equal rows, not dense. Returns
-    parallel ``int64`` arrays ``(a, b, weight)`` in ascending ``(a, b)``
-    order over the strict upper triangle of ``Cᵀ C`` where it reaches
-    ``min_weight``: ``weight`` is the sum over rows ``r`` of
-    ``C[r, a] * C[r, b]``.
+    ``keys`` holds ``row * n_cols + col`` in ascending ``int64`` for each
+    count at ``C[row, col]`` of a count matrix ``C`` of ``n_cols`` columns
+    (``_entry_keys``): a key repeated m times is a cell of count m. Rows
+    need not be dense. The join overwrites ``keys``. Returns parallel
+    ``int64`` arrays ``(a, b, weight)`` in ascending ``(a, b)`` order over
+    the strict upper triangle of ``Cᵀ C`` where it reaches ``min_weight``:
+    ``weight`` is the sum over rows ``r`` of ``C[r, a] * C[r, b]``.
 
     A sorted join: the distinct entries of each row, with their counts, are
     expanded into that row's column pairs, and equal pairs are summed in
@@ -295,17 +276,11 @@ def cooccurring_pairs(
     visited as ``pair_visits``.
 
     Working memory is a block, the kept output, and arrays over the
-    entries, which set the peak: the ``row * n_cols + col`` keys, sorted in
-    place as ``int64``, then each distinct entry's column in the narrowest
+    distinct entries besides ``keys``: each one's column in the narrowest
     type that holds ``n_cols`` and ``int32`` indices (below 2**31 entries),
-    each temporary dropped before the next is built. On 100,000
-    term×passage entries tracemalloc sees a peak of about 24 bytes per
-    entry.
+    each dropped before the next is built. On 99,212 term×passage entries
+    tracemalloc sees a peak of 23.6 bytes per entry besides the keys.
     """
-    keys = np.array(rows, dtype=np.int64)
-    keys *= n_cols
-    keys += np.asarray(cols, dtype=np.int64)
-    keys.sort()
     index = _index_type(keys.size)
     # A run of equal keys is one cell; with no run longer than one, every
     # visit weighs one and a pair's weight is the number of its visits.
@@ -413,6 +388,24 @@ def _sum_by_key(keys: np.ndarray, weights: np.ndarray | None = None) -> tuple[np
     return keys[starts], np.add.reduceat(weights, starts)
 
 
+def _entry_keys(values: np.ndarray, owner: ArrayLike, lengths: ArrayLike, width: int) -> tuple[np.ndarray, int]:
+    """The ascending join keys of (value, owner) entries, and the number of
+    distinct values.
+
+    Run ``i`` of ``values`` holds the next ``lengths[i]`` values, each owned
+    by column ``owner[i]`` of ``width``; an entry's key is its value's rank
+    among the distinct ``values`` (``_dense_ranks``) times ``width``, plus
+    its owner. ``values`` is released once ranked, before any key exists.
+    """
+    rank, distinct = _dense_ranks(values)
+    del values
+    keys = np.multiply(rank, width, dtype=np.int64)
+    del rank
+    keys += np.repeat(owner, lengths)
+    keys.sort()
+    return keys, distinct
+
+
 def shared_hash_pairs(
     hashes: Sequence[np.ndarray], *, counts: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -424,12 +417,13 @@ def shared_hash_pairs(
     receives the number of distinct values as ``hash_postings`` and the
     join's ``pair_visits``.
     """
-    # The empty leading array lets an empty list concatenate too.
-    posting, distinct = _dense_ranks(np.concatenate([np.empty(0, np.uint64), *hashes]))
-    owner = np.repeat(np.arange(len(hashes), dtype=posting.dtype), [len(h) for h in hashes])
+    n = len(hashes)
+    lengths = np.fromiter(map(len, hashes), dtype=np.int64, count=n)
+    # Passed unnamed so that it is freed once ranked; the empty array lets an empty list concatenate.
+    keys, distinct = _entry_keys(np.concatenate([np.empty(0, np.uint64), *hashes]), np.arange(n), lengths, n)
     if counts is not None:
         counts["hash_postings"] = distinct
-    return cooccurring_pairs(posting, owner, len(hashes), counts=counts)
+    return cooccurring_pairs(keys, n, counts=counts)
 
 
 def retrieve_candidates_ngram(
@@ -482,7 +476,7 @@ def retrieve_candidates_exact(
     doi_b)`` order.
 
     The passage pairs come from ``cooccurring_pairs`` over the term×passage
-    entries of ``_passage_matrix`` at ``min_weight=min_shared_terms``;
+    keys of ``_passage_matrix`` at ``min_weight=min_shared_terms``;
     evidence counts qualifying passage pairs. Unlike sketching, all
     passages participate (including short trailing ones), so this mode is
     sound for downstream alignment at min_shared_terms=1. ``counts``, if
@@ -491,10 +485,10 @@ def retrieve_candidates_exact(
     """
     if min_shared_terms < 1:
         raise ValueError("min_shared_terms must be >= 1")
-    term, passage, owner, terms = _passage_matrix(docs, passage_size)
+    keys, owner, terms = _passage_matrix(docs, passage_size)
     if counts is not None:
         counts["passages"], counts["terms"] = owner.size, terms
-    a, b, _ = cooccurring_pairs(term, passage, owner.size, counts=counts, min_weight=min_shared_terms)
+    a, b, _ = cooccurring_pairs(keys, owner.size, counts=counts, min_weight=min_shared_terms)
     doc_a, doc_b = owner[a], owner[b]
     cross = doc_a != doc_b
     return _candidates([doc.doi for doc in docs], doc_a[cross], doc_b[cross])

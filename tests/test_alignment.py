@@ -22,6 +22,8 @@ from textreuse.alignment import (
     seed_matches,
     window_hashes,
 )
+from textreuse.pipeline import RunConfig, run_alignment
+from textreuse.retrieval import CandidatePair
 from textreuse.spans import bounding, gap, merge, overlaps, total_length
 
 from conftest import (
@@ -428,6 +430,18 @@ class TestAlignPair:
         elapsed = time.perf_counter() - start
         assert [(c.begin_a, c.end_a, c.begin_b, c.end_b) for c in cases] == [(0, 499, 0, 499)]
         assert elapsed < 2.0, f"align_pair took {elapsed:.2f} s"
+
+    def test_cases_come_in_box_order(self):
+        """A phrase of ``a`` that ``b`` holds twice, once inside a longer
+        match: ``align_pair`` orders its cases by (begin_a, end_a, begin_b,
+        end_b), and ``run_alignment`` re-sorts them by (begin_a, begin_b)."""
+        p, q, filler = alpha_words("pp", 12), alpha_words("q", 6), alpha_words("fil", 400)
+        a = doc_from_tokens(p + q, doi="a")
+        b = doc_from_tokens(p + q + filler + p, doi="b")
+        boxes = [((0, 71), (2902, 2973)), ((0, 101), (0, 101))]
+        assert [((c.begin_a, c.end_a), (c.begin_b, c.end_b)) for c in align_pair(a, b)] == boxes
+        cases = run_alignment([a, b], [CandidatePair("a", "b")], RunConfig(input="x", output_dir="y"))
+        assert [((c.begin_a, c.end_a), (c.begin_b, c.end_b)) for c in cases] == boxes[::-1]
 
     def test_symmetry_under_side_swap(self):
         paragraph = alpha_words("sh", 30)

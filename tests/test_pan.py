@@ -148,6 +148,17 @@ class TestLoadPanCorpus:
             f"{pairs}:3: pair source-document00001/suspicious-document00001 listed twice"
         )
 
+    def test_two_annotation_files_of_one_pair_name_both(self, tmp_path):
+        """A pair's gold must not depend on which of its files is read last."""
+        build_pan_dir(tmp_path)
+        (xml,) = (tmp_path / "02-no-obfuscation").glob("*.xml")
+        (tmp_path / "03-random-obfuscation").mkdir()
+        other = tmp_path / "03-random-obfuscation" / xml.name
+        other.write_text(xml.read_text(encoding="utf-8").replace('name="plagiarism"', 'name="other"'), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_pan_corpus(tmp_path)
+        assert str(info.value) == f"{xml} and {other} both annotate pair {xml.stem}"
+
     def test_malformed_xml_names_its_file(self, tmp_path):
         build_pan_dir(tmp_path)
         (xml,) = (tmp_path / "02-no-obfuscation").glob("*.xml")

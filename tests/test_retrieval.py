@@ -88,11 +88,12 @@ def sketch_lists():
 
 def matrix_rows(docs, passage_size):
     """``_passage_matrix`` as (doc index, set of term hashes) per passage;
-    its entries are distinct and ascend by (term, passage), and terms are
-    numbered in hash order."""
-    term, passage, owner, terms = _passage_matrix(docs, passage_size)
-    entries = list(zip(term.tolist(), passage.tolist()))
-    assert entries == sorted(set(entries))
+    its keys ``term * passages + passage`` are distinct and ascending, and
+    terms are numbered in hash order."""
+    keys, owner, terms = _passage_matrix(docs, passage_size)
+    assert keys.dtype == np.int64
+    assert keys.tolist() == sorted(set(keys.tolist()))
+    entries = [divmod(key, owner.size) for key in keys.tolist()]
     hashes = sorted({h for doc in docs for h in _token_hashes(doc.tokens).tolist()})
     assert terms == len(hashes)
     rows = [set() for _ in range(owner.size)]
@@ -107,9 +108,11 @@ def term_hashes(tokens):
 
 
 def index_entries(index):
-    """Kept postings of a ``PassageIndex``, as sorted lists of document indices."""
+    """Kept postings of a ``PassageIndex``, as sorted lists of document
+    indices; its keys ascend."""
+    assert index.keys.tolist() == sorted(index.keys.tolist())
     postings = defaultdict(list)
-    for posting, doc in zip(index.posting.tolist(), index.owner.tolist()):
+    for posting, doc in (divmod(key, index.width) for key in index.keys.tolist()):
         postings[posting].append(doc)
     return sorted(sorted(entries) for entries in postings.values())
 
@@ -140,8 +143,8 @@ class TestChunkPassages:
 
     def test_empty_document(self, rng, vocab):
         assert matrix_rows([doc_from_tokens([])], 50) == []
-        term, passage, owner, terms = _passage_matrix([], 50)
-        assert term.size == passage.size == owner.size == terms == 0
+        keys, owner, terms = _passage_matrix([], 50)
+        assert keys.size == owner.size == terms == 0
         # An empty document between two others owns no row.
         docs = [doc_from_tokens(random_words(rng, 60, vocab), doi=d) for d in "ab"]
         docs.insert(1, doc_from_tokens([], doi="e"))
@@ -157,7 +160,7 @@ class TestChunkPassages:
             (k, term_hashes(terms)) for k, doc in enumerate(docs) for terms in passage_term_sets(doc, 50)
         ]
         assert matrix_rows(docs, 50) == expected
-        assert _passage_matrix(docs, 50)[3] == len({t for doc in docs for t in doc.tokens})
+        assert _passage_matrix(docs, 50)[2] == len({t for doc in docs for t in doc.tokens})
 
     def test_passage_size_validated(self):
         with pytest.raises(ValueError):
@@ -247,7 +250,7 @@ class TestBuildIndex:
     def test_empty_stream(self):
         index = build_index(np.empty(0, np.int64), np.empty((0, 10), np.uint64))
         assert index.postings == index.dropped_hashes == 0
-        assert index.posting.size == index.owner.size == 0
+        assert index.keys.size == 0
 
     def test_one_sketch_ten_postings(self, rng, vocab):
         owner, sketches = sketch_corpus([doc_from_tokens(random_words(rng, 50, vocab))], 50, 10, seed=3)
@@ -324,6 +327,8 @@ class TestRetrieveCandidates:
         kept = capped_postings(postings, df_cap)
         assert got == brute_force_posting_pairs(kept)
         assert (index.postings, index.dropped_hashes) == (len(kept), len(postings) - len(kept))
+        # The join works on a copy of the index's keys.
+        assert retrieve_candidates(index, dois) == pairs
 
     def test_evidence_counts_hash_passage_cooccurrences(self):
         index = build_index(*hand_built([(0, [1, 2]), (1, [1, 2]), (1, [2, 9])]))
@@ -503,9 +508,10 @@ class TestCooccurringPairs:
             for a, b, weight in zip(oracle.row.tolist(), oracle.col.tolist(), oracle.data.tolist())
             if weight >= min_weight
         )
+        keys = np.sort(np.array(rows, dtype=np.int64) * shape[1] + np.array(cols, dtype=np.int64))
         record = {}
         with mock.patch.object(retrieval, "_JOIN_BLOCK", block):
-            a, b, weight = cooccurring_pairs(rows, cols, shape[1], counts=record, min_weight=min_weight)
+            a, b, weight = cooccurring_pairs(keys, shape[1], counts=record, min_weight=min_weight)
         assert list(zip(a.tolist(), b.tolist(), weight.tolist())) == expected
         assert a.dtype == b.dtype == weight.dtype == np.int64
         distinct = Counter(r for r, _ in set(zip(rows, cols)))
@@ -549,11 +555,11 @@ class TestJoinMemory:
         return [normalize(raw) for raw in corpus]
 
     def test_exact_join_bytes_per_entry(self, docs):
-        term, passage, owner, _ = _passage_matrix(docs, 50)
-        assert term.size > 80_000
+        keys, owner, _ = _passage_matrix(docs, 50)
+        assert keys.size > 80_000
         with mock.patch.object(retrieval, "_JOIN_BLOCK", 2**10):
-            peak = traced_peak(cooccurring_pairs, term, passage, owner.size, min_weight=9)
-        assert peak <= 48 * term.size
+            peak = traced_peak(cooccurring_pairs, keys, owner.size, min_weight=9)
+        assert peak <= 48 * keys.size
 
     def test_window_join_bytes_per_entry(self, docs):
         hashes = [window_hashes(doc, 3, 2) for doc in docs]
@@ -599,6 +605,44 @@ class TestNgramMode:
         for a, b in itertools.combinations(docs, 2):
             if align_pair(a, b, params):
                 assert (a.doi, b.doi) in candidates
+
+
+class TestDocumentOrder:
+    @pytest.mark.parametrize("mode", ["ngram", "exact", "minhash"])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        corpus=token_corpora(),
+        passage_size=st.integers(1, 60),
+        min_shared_terms=st.integers(1, 12),
+        df_cap=st.integers(1, 4),
+        num_hashes=st.integers(1, 17),
+        ngram_size=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_permuting_documents_changes_nothing(
+        self, mode, corpus, passage_size, min_shared_terms, df_cap, num_hashes, ngram_size, data
+    ):
+        """Documents are numbered in input order, and those numbers go into
+        every join key; the pairs, their evidence and the counts must not
+        depend on them."""
+        docs = [doc_from_tokens(tokens, doi=f"d{k}") for k, tokens in enumerate(corpus)]
+        config = RunConfig(
+            input="x",
+            output_dir="y",
+            retrieval_mode=mode,
+            passage_size=passage_size,
+            min_shared_terms=min_shared_terms,
+            df_cap=df_cap,
+            num_hashes=num_hashes,
+            ngram_size=ngram_size,
+            ngram_overlap=ngram_size - 1,
+        )
+        results = []
+        for order in (docs, data.draw(st.permutations(docs), label="permuted")):
+            counts = {}
+            pairs = run_retrieval(order, config, counts)
+            results.append(([(p.key, p.evidence) for p in pairs], counts))
+        assert results[0] == results[1]
 
 
 class TestMinhashVsExactAgreement:
