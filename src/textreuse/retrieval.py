@@ -30,8 +30,10 @@ Every mode, and alignment, reads its pairs off one sorted numpy join of a
 count matrix with itself (``cooccurring_pairs``), whose one input is the
 ascending ``row * columns + column`` keys that ``_entry_keys`` sorts once:
 window hashes by document, words by passage, sketch values by document.
-Exact mode passes its threshold into the join, which drops the passage
-pairs below it block by block. Every mode returns its pairs in ascending
+Exact mode passes its threshold into the join, which sorts each block of
+passage-pair visits and keeps a pair only where its run of equal keys
+reaches the threshold. No caller names the keys it hands the join, so they
+are freed as the join goes. Every mode returns its pairs in ascending
 ``(doi_a, doi_b)`` order. The package needs numpy alone.
 """
 
@@ -59,8 +61,9 @@ RETRIEVAL_NGRAM_SIZE = 3
 
 # Pair visits ``cooccurring_pairs`` expands at a time: besides its arrays
 # over the entries, its working memory is bounded by this plus its output,
-# not by the number of visits. Of 2**15 to 2**18, 2**16 ran exact mode's
-# join fastest on 1,000 documents.
+# not by the number of visits. On exact mode's 5.2 million visits over
+# 1,000 documents, blocks of 2**14 to 2**17 ran the join in 0.11-0.13 s and
+# 2**18 in 0.14 s (best of 7, three rounds).
 _JOIN_BLOCK = 2**16
 
 # Word hashes ``MinHasher.minima`` reduces at a time. On 1.0M hashes and 10
@@ -138,9 +141,11 @@ class MinHasher:
         return self.minima(_token_hashes(terms), [0])[0]
 
 
-def _split_passages(docs: Sequence[Document], passage_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The corpus's word hashes in token order, the offset of each
-    passage's first token in them, and each passage's document index.
+def _split_passages(docs: Sequence[Document], passage_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each passage's bounds in the corpus's word hashes in token order
+    (``_concatenate`` of the documents' ``token_hashes``): the offset of
+    every passage's first token, then the corpus's end; and each passage's
+    document index.
 
     Each document splits into consecutive passages of ``passage_size``
     tokens, the last possibly shorter, so every passage holds at least one
@@ -156,23 +161,34 @@ def _split_passages(docs: Sequence[Document], passage_size: int) -> tuple[np.nda
     # Passage k of its document starts k * passage_size tokens in.
     k = np.arange(owner.size) - (np.cumsum(passages) - passages)[owner]
     starts = (np.cumsum(lengths) - lengths)[owner] + k * passage_size
-    # The empty leading array lets an empty corpus concatenate too.
-    hashes = np.concatenate([np.empty(0, np.uint64), *(doc.token_hashes for doc in docs)])
-    return hashes, starts, owner
+    return np.append(starts, lengths.sum()), owner
 
 
-def _passage_matrix(docs: Sequence[Document], passage_size: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _concatenate(hashes: Iterable[np.ndarray]) -> np.ndarray:
+    """The ``uint64`` arrays ``hashes`` end to end; an empty iterable gives
+    an empty array."""
+    return np.concatenate([np.empty(0, np.uint64), *hashes])
+
+
+def _passage_matrix(docs: Sequence[Document], bounds: np.ndarray, counts: dict | None = None) -> np.ndarray:
     """Binary term×passage matrix of a corpus as the join's keys ``term *
-    passages + passage``, distinct and ascending; each passage's document
-    index; and the number of terms.
+    passages + passage``, distinct and ascending, over the passages that
+    ``bounds`` cuts (``_split_passages``).
 
-    Passage ``p`` is passage ``p`` of ``_split_passages``. Terms are word
-    hashes numbered in hash order (``_entry_keys``), so two words that
-    collide count as one term, which can only add candidate pairs.
+    Terms are word hashes numbered in hash order (``_entry_keys``), so two
+    words that collide count as one term, which can only add candidate
+    pairs. ``counts``, if given, receives the matrix shape as ``passages``
+    and ``terms``. The word hashes are passed to ``_entry_keys`` unnamed,
+    so that they are freed once ranked.
     """
-    hashes, starts, owner = _split_passages(docs, passage_size)
-    keys, terms = _entry_keys(hashes, np.arange(owner.size), np.diff(starts, append=hashes.size), owner.size)
-    return keys[_run_starts(keys)], owner, terms
+    passages = bounds.size - 1
+    keys, terms = _entry_keys(
+        _concatenate(doc.token_hashes for doc in docs), np.arange(passages), np.diff(bounds), passages
+    )
+    if counts is not None:
+        counts["passages"], counts["terms"] = passages, terms
+    fresh = _run_starts(keys)
+    return keys if fresh.all() else keys[fresh]
 
 
 def sketch_corpus(
@@ -193,7 +209,8 @@ def sketch_corpus(
     whose words all hash alike are skipped: a near-constant passage sketches
     to copies of a single hash and floods the index.
     """
-    hashes, starts, owner = _split_passages(docs, passage_size)
+    bounds, owner = _split_passages(docs, passage_size)
+    hashes, starts = _concatenate(doc.token_hashes for doc in docs), bounds[:-1]
     # Every passage is reduced, then passages are dropped: a reduceat over
     # the kept starts alone would fold each dropped passage into the one
     # before it.
@@ -270,16 +287,20 @@ def cooccurring_pairs(
     integers. The expansion runs by the lower column ``a``, whole columns
     and about ``_JOIN_BLOCK`` visits at a time, so each block holds every
     visit of its pairs and drops those below ``min_weight`` before it is
-    kept. Above 1, ``min_weight`` makes this the thresholded all-pairs
-    overlap query of Bayardo, Ma & Srikant (WWW 2007), without their prefix
-    filtering. ``counts``, if given, receives the number of column pairs
-    visited as ``pair_visits``.
+    kept: with every cell 1, by a run test on the block's sorted pair keys,
+    else by summing the weights of equal keys (``_sum_by_key``). Above 1,
+    ``min_weight`` makes this the thresholded all-pairs overlap query of
+    Bayardo, Ma & Srikant (WWW 2007), without their prefix filtering.
+    ``counts``, if given, receives the number of column pairs visited as
+    ``pair_visits``.
 
     Working memory is a block, the kept output, and arrays over the
     distinct entries besides ``keys``: each one's column in the narrowest
     type that holds ``n_cols`` and ``int32`` indices (below 2**31 entries),
-    each dropped before the next is built. On 99,212 term×passage entries
-    tracemalloc sees a peak of 23.6 bytes per entry besides the keys.
+    each dropped before the next is built. A block's visit offsets are its
+    own: no offset array spans the entries. On 99,212 term×passage
+    entries tracemalloc sees a peak of 18.2 bytes per entry besides the
+    keys.
     """
     index = _index_type(keys.size)
     # A run of equal keys is one cell; with no run longer than one, every
@@ -300,11 +321,14 @@ def cooccurring_pairs(
     col = np.empty(keys.size, dtype=np.min_scalar_type(max(n_cols - 1, 0)))
     np.remainder(keys, n_cols, out=col, casting="unsafe")
     keys //= n_cols
+    fresh = _run_starts(keys)
+    del keys
+    # The entries by column, rows ascending within each; sorted before the
+    # visit counts exist, when the fewest arrays are live.
+    by_col = np.argsort(col, kind="stable").astype(index)
     # Entry i visits each later entry of its row: a column above its own.
     # The k-th row, counting from 1, ends at ``ends[k]``, where the next
     # one starts.
-    fresh = _run_starts(keys)
-    del keys
     ends = np.flatnonzero(np.append(fresh, True)).astype(index)
     partners = ends[np.cumsum(fresh, dtype=index)]
     del fresh, ends
@@ -312,28 +336,44 @@ def cooccurring_pairs(
     visits = int(partners.sum())
     if counts is not None:
         counts["pair_visits"] = visits
-    # The entries that visit any, by column, rows ascending within each.
-    active = np.flatnonzero(partners).astype(index)
-    by_col = active[np.argsort(col[active], kind="stable")]
-    del active
+    # Only the entries that visit any are expanded.
     load = partners[by_col]
     del partners
-    before = np.cumsum(load, dtype=np.int64) - load
-    column_starts = np.flatnonzero(_run_starts(col[by_col]))
+    active = load > 0
+    by_col, load = by_col[active], load[active]
+    del active
     # Each block starts at the column whose visits cross the next multiple
     # of _JOIN_BLOCK, so it expands at most _JOIN_BLOCK plus one column's
     # visits, and no column is split between two blocks.
-    crossed = np.searchsorted(before[column_starts], np.arange(0, visits, _JOIN_BLOCK), side="right") - 1
+    column_starts = np.flatnonzero(_run_starts(col[by_col]))
+    totals = np.add.reduceat(load, column_starts, dtype=np.int64)
+    crossed = np.searchsorted(np.cumsum(totals) - totals, np.arange(0, visits, _JOIN_BLOCK), side="right") - 1
     bounds = column_starts[crossed[_run_starts(crossed)]].tolist()
     pairs, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for lo, hi in zip(bounds, [*bounds[1:], by_col.size]):
-        left = np.repeat(by_col[lo:hi], load[lo:hi])
-        right = left + 1 + np.arange(left.size) - np.repeat(before[lo:hi] - before[lo], load[lo:hi])
-        weight = None if cell is None else cell[left].astype(np.int64) * cell[right]
-        pair, weight = _sum_by_key(col[left].astype(np.int64) * n_cols + col[right], weight)
-        kept = weight >= min_weight
-        pairs.append(pair[kept])
-        weights.append(weight[kept])
+        entry, n = by_col[lo:hi], load[lo:hi]
+        # Entry e's visits are the block's visits from ``ends - n`` on, and
+        # its j-th one pairs it with entry e + 1 + j.
+        ends = np.cumsum(n, dtype=np.int64)
+        right = np.repeat(entry + 1 - (ends - n), n)
+        right += np.arange(right.size)
+        pair = np.repeat(col[entry].astype(np.int64) * n_cols, n)
+        pair += col[right]
+        if cell is None and min_weight > 1:
+            # Every visit weighs one: a pair reaches min_weight where its
+            # run of equal keys does, and its weight is that run's length.
+            pair.sort()
+            tail = pair[min_weight - 1 :]
+            kept = tail[pair[: tail.size] == tail]
+            kept = kept[_run_starts(kept)]
+            weight = np.searchsorted(pair, kept, side="right") - np.searchsorted(pair, kept)
+        else:
+            weight = None if cell is None else np.repeat(cell[entry].astype(np.int64), n) * cell[right]
+            kept, weight = _sum_by_key(pair, weight)
+            reach = weight >= min_weight
+            kept, weight = kept[reach], weight[reach]
+        pairs.append(kept)
+        weights.append(weight)
     a, b = np.divmod(np.concatenate(pairs), n_cols)
     return a, b, np.concatenate(weights)
 
@@ -375,10 +415,11 @@ def _sum_by_key(keys: np.ndarray, weights: np.ndarray | None = None) -> tuple[np
 
     Sorts rather than calling ``np.unique``: numpy >= 2.3 answers a plain
     ``np.unique`` from a hash table, which took 85 ms against the sort's
-    3 ms on the minhash index keys of a 1,000-document corpus.
+    3 ms on the minhash index keys of a 1,000-document corpus. Without
+    ``weights`` the sort is in place.
     """
     if weights is None:
-        keys = np.sort(keys)
+        keys.sort()
     else:
         order = np.argsort(keys)
         keys, weights = keys[order], weights[order]
@@ -417,13 +458,20 @@ def shared_hash_pairs(
     receives the number of distinct values as ``hash_postings`` and the
     join's ``pair_visits``.
     """
+    # Passed unnamed, the keys are freed as the join goes.
+    return cooccurring_pairs(_hash_keys(hashes, counts), len(hashes), counts=counts)
+
+
+def _hash_keys(hashes: Sequence[np.ndarray], counts: dict | None) -> np.ndarray:
+    """``shared_hash_pairs``'s join keys ``value * len(hashes) + array``;
+    ``counts``, if given, receives the number of distinct values as
+    ``hash_postings``."""
     n = len(hashes)
     lengths = np.fromiter(map(len, hashes), dtype=np.int64, count=n)
-    # Passed unnamed so that it is freed once ranked; the empty array lets an empty list concatenate.
-    keys, distinct = _entry_keys(np.concatenate([np.empty(0, np.uint64), *hashes]), np.arange(n), lengths, n)
+    keys, distinct = _entry_keys(_concatenate(hashes), np.arange(n), lengths, n)
     if counts is not None:
         counts["hash_postings"] = distinct
-    return cooccurring_pairs(keys, n, counts=counts)
+    return keys
 
 
 def retrieve_candidates_ngram(
@@ -485,10 +533,11 @@ def retrieve_candidates_exact(
     """
     if min_shared_terms < 1:
         raise ValueError("min_shared_terms must be >= 1")
-    keys, owner, terms = _passage_matrix(docs, passage_size)
-    if counts is not None:
-        counts["passages"], counts["terms"] = owner.size, terms
-    a, b, _ = cooccurring_pairs(keys, owner.size, counts=counts, min_weight=min_shared_terms)
+    bounds, owner = _split_passages(docs, passage_size)
+    # Passed unnamed, the keys are freed as the join goes.
+    a, b, _ = cooccurring_pairs(
+        _passage_matrix(docs, bounds, counts), owner.size, counts=counts, min_weight=min_shared_terms
+    )
     doc_a, doc_b = owner[a], owner[b]
     cross = doc_a != doc_b
     return _candidates([doc.doi for doc in docs], doc_a[cross], doc_b[cross])

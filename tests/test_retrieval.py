@@ -24,6 +24,7 @@ from textreuse.retrieval import (
     MinHasher,
     _dense_ranks,
     _passage_matrix,
+    _split_passages,
     build_index,
     cooccurring_pairs,
     retrieve_candidates,
@@ -86,11 +87,21 @@ def sketch_lists():
     return st.tuples(st.integers(1, 8), st.integers(1, 6)).flatmap(sketches)
 
 
+def passage_matrix(docs, passage_size):
+    """``_passage_matrix``'s keys over ``_split_passages``, each passage's
+    document index, and the number of terms."""
+    bounds, owner = _split_passages(docs, passage_size)
+    counts = {}
+    keys = _passage_matrix(docs, bounds, counts)
+    assert counts["passages"] == owner.size
+    return keys, owner, counts["terms"]
+
+
 def matrix_rows(docs, passage_size):
     """``_passage_matrix`` as (doc index, set of term hashes) per passage;
     its keys ``term * passages + passage`` are distinct and ascending, and
     terms are numbered in hash order."""
-    keys, owner, terms = _passage_matrix(docs, passage_size)
+    keys, owner, terms = passage_matrix(docs, passage_size)
     assert keys.dtype == np.int64
     assert keys.tolist() == sorted(set(keys.tolist()))
     entries = [divmod(key, owner.size) for key in keys.tolist()]
@@ -143,7 +154,7 @@ class TestChunkPassages:
 
     def test_empty_document(self, rng, vocab):
         assert matrix_rows([doc_from_tokens([])], 50) == []
-        keys, owner, terms = _passage_matrix([], 50)
+        keys, owner, terms = passage_matrix([], 50)
         assert keys.size == owner.size == terms == 0
         # An empty document between two others owns no row.
         docs = [doc_from_tokens(random_words(rng, 60, vocab), doi=d) for d in "ab"]
@@ -160,11 +171,11 @@ class TestChunkPassages:
             (k, term_hashes(terms)) for k, doc in enumerate(docs) for terms in passage_term_sets(doc, 50)
         ]
         assert matrix_rows(docs, 50) == expected
-        assert _passage_matrix(docs, 50)[2] == len({t for doc in docs for t in doc.tokens})
+        assert passage_matrix(docs, 50)[2] == len({t for doc in docs for t in doc.tokens})
 
     def test_passage_size_validated(self):
         with pytest.raises(ValueError):
-            _passage_matrix([], 0)
+            _split_passages([], 0)
         with pytest.raises(ValueError):
             sketch_corpus([], 0)
 
@@ -418,6 +429,7 @@ class TestExactMode:
     @example(corpus=[[], ["taaa"] * 3, [], ["taaa", "taab"], []], passage_size=1, min_shared_terms=1, block=1)
     @example(corpus=[["taaa"] * 3, ["taaa", "taab"]], passage_size=3, min_shared_terms=2, block=3)
     @example(corpus=[[], []], passage_size=5, min_shared_terms=1, block=retrieval._JOIN_BLOCK)
+    @example(corpus=[["taaa"] * 4], passage_size=1, min_shared_terms=5, block=1)
     def test_matches_brute_force_on_any_shape(self, corpus, passage_size, min_shared_terms, block):
         """At the default join block and at blocks far smaller than one
         passage's visits."""
@@ -468,10 +480,11 @@ def brute_force_ngram_pairs(docs, n):
 
 @st.composite
 def count_entries(draw):
-    """A (rows, cols, shape) count matrix of up to 7×7 cells, cells repeated."""
+    """A (rows, cols, shape) count matrix of up to 7×7 cells, cells repeated
+    or, in a binary matrix, not."""
     shape = (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
     cell = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
-    entries = draw(st.lists(cell, max_size=60))
+    entries = draw(st.lists(cell, max_size=60, unique=draw(st.booleans())))
     return [r for r, _ in entries], [c for _, c in entries], shape
 
 
@@ -486,11 +499,19 @@ WIDE = (
 
 class TestCooccurringPairs:
     @settings(max_examples=300, deadline=None)
-    @given(matrix=count_entries(), block=st.sampled_from([1, 2, 3, 5, 2**18]), min_weight=st.integers(1, 4))
+    @given(matrix=count_entries(), block=st.sampled_from([1, 2, 3, 5, 2**18]), min_weight=st.integers(1, 12))
     @example(matrix=([], [], (3, 4)), block=2**18, min_weight=1)
     @example(matrix=([0, 1, 2, 2], [0, 0, 0, 0], (3, 1)), block=1, min_weight=1)
     @example(matrix=([0, 0, 0, 0, 1, 1], [2, 2, 0, 1, 0, 2], (2, 3)), block=2**18, min_weight=2)
     @example(matrix=([0] * 7 + [1] * 5, list(range(7)) + list(range(5)), (2, 7)), block=4, min_weight=2)
+    # Binary cells, one column a block: blocks of 3, 2 and 1 visits, each
+    # fewer than min_weight - 1.
+    @example(matrix=([0] * 4, [0, 1, 2, 3], (1, 4)), block=1, min_weight=5)
+    @example(matrix=([0] * 4, [0, 1, 2, 3], (1, 4)), block=1, min_weight=12)
+    # Binary cells: a block of exactly min_weight visits, of one pair, then
+    # of two pairs that reach min_weight only together.
+    @example(matrix=([0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 0, 1], (3, 2)), block=1, min_weight=3)
+    @example(matrix=([0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2], (2, 3)), block=1, min_weight=4)
     # More than 2**16 columns: the join sorts on keys wider than 16 bits.
     @example(matrix=WIDE, block=1, min_weight=1)
     @example(matrix=WIDE, block=1, min_weight=2)
@@ -555,11 +576,19 @@ class TestJoinMemory:
         return [normalize(raw) for raw in corpus]
 
     def test_exact_join_bytes_per_entry(self, docs):
-        keys, owner, _ = _passage_matrix(docs, 50)
+        keys, owner, _ = passage_matrix(docs, 50)
         assert keys.size > 80_000
         with mock.patch.object(retrieval, "_JOIN_BLOCK", 2**10):
             peak = traced_peak(cooccurring_pairs, keys, owner.size, min_weight=9)
         assert peak <= 48 * keys.size
+
+    def test_whole_exact_call_bytes_per_token(self, docs):
+        """Hashes, keys and join together: no caller keeps the word hashes
+        once ranked, or the keys once handed to the join."""
+        tokens = sum(doc.token_hashes.size for doc in docs)
+        with mock.patch.object(retrieval, "_JOIN_BLOCK", 2**10):
+            peak = traced_peak(retrieve_candidates_exact, docs, 50, 9)
+        assert peak <= 28 * tokens
 
     def test_window_join_bytes_per_entry(self, docs):
         hashes = [window_hashes(doc, 3, 2) for doc in docs]
