@@ -30,10 +30,11 @@ Every mode, and alignment, reads its pairs off one sorted numpy join of a
 count matrix with itself (``cooccurring_pairs``), whose one input is the
 ascending ``row * columns + column`` keys that ``_entry_keys`` sorts once:
 window hashes by document, words by passage, sketch values by document.
-Exact mode passes its threshold into the join, which sorts each block of
-passage-pair visits and keeps a pair only where its run of equal keys
-reaches the threshold. No caller names the keys it hands the join, so they
-are freed as the join goes. Every mode returns its pairs in ascending
+Exact mode passes its threshold into the join, which drops the passage
+pairs below it block by block. No caller names the keys it hands the join:
+on CPython 3.11 and later, which move a call's arguments into the callee's
+frame, they are freed as the join goes; 3.10 keeps them on the caller's
+stack until the call returns. Every mode returns its pairs in ascending
 ``(doi_a, doi_b)`` order. The package needs numpy alone.
 """
 
@@ -62,8 +63,8 @@ RETRIEVAL_NGRAM_SIZE = 3
 # Pair visits ``cooccurring_pairs`` expands at a time: besides its arrays
 # over the entries, its working memory is bounded by this plus its output,
 # not by the number of visits. On exact mode's 5.2 million visits over
-# 1,000 documents, blocks of 2**14 to 2**17 ran the join in 0.11-0.13 s and
-# 2**18 in 0.14 s (best of 7, three rounds).
+# 1,000 documents, blocks of 2**14 to 2**16 ran the join in 0.14-0.16 s,
+# 2**17 in 0.18 s and 2**18 in 0.23-0.29 s (best of 7, three rounds).
 _JOIN_BLOCK = 2**16
 
 # Word hashes ``MinHasher.minima`` reduces at a time. On 1.0M hashes and 10
@@ -170,23 +171,24 @@ def _concatenate(hashes: Iterable[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.empty(0, np.uint64), *hashes])
 
 
-def _passage_matrix(docs: Sequence[Document], bounds: np.ndarray, counts: dict | None = None) -> np.ndarray:
+def _passage_matrix(docs: Sequence[Document], passage_size: int, counts: dict | None = None) -> np.ndarray:
     """Binary term×passage matrix of a corpus as the join's keys ``term *
-    passages + passage``, distinct and ascending, over the passages that
-    ``bounds`` cuts (``_split_passages``).
+    passages + passage``, distinct and ascending.
 
-    Terms are word hashes numbered in hash order (``_entry_keys``), so two
-    words that collide count as one term, which can only add candidate
-    pairs. ``counts``, if given, receives the matrix shape as ``passages``
-    and ``terms``. The word hashes are passed to ``_entry_keys`` unnamed,
-    so that they are freed once ranked.
+    Passage ``p`` is passage ``p`` of ``_split_passages``. Terms are word
+    hashes numbered in hash order (``_entry_keys``), so two words that
+    collide count as one term, which can only add candidate pairs.
+    ``counts``, if given, receives the matrix shape as ``passages`` and
+    ``terms``.
     """
-    passages = bounds.size - 1
-    keys, terms = _entry_keys(
-        _concatenate(doc.token_hashes for doc in docs), np.arange(passages), np.diff(bounds), passages
-    )
+    bounds, owner = _split_passages(docs, passage_size)
+    passages = owner.size
     if counts is not None:
-        counts["passages"], counts["terms"] = passages, terms
+        counts["passages"] = passages
+    # Passed unnamed, the word hashes are freed once ranked.
+    keys = _entry_keys(
+        _concatenate(doc.token_hashes for doc in docs), np.arange(passages), np.diff(bounds), passages, counts, "terms"
+    )
     fresh = _run_starts(keys)
     return keys if fresh.all() else keys[fresh]
 
@@ -243,9 +245,11 @@ def build_index(owner: np.ndarray, sketches: np.ndarray, df_cap: int = 1000) -> 
     first = np.ones(ordered.shape, dtype=bool)
     first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     width = int(owner.max()) + 1 if owner.size else 1
-    keys, distinct = _entry_keys(ordered[first], owner, first.sum(axis=1), width)
-    # Documents per value: the distinct keys of each posting.
-    df = np.bincount(keys[_run_starts(keys)] // width, minlength=distinct)
+    keys = _entry_keys(ordered[first], owner, first.sum(axis=1), width)
+    # Documents per value: the distinct keys of each posting, one count for
+    # every distinct value.
+    df = np.bincount(keys[_run_starts(keys)] // width)
+    distinct = df.size
     kept = df <= df_cap
     dropped = distinct - int(kept.sum())
     if dropped:
@@ -287,12 +291,10 @@ def cooccurring_pairs(
     integers. The expansion runs by the lower column ``a``, whole columns
     and about ``_JOIN_BLOCK`` visits at a time, so each block holds every
     visit of its pairs and drops those below ``min_weight`` before it is
-    kept: with every cell 1, by a run test on the block's sorted pair keys,
-    else by summing the weights of equal keys (``_sum_by_key``). Above 1,
-    ``min_weight`` makes this the thresholded all-pairs overlap query of
-    Bayardo, Ma & Srikant (WWW 2007), without their prefix filtering.
-    ``counts``, if given, receives the number of column pairs visited as
-    ``pair_visits``.
+    kept. Above 1, ``min_weight`` makes this the thresholded all-pairs
+    overlap query of Bayardo, Ma & Srikant (WWW 2007), without their prefix
+    filtering. ``counts``, if given, receives the number of column pairs
+    visited as ``pair_visits``.
 
     Working memory is a block, the kept output, and arrays over the
     distinct entries besides ``keys``: each one's column in the narrowest
@@ -359,21 +361,11 @@ def cooccurring_pairs(
         right += np.arange(right.size)
         pair = np.repeat(col[entry].astype(np.int64) * n_cols, n)
         pair += col[right]
-        if cell is None and min_weight > 1:
-            # Every visit weighs one: a pair reaches min_weight where its
-            # run of equal keys does, and its weight is that run's length.
-            pair.sort()
-            tail = pair[min_weight - 1 :]
-            kept = tail[pair[: tail.size] == tail]
-            kept = kept[_run_starts(kept)]
-            weight = np.searchsorted(pair, kept, side="right") - np.searchsorted(pair, kept)
-        else:
-            weight = None if cell is None else np.repeat(cell[entry].astype(np.int64), n) * cell[right]
-            kept, weight = _sum_by_key(pair, weight)
-            reach = weight >= min_weight
-            kept, weight = kept[reach], weight[reach]
-        pairs.append(kept)
-        weights.append(weight)
+        weight = None if cell is None else np.repeat(cell[entry].astype(np.int64), n) * cell[right]
+        pair, weight = _sum_by_key(pair, weight)
+        kept = weight >= min_weight
+        pairs.append(pair[kept])
+        weights.append(weight[kept])
     a, b = np.divmod(np.concatenate(pairs), n_cols)
     return a, b, np.concatenate(weights)
 
@@ -429,22 +421,32 @@ def _sum_by_key(keys: np.ndarray, weights: np.ndarray | None = None) -> tuple[np
     return keys[starts], np.add.reduceat(weights, starts)
 
 
-def _entry_keys(values: np.ndarray, owner: ArrayLike, lengths: ArrayLike, width: int) -> tuple[np.ndarray, int]:
-    """The ascending join keys of (value, owner) entries, and the number of
-    distinct values.
+def _entry_keys(
+    values: np.ndarray,
+    owner: ArrayLike,
+    lengths: ArrayLike,
+    width: int,
+    counts: dict | None = None,
+    name: str = "",
+) -> np.ndarray:
+    """The ascending join keys of (value, owner) entries.
 
     Run ``i`` of ``values`` holds the next ``lengths[i]`` values, each owned
     by column ``owner[i]`` of ``width``; an entry's key is its value's rank
     among the distinct ``values`` (``_dense_ranks``) times ``width``, plus
-    its owner. ``values`` is released once ranked, before any key exists.
+    its owner, so every rank below the number of distinct values has a key.
+    ``values`` is released once ranked, before any key exists. ``counts``,
+    if given, receives the number of distinct values as ``name``.
     """
     rank, distinct = _dense_ranks(values)
     del values
+    if counts is not None:
+        counts[name] = distinct
     keys = np.multiply(rank, width, dtype=np.int64)
     del rank
     keys += np.repeat(owner, lengths)
     keys.sort()
-    return keys, distinct
+    return keys
 
 
 def shared_hash_pairs(
@@ -458,20 +460,13 @@ def shared_hash_pairs(
     receives the number of distinct values as ``hash_postings`` and the
     join's ``pair_visits``.
     """
-    # Passed unnamed, the keys are freed as the join goes.
-    return cooccurring_pairs(_hash_keys(hashes, counts), len(hashes), counts=counts)
-
-
-def _hash_keys(hashes: Sequence[np.ndarray], counts: dict | None) -> np.ndarray:
-    """``shared_hash_pairs``'s join keys ``value * len(hashes) + array``;
-    ``counts``, if given, receives the number of distinct values as
-    ``hash_postings``."""
     n = len(hashes)
     lengths = np.fromiter(map(len, hashes), dtype=np.int64, count=n)
-    keys, distinct = _entry_keys(_concatenate(hashes), np.arange(n), lengths, n)
-    if counts is not None:
-        counts["hash_postings"] = distinct
-    return keys
+    # Passed unnamed, the concatenation is freed once ranked and the keys as
+    # the join goes.
+    return cooccurring_pairs(
+        _entry_keys(_concatenate(hashes), np.arange(n), lengths, n, counts, "hash_postings"), n, counts=counts
+    )
 
 
 def retrieve_candidates_ngram(
@@ -533,10 +528,10 @@ def retrieve_candidates_exact(
     """
     if min_shared_terms < 1:
         raise ValueError("min_shared_terms must be >= 1")
-    bounds, owner = _split_passages(docs, passage_size)
+    owner = _split_passages(docs, passage_size)[1]
     # Passed unnamed, the keys are freed as the join goes.
     a, b, _ = cooccurring_pairs(
-        _passage_matrix(docs, bounds, counts), owner.size, counts=counts, min_weight=min_shared_terms
+        _passage_matrix(docs, passage_size, counts), owner.size, counts=counts, min_weight=min_shared_terms
     )
     doc_a, doc_b = owner[a], owner[b]
     cross = doc_a != doc_b

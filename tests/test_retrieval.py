@@ -88,11 +88,11 @@ def sketch_lists():
 
 
 def passage_matrix(docs, passage_size):
-    """``_passage_matrix``'s keys over ``_split_passages``, each passage's
-    document index, and the number of terms."""
-    bounds, owner = _split_passages(docs, passage_size)
+    """``_passage_matrix``'s keys, each passage's document index
+    (``_split_passages``), and the number of terms."""
     counts = {}
-    keys = _passage_matrix(docs, bounds, counts)
+    keys = _passage_matrix(docs, passage_size, counts)
+    owner = _split_passages(docs, passage_size)[1]
     assert counts["passages"] == owner.size
     return keys, owner, counts["terms"]
 
@@ -175,7 +175,7 @@ class TestChunkPassages:
 
     def test_passage_size_validated(self):
         with pytest.raises(ValueError):
-            _split_passages([], 0)
+            _passage_matrix([], 0)
         with pytest.raises(ValueError):
             sketch_corpus([], 0)
 
@@ -584,7 +584,11 @@ class TestJoinMemory:
 
     def test_whole_exact_call_bytes_per_token(self, docs):
         """Hashes, keys and join together: no caller keeps the word hashes
-        once ranked, or the keys once handed to the join."""
+        once ranked, or the keys once handed to the join. The peak is in
+        ranking the word hashes, about three 8-byte arrays per token. With
+        numpy 2.4 it read 25.9 bytes per token on CPython 3.11, and 26.3
+        with each caller's arguments held through the call, as CPython 3.10
+        holds them; 31.7 when the callers kept their keys."""
         tokens = sum(doc.token_hashes.size for doc in docs)
         with mock.patch.object(retrieval, "_JOIN_BLOCK", 2**10):
             peak = traced_peak(retrieve_candidates_exact, docs, 50, 9)
