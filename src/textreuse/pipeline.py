@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import math
+import time
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 from .alignment import (
     AlignmentParams, ReuseCase, align_pair, case_from_record, case_namespace, case_record, window_hashes
 )
-from .ingest import Document, length_filter, load_corpus_report, normalize
+from .ingest import Document, LoadReport, length_filter, normalize_corpus, read_corpus
 from .jsonl import atomic_open, scan_jsonl, write_json, write_jsonl
 from .retrieval import (
     RETRIEVAL_NGRAM_SIZE,
@@ -110,25 +111,26 @@ class PipelineResult:
 def load_documents(config: RunConfig, corpus: dict | None = None) -> tuple[list[Document], dict]:
     """Load, normalize and length-filter the corpus; returns (docs, counts).
 
+    Records are normalized as they are read, one batch at a time
+    (``normalize_corpus``), so no raw text outlives its batch.
+
     ``counts`` holds, besides the document and record tallies, the tokens
     of the documents used and their ``document_bytes`` (``Document.nbytes``).
     ``corpus``, if given, receives ``digest``, the hash of the corpus files
     as read (``LoadReport.digest``), which keys the retrieval checkpoint.
     """
-    raw_docs, report = load_corpus_report(config.input)
+    report = LoadReport()
+    # Of a doi read twice, the last record is kept at the place of the
+    # first; None marks a document the length filter drops.
+    by_doi: dict[str, Document | None] = {}
+    for doc in normalize_corpus(read_corpus(config.input, report)):
+        by_doi[doc.doi] = doc if length_filter(doc, config.min_words, config.max_words) else None
     if corpus is not None:
         corpus["digest"] = report.digest
-    docs = []
-    filtered = 0
-    for raw in raw_docs:
-        doc = normalize(raw)
-        if length_filter(doc, config.min_words, config.max_words):
-            docs.append(doc)
-        else:
-            filtered += 1
+    docs = [doc for doc in by_doi.values() if doc is not None]
     counts = {
-        "documents_loaded": len(raw_docs),
-        "documents_filtered": filtered,
+        "documents_loaded": len(by_doi),
+        "documents_filtered": len(by_doi) - len(docs),
         "documents_used": len(docs),
         "records_malformed": report.malformed,
         "duplicate_dois": report.duplicates,
@@ -247,6 +249,12 @@ def publication_record(doc: Document) -> dict:
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Run the full pipeline.
 
+    The manifest's ``timings`` holds the wall seconds of each stage, also
+    logged: ``load_s`` (load and normalize), ``retrieve_s`` (or reading the
+    checkpoint), ``align_s`` and ``emit_s`` (cases, publications and stats;
+    not the manifest). They differ between runs; ``config`` and ``counts``
+    do not.
+
     With a checkpoint directory set, a rerun picks the candidate file up and
     skips retrieval; a checkpoint written under a different configuration or
     corpus is refused.
@@ -255,8 +263,19 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    timings: dict[str, float] = {}
+    clock = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        timings[stage] = round(now - clock, 6)
+        log.info("%s took %.3f s", stage, timings[stage])
+        clock = now
+
     corpus: dict = {}
     docs, counts = load_documents(config, corpus)
+    lap("load_s")
     fingerprint = _retrieval_fingerprint(config, corpus["digest"])
 
     checkpoint_dir = Path(config.checkpoint_dir) if config.checkpoint_dir else None
@@ -287,6 +306,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             with atomic_open(state_path) as fh:
                 fh.write(json.dumps(state, sort_keys=True) + "\n")
 
+    lap("retrieve_s")
+
     total_pairs = math.comb(len(docs), 2)
     counts["candidate_pairs"] = len(pairs)
     counts["pruning_ratio"] = round(1.0 - len(pairs) / total_pairs, 6) if total_pairs else 1.0
@@ -294,6 +315,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     cases = run_alignment(docs, pairs, config, counts)
     counts["cases"] = len(cases)
     counts["pairs_with_cases"] = len({case.pair_key for case in cases})
+    lap("align_s")
 
     # Every output appears whole or not at all; the manifest vouches for the
     # others, so a stale one is removed first and the new one written last.
@@ -306,8 +328,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     write_jsonl(publications_path, (publication_record(d) for d in sorted(docs, key=lambda d: d.doi)))
     stats_path = out_dir / "stats.json"
     write_json(stats_path, case_stats(cases))
+    lap("emit_s")
 
-    manifest = {"config": asdict(config), "counts": counts}
+    manifest = {"config": asdict(config), "counts": counts, "timings": timings}
     write_json(manifest_path, manifest)
     return PipelineResult(
         manifest=manifest,

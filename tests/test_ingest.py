@@ -1,10 +1,15 @@
 import hashlib
 import json
 import logging
+import random
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import textreuse.ingest as ingest
@@ -15,10 +20,13 @@ from textreuse.ingest import (
     length_filter,
     load_corpus_report,
     normalize,
+    normalize_corpus,
     parse_record,
     raw_token_runs,
 )
+from textreuse.jsonl import write_jsonl
 from textreuse.pan import raw_span_to_normalized
+from textreuse.pipeline import RunConfig, load_documents
 
 from conftest import ASCII_TEXT, EDGE_ALPHABET, make_doc, mixed_examples, reference_normalize, splitmix, token_spans
 
@@ -157,6 +165,103 @@ class TestNormalizeSpans:
     @settings(max_examples=300, deadline=None)
     def test_raw_spans_fold_to_tokens(self, text):
         check_offsets(text)
+
+
+def assert_normalized_alone(doc, raw):
+    """``doc`` is ``normalize(raw)``, field for field and byte for byte, and
+    holds its own arrays, so nothing of a batch stays alive through it."""
+    alone = normalize(raw)
+    assert doc.doi == raw.doi
+    assert doc.normalized_text == alone.normalized_text
+    assert list(doc.tokens) == reference_normalize(raw.text)
+    for name in ("token_hashes", "token_offsets"):
+        got, want = getattr(doc, name), getattr(alone, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert got.base is None
+    assert doc.nbytes == alone.nbytes  # the text is as compact as normalized alone
+    assert (doc.year, doc.field, doc.area, doc.discipline) == (raw.year, raw.field, raw.area, raw.discipline)
+
+
+class TestBatches:
+    """Documents normalized in a batch equal each normalized alone. The batch
+    constant is a few characters here, so batches end at every place a
+    document can."""
+
+    @given(
+        st.lists(
+            st.one_of(st.text(max_size=30), st.text(alphabet=EDGE_ALPHABET, max_size=20), ASCII_TEXT),
+            max_size=8,
+        ),
+        st.integers(1, 24),
+    )
+    @example(["ΟΔΟΣ ΑΣ", "Σοφία ΑΣ", "ΑΣ"], 4)  # a final sigma before a document starting with a letter
+    @example(["ΑΣ", "ʰΣ", "Σʰ", "Β"], 100)  # the modifier letter is case-ignorable
+    @example(["İ", "İstanbul", "aİ", "İ\u0307", "İ"], 3)  # U+0130 at either edge
+    @example(["a\ud800", "\udc00b", "\ud83d", "\ude00"], 50)  # lone surrogates at the edges
+    @example(["", "123 -- 4.5!", "", "  ", "x", ""], 2)  # no text, and no letters
+    @example(["naïve " * 12, "word", "ΟΔΟΣ " * 9], 16)  # documents longer than a batch
+    @example(["abc", "de", "f", "ghi"], 4)  # "abc" and its space end the first batch at the constant
+    @example(["北京 ab", "plain ascii", "Москва"], 100)  # one batch of wide and ASCII documents
+    @settings(max_examples=200, deadline=None)
+    def test_each_document_as_normalized_alone(self, texts, batch_chars):
+        raws = [RawDocument(doi=f"d{i}", text=text, year=i) for i, text in enumerate(texts)]
+        with mock.patch.object(ingest, "_BATCH_CHARS", batch_chars):
+            docs = list(normalize_corpus(raws))
+            with tempfile.TemporaryDirectory() as directory:
+                path = Path(directory) / "corpus.jsonl"
+                # json.dumps escapes lone surrogates, which UTF-8 cannot hold
+                records = ({"doi": raw.doi, "text": raw.text, "year": raw.year} for raw in raws)
+                path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+                loaded, counts = load_documents(RunConfig(input=str(path), output_dir=directory, min_words=0))
+        assert len(docs) == len(loaded) == counts["documents_used"] == len(raws)
+        for raw, doc, loaded_doc in zip(raws, docs, loaded):
+            assert_normalized_alone(doc, raw)
+            assert_normalized_alone(loaded_doc, raw)
+
+    def test_a_batch_ends_once_it_reaches_the_constant(self):
+        # Each text counts one space after it: "abc" fills a batch of 4 exactly.
+        raws = [RawDocument(doi=f"d{i}", text=text) for i, text in enumerate(["abc", "de", "f", "ghi", "j"])]
+        with mock.patch.object(ingest, "_BATCH_CHARS", 4):
+            batches = [[raw.text for raw in batch] for batch in ingest._batches(raws)]
+        assert batches == [["abc"], ["de", "f"], ["ghi"], ["j"]]
+
+    def test_later_record_of_a_doi_wins_across_batches(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        records = [{"doi": "a", "text": "first one"}, {"doi": "b", "text": "middle"}, {"doi": "a", "text": "last"}]
+        write_jsonl(path, records)
+        with mock.patch.object(ingest, "_BATCH_CHARS", 1):
+            docs, counts = load_documents(RunConfig(input=str(path), output_dir=str(tmp_path), min_words=0, max_words=1))
+        assert [doc.doi for doc in docs] == ["a", "b"]
+        assert docs[0].normalized_text == "last"
+        assert (counts["documents_loaded"], counts["duplicate_dois"], counts["documents_filtered"]) == (2, 1, 0)
+
+
+class TestLoadMemory:
+    def test_load_peaks_at_the_documents_plus_one_batch(self, tmp_path):
+        """``load_documents`` holds the raw text of one batch at a time: its
+        peak is the memory of the documents it returns plus working memory
+        proportional to a batch, which is at most ``_BATCH_CHARS`` plus one
+        document. Holding the raw corpus, as loading every record before
+        normalizing any does, would not fit. Everything each batch
+        allocates is released by the time the next is read, whichever
+        CPython frees call arguments at."""
+        rng = random.Random(5)
+        vocab = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(2, 9))) for _ in range(2000)]
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(500, 650))) for _ in range(1000)]
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, ({"doi": f"d{i}", "text": text} for i, text in enumerate(texts)))
+        bound = 80 * (ingest._BATCH_CHARS + max(map(len, texts)))
+        assert sum(map(len, texts)) > 2 * bound
+        del texts
+
+        tracemalloc.start()
+        try:
+            docs, counts = load_documents(RunConfig(input=str(path), output_dir=str(tmp_path), min_words=0))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts["document_bytes"] <= held
+        assert peak - held <= bound
 
 
 def reference_word_hash(token):

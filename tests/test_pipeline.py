@@ -1,5 +1,6 @@
 import itertools
 import json
+import logging
 import math
 import os
 import random
@@ -64,6 +65,11 @@ def synthetic_corpus_file(tmp_path, name="corpus.jsonl", seed=5, case_count=3):
     path = tmp_path / name
     write_corpus(path, corpus)
     return path, corpus, gold
+
+
+def without_timings(manifest):
+    """The parts of a manifest that reruns reproduce: all but the stage timings."""
+    return {key: value for key, value in manifest.items() if key != "timings"}
 
 
 def base_config(corpus_path, out_dir, **overrides):
@@ -146,6 +152,18 @@ class TestRunPipeline:
             1 - counts["candidate_pairs"] / total, abs=1e-6
         )
         assert counts["cases"] >= len(gold)
+
+    def test_stage_timings_are_recorded_and_logged(self, tmp_path, caplog):
+        corpus_path, _, _ = synthetic_corpus_file(tmp_path)
+        with caplog.at_level(logging.INFO, logger="textreuse.pipeline"):
+            result = run_pipeline(base_config(corpus_path, tmp_path / "out"))
+        timings = result.manifest["timings"]
+        assert list(timings) == ["load_s", "retrieve_s", "align_s", "emit_s"]
+        assert all(isinstance(seconds, float) and seconds >= 0 for seconds in timings.values())
+        assert json.loads(result.manifest_path.read_text())["timings"] == timings
+        logged = [record.getMessage() for record in caplog.records if record.name == "textreuse.pipeline"]
+        for stage, seconds in timings.items():
+            assert f"{stage} took {seconds:.3f} s" in logged
 
     def test_length_filter_wiring(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
@@ -285,7 +303,7 @@ class TestRunPipeline:
 
         rerun = run_pipeline(config)
         assert (checkpoint / "candidates.tsv").read_bytes() == candidates
-        assert rerun.manifest == first.manifest
+        assert without_timings(rerun.manifest) == without_timings(first.manifest)
         assert rerun.cases_path.read_bytes() == first.cases_path.read_bytes()
         assert sorted(p.name for p in checkpoint.iterdir()) == ["candidates.tsv", "retrieval.json"]
 
@@ -293,7 +311,7 @@ class TestRunPipeline:
         corpus_path, _, _ = synthetic_corpus_file(tmp_path)
         checkpoint = tmp_path / "ckpt"
         config = base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(checkpoint))
-        expected = run_pipeline(config).manifest
+        expected = without_timings(run_pipeline(config).manifest)
         (checkpoint / "candidates.tsv").unlink()
 
         # a run under another configuration dies between its candidates and its state file
@@ -308,7 +326,7 @@ class TestRunPipeline:
         monkeypatch.undo()
         assert not (checkpoint / "retrieval.json").exists()
 
-        assert run_pipeline(config).manifest == expected
+        assert without_timings(run_pipeline(config).manifest) == expected
 
     def test_invalid_config_rejected(self, tmp_path):
         corpus_path, _, _ = synthetic_corpus_file(tmp_path)
