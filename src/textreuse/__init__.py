@@ -18,19 +18,9 @@ from .alignment import (
     extend,
     seed_matches,
 )
+import importlib
+
 from .ingest import Document, RawDocument, length_filter, normalize
-from .metrics import (
-    EvaluationReport,
-    GoldAnnotation,
-    GoldSpan,
-    char_precision_recall,
-    evaluate_cases,
-    f_beta,
-    granularity,
-    grid_search,
-    load_gold,
-    write_gold,
-)
 from .pipeline import PipelineError, RunConfig, run_pipeline, summarize_cases
 from .retrieval import (
     CandidatePair,
@@ -40,9 +30,35 @@ from .retrieval import (
     retrieve_candidates_exact,
     retrieve_candidates_ngram,
 )
-from .synthgen import GenSpec, ObfuscationIntensity, generate, obfuscate_random
 
 __version__ = "0.1.0"
+
+# Evaluation and corpus generation are imported on first use (PEP 562): a
+# detection run needs neither.
+_LAZY_MODULES = {
+    "metrics": (
+        "EvaluationReport",
+        "GoldAnnotation",
+        "GoldSpan",
+        "char_precision_recall",
+        "evaluate_cases",
+        "f_beta",
+        "granularity",
+        "grid_search",
+        "load_gold",
+        "write_gold",
+    ),
+    "synthgen": ("GenSpec", "ObfuscationIntensity", "generate", "obfuscate_random"),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "AlignmentParams",

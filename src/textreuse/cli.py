@@ -16,7 +16,6 @@ from pathlib import Path
 from .alignment import case_from_record, case_record
 from .ingest import document_record
 from .jsonl import read_records, write_json, write_jsonl
-from .metrics import evaluate_cases, format_report_table, load_gold, report_records, write_gold
 from .pipeline import (
     OUTPUT_MODES,
     RETRIEVAL_MODES,
@@ -30,7 +29,6 @@ from .pipeline import (
     summarize_cases,
 )
 from .retrieval import read_candidates, write_candidates
-from .synthgen import GenSpec, ObfuscationIntensity, generate, spec_record
 
 log = logging.getLogger(__name__)
 
@@ -235,6 +233,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .metrics import evaluate_cases, format_report_table, load_gold, report_records
+
     gold = load_gold(args.gold)
     cases = read_records(args.cases, case_from_record)
     report = evaluate_cases(
@@ -250,6 +250,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gen_corpus(args) -> int:
+    from .metrics import write_gold
+    from .synthgen import GenSpec, ObfuscationIntensity, generate, spec_record
+
     intensity = ObfuscationIntensity.uniform(args.intensity)
     spec = GenSpec(
         doc_count=args.docs,

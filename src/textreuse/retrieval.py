@@ -27,15 +27,19 @@ sketches collide is kept (``retrieve_candidates``). On Zipfian text
 frequent words win the min-hashes and nearly every document pair survives.
 
 Every mode, and alignment, reads its pairs off one sorted numpy join of a
-count matrix with itself (``cooccurring_pairs``), whose one input is the
+count matrix with itself (``_join_blocks``), whose one input is the
 ascending ``row * columns + column`` keys that ``_entry_keys`` sorts once:
 window hashes by document, words by passage, sketch values by document.
-Exact mode passes its threshold into the join, which drops the passage
-pairs below it block by block. No caller names the keys it hands the join:
-on CPython 3.11 and later, which move a call's arguments into the callee's
-frame, they are freed as the join goes; 3.10 keeps them on the caller's
-stack until the call returns. Every mode returns its pairs in ascending
-``(doi_a, doi_b)`` order. The package needs numpy alone.
+The join hands its pairs on block by block. ``cooccurring_pairs``
+concatenates the blocks for ngram mode, minhash mode and alignment, which
+join on documents already. Exact mode passes its threshold into the join,
+which drops the passage pairs below it block by block, and maps each block
+to document pairs at once, so that it holds document pairs, not passage
+pairs. No caller names the keys it hands the join: on CPython 3.11 and
+later, which move a call's arguments into the callee's frame, they are
+freed as the join goes; 3.10 keeps them on the caller's stack until the
+call returns. Every mode returns its pairs in ascending ``(doi_a, doi_b)``
+order. The package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -43,10 +47,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 from .alignment import window_hashes
 from .ingest import Document, _mix, _token_hashes
@@ -60,12 +66,17 @@ _KEY_STEP = 0x9E3779B97F4A7C15
 # Words per window in ngram mode; capped at alignment's ngram_size.
 RETRIEVAL_NGRAM_SIZE = 3
 
-# Pair visits ``cooccurring_pairs`` expands at a time: besides its arrays
-# over the entries, its working memory is bounded by this plus its output,
-# not by the number of visits. On exact mode's 5.2 million visits over
-# 1,000 documents, blocks of 2**14 to 2**16 ran the join in 0.14-0.16 s,
-# 2**17 in 0.18 s and 2**18 in 0.23-0.29 s (best of 7, three rounds).
+# Pair visits the join (``_join_blocks``) expands at a time: besides its
+# arrays over the entries, its working memory is bounded by this, not by
+# the number of visits. On exact mode's 5.2 million visits over 1,000
+# documents, on a 2-vCPU Xeon with AVX-512, blocks of 2**14 to 2**18 ran the
+# join in 64-68 ms, 2**13 in 74-76 ms and 2**12 in 89-91 ms (best of 7,
+# three rounds); larger blocks only hold more.
 _JOIN_BLOCK = 2**16
+
+# Document pairs ``retrieve_candidates_exact`` holds, summed per block, before
+# it merges them (or as many as it has merged, if more).
+_DOC_PAIR_MERGE = 2**14
 
 # Word hashes ``MinHasher.minima`` reduces at a time. On 1.0M hashes and 10
 # functions, on a Xeon with 2 MiB of L2 per core, 2**15 and 2**16 ran
@@ -185,12 +196,26 @@ def _passage_matrix(docs: Sequence[Document], passage_size: int, counts: dict | 
     passages = owner.size
     if counts is not None:
         counts["passages"] = passages
-    # Passed unnamed, the word hashes are freed once ranked.
     keys = _entry_keys(
-        _concatenate(doc.token_hashes for doc in docs), np.arange(passages), np.diff(bounds), passages, counts, "terms"
+        (doc.token_hashes for doc in docs), np.arange(passages), np.diff(bounds), passages, counts, "terms"
     )
-    fresh = _run_starts(keys)
-    return keys if fresh.all() else keys[fresh]
+    return _distinct(keys)
+
+
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """The distinct values of the sorted array ``ordered``, moved to its
+    front in place ``_JOIN_BLOCK`` values at a time: a view of that prefix,
+    so that no second array over all of them exists."""
+    kept = 0
+    for lo in range(0, ordered.size, _JOIN_BLOCK):
+        chunk = ordered[lo : lo + _JOIN_BLOCK]
+        fresh = _run_starts(chunk)
+        if kept:
+            fresh[0] = chunk[0] != ordered[kept - 1]
+        chunk = chunk[fresh]
+        ordered[kept : kept + chunk.size] = chunk
+        kept += chunk.size
+    return ordered[:kept]
 
 
 def sketch_corpus(
@@ -245,7 +270,7 @@ def build_index(owner: np.ndarray, sketches: np.ndarray, df_cap: int = 1000) -> 
     first = np.ones(ordered.shape, dtype=bool)
     first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     width = int(owner.max()) + 1 if owner.size else 1
-    keys = _entry_keys(ordered[first], owner, first.sum(axis=1), width)
+    keys = _entry_keys([ordered[first]], owner, first.sum(axis=1), width)
     # Documents per value: the distinct keys of each posting, one count for
     # every distinct value.
     df = np.bincount(keys[_run_starts(keys)] // width)
@@ -286,23 +311,49 @@ def cooccurring_pairs(
     the strict upper triangle of ``Cᵀ C`` where it reaches ``min_weight``:
     ``weight`` is the sum over rows ``r`` of ``C[r, a] * C[r, b]``.
 
+    The blocks of ``_join_blocks`` end to end; ``counts``, if given,
+    receives the number of column pairs visited as ``pair_visits``.
+    """
+    blocks = _join_blocks(keys, n_cols, counts, min_weight)
+    # The generator holds the keys from here on and frees them as it goes.
+    del keys
+    pairs, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for pair, weight in blocks:
+        pairs.append(pair)
+        weights.append(weight)
+    a, b = np.divmod(np.concatenate(pairs), n_cols)
+    del pairs
+    return a, b, np.concatenate(weights)
+
+
+def _join_blocks(
+    keys: np.ndarray, n_cols: int, counts: dict | None, min_weight: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The join of ``cooccurring_pairs`` as it goes: one ``(pair, weight)``
+    of ``int64`` arrays per block, ``pair = a * n_cols + b`` ascending
+    within the block and the blocks in ascending ``a``.
+
     A sorted join: the distinct entries of each row, with their counts, are
     expanded into that row's column pairs, and equal pairs are summed in
     integers. The expansion runs by the lower column ``a``, whole columns
     and about ``_JOIN_BLOCK`` visits at a time, so each block holds every
     visit of its pairs and drops those below ``min_weight`` before it is
-    kept. Above 1, ``min_weight`` makes this the thresholded all-pairs
-    overlap query of Bayardo, Ma & Srikant (WWW 2007), without their prefix
-    filtering. ``counts``, if given, receives the number of column pairs
-    visited as ``pair_visits``.
+    handed on. A block's pair keys count from its first column, ``(a -
+    first) * n_cols + b``, in ``int32`` where its span of columns allows,
+    which halves the sort that sums them. With binary cells a pair's weight
+    is the length of its run of equal keys, so above 1 a sorted block keeps
+    the pairs whose key recurs ``min_weight - 1`` places on, without
+    reducing every run. Above 1, ``min_weight`` makes this the thresholded
+    all-pairs overlap query of Bayardo, Ma & Srikant (WWW 2007), without
+    their prefix filtering. ``counts``, if given, receives the number of
+    column pairs visited as ``pair_visits`` before the first block.
 
-    Working memory is a block, the kept output, and arrays over the
-    distinct entries besides ``keys``: each one's column in the narrowest
-    type that holds ``n_cols`` and ``int32`` indices (below 2**31 entries),
-    each dropped before the next is built. A block's visit offsets are its
-    own: no offset array spans the entries. On 99,212 term×passage
-    entries tracemalloc sees a peak of 18.2 bytes per entry besides the
-    keys.
+    Working memory is a block and arrays over the distinct entries besides
+    ``keys``: each one's column in the narrowest type that holds ``n_cols``
+    and ``int32`` indices (below 2**31 entries), each dropped before the
+    next is built. A block's visit offsets are its own: no offset array
+    spans the entries. On 99,212 term×passage entries tracemalloc sees a
+    peak of 18.2 bytes per entry besides the keys.
     """
     index = _index_type(keys.size)
     # A run of equal keys is one cell; with no run longer than one, every
@@ -341,8 +392,10 @@ def cooccurring_pairs(
     # Only the entries that visit any are expanded.
     load = partners[by_col]
     del partners
+    # One at a time, so that only one of them is held twice.
     active = load > 0
-    by_col, load = by_col[active], load[active]
+    by_col = by_col[active]
+    load = load[active]
     del active
     # Each block starts at the column whose visits cross the next multiple
     # of _JOIN_BLOCK, so it expands at most _JOIN_BLOCK plus one column's
@@ -351,23 +404,36 @@ def cooccurring_pairs(
     totals = np.add.reduceat(load, column_starts, dtype=np.int64)
     crossed = np.searchsorted(np.cumsum(totals) - totals, np.arange(0, visits, _JOIN_BLOCK), side="right") - 1
     bounds = column_starts[crossed[_run_starts(crossed)]].tolist()
-    pairs, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    del column_starts, totals, crossed
     for lo, hi in zip(bounds, [*bounds[1:], by_col.size]):
         entry, n = by_col[lo:hi], load[lo:hi]
+        first = int(col[entry[0]])
+        span = int(col[entry[-1]]) - first + 1
         # Entry e's visits are the block's visits from ``ends - n`` on, and
         # its j-th one pairs it with entry e + 1 + j.
         ends = np.cumsum(n, dtype=np.int64)
         right = np.repeat(entry + 1 - (ends - n), n)
         right += np.arange(right.size)
-        pair = np.repeat(col[entry].astype(np.int64) * n_cols, n)
+        pair = np.repeat((col[entry] - first).astype(np.int32 if span * n_cols <= 2**31 else np.int64) * n_cols, n)
         pair += col[right]
         weight = None if cell is None else np.repeat(cell[entry].astype(np.int64), n) * cell[right]
-        pair, weight = _sum_by_key(pair, weight)
-        kept = weight >= min_weight
-        pairs.append(pair[kept])
-        weights.append(weight[kept])
-    a, b = np.divmod(np.concatenate(pairs), n_cols)
-    return a, b, np.concatenate(weights)
+        del right
+        if weight is None and min_weight > 1:
+            pair.sort()
+            # A pair of weight w is a run of w equal keys: it reaches
+            # min_weight where a key recurs min_weight - 1 places on, once
+            # for each of w - min_weight + 1 places in its run.
+            head = pair[: 1 - min_weight]
+            pair, weight = _run_lengths(head[head == pair[min_weight - 1 :]])
+            del head
+            weight += min_weight - 1
+        else:
+            pair, weight = _sum_by_key(pair, weight)
+            kept = weight >= min_weight
+            pair, weight = pair[kept], weight[kept]
+        pair = pair.astype(np.int64, copy=False)
+        pair += first * n_cols
+        yield pair, weight
 
 
 def _index_type(size: int) -> type:
@@ -385,15 +451,23 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return fresh
 
 
-def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each value's rank among the distinct ``values``, and their number.
+def _dense_ranks(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Each value's rank among the distinct values of the ``uint64`` arrays
+    ``arrays`` end to end (``_concatenate``), and their number.
 
-    The ranks equal ``np.unique(values, return_inverse=True)[1]``, in
-    ``_index_type``: one argsort, the mask of where the sorted values
-    change, and its running count.
+    The ranks equal ``np.unique(values, return_inverse=True)[1]`` of that
+    concatenation, in ``_index_type``: one argsort, the concatenation
+    sorted in place (equal to ``values[order]``), the mask of where it
+    changes, and its running count. The concatenation is freed before any
+    rank exists, so the peak is two 8-byte arrays per value.
     """
+    values = _concatenate(arrays)
     order = np.argsort(values)
-    ranks = np.cumsum(_run_starts(values[order]), dtype=_index_type(values.size))
+    values.sort()
+    change = _run_starts(values)
+    del values
+    ranks = np.cumsum(change, dtype=_index_type(change.size))
+    del change
     distinct = int(ranks[-1]) if ranks.size else 0
     ranks -= 1
     inverse = np.empty_like(ranks)
@@ -412,17 +486,23 @@ def _sum_by_key(keys: np.ndarray, weights: np.ndarray | None = None) -> tuple[np
     """
     if weights is None:
         keys.sort()
-    else:
-        order = np.argsort(keys)
-        keys, weights = keys[order], weights[order]
+        return _run_lengths(keys)
+    order = np.argsort(keys)
+    keys = keys[order]
+    weights = weights[order]
     starts = np.flatnonzero(_run_starts(keys))
-    if weights is None:
-        return keys[starts], np.diff(np.append(starts, keys.size))
     return keys[starts], np.add.reduceat(weights, starts)
 
 
+def _run_lengths(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the sorted array ``ordered``, and the length
+    of each one's run as ``int64``."""
+    starts = np.flatnonzero(_run_starts(ordered))
+    return ordered[starts], np.diff(np.append(starts, ordered.size))
+
+
 def _entry_keys(
-    values: np.ndarray,
+    arrays: Iterable[np.ndarray],
     owner: ArrayLike,
     lengths: ArrayLike,
     width: int,
@@ -431,15 +511,14 @@ def _entry_keys(
 ) -> np.ndarray:
     """The ascending join keys of (value, owner) entries.
 
-    Run ``i`` of ``values`` holds the next ``lengths[i]`` values, each owned
-    by column ``owner[i]`` of ``width``; an entry's key is its value's rank
-    among the distinct ``values`` (``_dense_ranks``) times ``width``, plus
-    its owner, so every rank below the number of distinct values has a key.
-    ``values`` is released once ranked, before any key exists. ``counts``,
-    if given, receives the number of distinct values as ``name``.
+    The values are the ``uint64`` ``arrays`` end to end. Run ``i`` of them
+    holds the next ``lengths[i]`` values, each owned by column ``owner[i]``
+    of ``width``; an entry's key is its value's rank among the distinct
+    values (``_dense_ranks``) times ``width``, plus its owner, so every rank
+    below the number of distinct values has a key. ``counts``, if given,
+    receives the number of distinct values as ``name``.
     """
-    rank, distinct = _dense_ranks(values)
-    del values
+    rank, distinct = _dense_ranks(arrays)
     if counts is not None:
         counts[name] = distinct
     keys = np.multiply(rank, width, dtype=np.int64)
@@ -462,11 +541,8 @@ def shared_hash_pairs(
     """
     n = len(hashes)
     lengths = np.fromiter(map(len, hashes), dtype=np.int64, count=n)
-    # Passed unnamed, the concatenation is freed once ranked and the keys as
-    # the join goes.
-    return cooccurring_pairs(
-        _entry_keys(_concatenate(hashes), np.arange(n), lengths, n, counts, "hash_postings"), n, counts=counts
-    )
+    # Passed unnamed, the keys are freed as the join goes.
+    return cooccurring_pairs(_entry_keys(hashes, np.arange(n), lengths, n, counts, "hash_postings"), n, counts=counts)
 
 
 def retrieve_candidates_ngram(
@@ -518,24 +594,46 @@ def retrieve_candidates_exact(
     at least ``min_shared_terms`` distinct terms, in ascending ``(doi_a,
     doi_b)`` order.
 
-    The passage pairs come from ``cooccurring_pairs`` over the term×passage
-    keys of ``_passage_matrix`` at ``min_weight=min_shared_terms``;
-    evidence counts qualifying passage pairs. Unlike sketching, all
-    passages participate (including short trailing ones), so this mode is
-    sound for downstream alignment at min_shared_terms=1. ``counts``, if
-    given, receives the matrix shape as ``passages`` and ``terms`` and the
-    join's ``pair_visits``.
+    The passage pairs come from ``_join_blocks`` over the term×passage keys
+    of ``_passage_matrix`` at ``min_weight=min_shared_terms``; evidence
+    counts qualifying passage pairs. Each block is mapped to document pairs
+    at once, pairs within one document dropped, and the counts are summed
+    per document pair (``_sum_by_key``) whenever the blocks not yet summed
+    hold more than ``_DOC_PAIR_MERGE`` pairs, or than the sum so far: the
+    memory held grows with the document pairs, not the passage pairs.
+    Unlike sketching, all passages participate (including short trailing
+    ones), so this mode is sound for downstream alignment at
+    min_shared_terms=1. ``counts``, if given, receives the matrix shape as
+    ``passages`` and ``terms``, the join's ``pair_visits``, and the
+    qualifying passage pairs, within one document included, as
+    ``passage_pairs``.
     """
     if min_shared_terms < 1:
         raise ValueError("min_shared_terms must be >= 1")
     owner = _split_passages(docs, passage_size)[1]
+    width = len(docs)
     # Passed unnamed, the keys are freed as the join goes.
-    a, b, _ = cooccurring_pairs(
-        _passage_matrix(docs, passage_size, counts), owner.size, counts=counts, min_weight=min_shared_terms
-    )
-    doc_a, doc_b = owner[a], owner[b]
-    cross = doc_a != doc_b
-    return _candidates([doc.doi for doc in docs], doc_a[cross], doc_b[cross])
+    blocks = _join_blocks(_passage_matrix(docs, passage_size, counts), owner.size, counts, min_shared_terms)
+    keys, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    passage_pairs = summed = pending = 0
+    for pair, _ in blocks:
+        passage_pairs += pair.size
+        a, b = np.divmod(pair, owner.size)
+        doc_a, doc_b = owner[a], owner[b]
+        cross = doc_a != doc_b
+        key, weight = _sum_by_key(doc_a[cross] * width + doc_b[cross])
+        keys.append(key)
+        weights.append(weight)
+        pending += key.size
+        if pending > max(_DOC_PAIR_MERGE, summed):
+            key, weight = _sum_by_key(np.concatenate(keys), np.concatenate(weights))
+            keys, weights, summed, pending = [key], [weight], key.size, 0
+    if counts is not None:
+        counts["passage_pairs"] = passage_pairs
+    key, weight = _sum_by_key(np.concatenate(keys), np.concatenate(weights))
+    del keys, weights
+    doc_a, doc_b = np.divmod(key, width)
+    return _candidates([doc.doi for doc in docs], doc_a, doc_b, weight)
 
 
 def write_candidates(path: str | Path, pairs: Iterable[CandidatePair]) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -129,6 +130,13 @@ def exact_pair_visits(docs, passage_size):
     passages holding it."""
     holders = Counter(term for doc in docs for terms in passage_term_sets(doc, passage_size) for term in terms)
     return sum(math.comb(n, 2) for n in holders.values())
+
+
+def qualifying_passage_pairs(docs, passage_size, min_shared_terms):
+    """The passage pairs of a corpus, within one document included, that
+    share at least ``min_shared_terms`` distinct terms."""
+    term_sets = [terms for doc in docs for terms in passage_term_sets(doc, passage_size)]
+    return sum(len(x & y) >= min_shared_terms for x, y in itertools.combinations(term_sets, 2))
 
 
 def brute_force_posting_pairs(postings):

@@ -179,6 +179,36 @@ class TestStageCommands:
         assert "pruning_ratio" in capsys.readouterr().out
 
 
+class TestLazyImports:
+    def test_cli_loads_neither_evaluation_nor_generation(self):
+        """Importing the command line leaves ``metrics`` and ``synthgen``
+        unloaded; every name of ``textreuse.__all__`` still resolves, and
+        loads them."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, textreuse, textreuse.cli\n"
+            "lazy = ('textreuse.metrics', 'textreuse.synthgen')\n"
+            "print(sorted(name for name in lazy if name in sys.modules))\n"
+            "for name in textreuse.__all__: getattr(textreuse, name)\n"
+            "print(sorted(name for name in lazy if name in sys.modules))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            check=True,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.stdout.splitlines() == ["[]", "['textreuse.metrics', 'textreuse.synthgen']"]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import textreuse
+
+        with pytest.raises(AttributeError, match="no attribute 'evaluate'"):
+            textreuse.evaluate
+
+
 class _ConfigBuilt(Exception):
     pass
 

@@ -44,6 +44,7 @@ from conftest import (
     exact_pair_visits,
     minhash_reference,
     ngram_holders,
+    qualifying_passage_pairs,
     reference_normalize,
 )
 
@@ -435,9 +436,12 @@ class TestManifestIngestAndExactCounters:
         assert counts["passages"] == sum(math.ceil(len(doc.tokens) / config.passage_size) for doc in docs)
         assert counts["terms"] == len({t for doc in docs for t in doc.tokens})
         assert counts["pair_visits"] == exact_pair_visits(docs, config.passage_size) > 0
+        passage_pairs = qualifying_passage_pairs(docs, config.passage_size, config.min_shared_terms)
+        assert counts["passage_pairs"] == passage_pairs > 0
         assert "hash_postings" not in counts
         state = json.loads((tmp_path / "ckpt" / CHECKPOINT_STATE_FILE).read_text())
         assert state["counts"]["pair_visits"] == counts["pair_visits"]
+        assert state["counts"]["passage_pairs"] == passage_pairs
 
         config.output_dir = str(tmp_path / "resumed")
         assert run_pipeline(config).manifest["counts"] == counts

@@ -44,6 +44,7 @@ from conftest import (
     minhash_reference,
     ngram_holders,
     passage_term_sets,
+    qualifying_passage_pairs,
     random_words,
     sketch_postings,
     splitmix,
@@ -432,13 +433,16 @@ class TestExactMode:
     @example(corpus=[["taaa"] * 4], passage_size=1, min_shared_terms=5, block=1)
     def test_matches_brute_force_on_any_shape(self, corpus, passage_size, min_shared_terms, block):
         """At the default join block and at blocks far smaller than one
-        passage's visits."""
+        passage's visits, with document pairs merged as often."""
         docs = [doc_from_tokens(tokens, doi=f"d{k}") for k, tokens in enumerate(corpus)]
-        with mock.patch.object(retrieval, "_JOIN_BLOCK", block):
-            pairs = retrieve_candidates_exact(docs, passage_size, min_shared_terms)
+        counts = {}
+        merge = min(block, retrieval._DOC_PAIR_MERGE)
+        with mock.patch.object(retrieval, "_JOIN_BLOCK", block), mock.patch.object(retrieval, "_DOC_PAIR_MERGE", merge):
+            pairs = retrieve_candidates_exact(docs, passage_size, min_shared_terms, counts=counts)
         got = {p.key: p.evidence for p in pairs}
         assert len(got) == len(pairs)
         assert got == brute_force_candidates(docs, passage_size, min_shared_terms)
+        assert counts["passage_pairs"] == qualifying_passage_pairs(docs, passage_size, min_shared_terms)
 
     def test_colliding_words_count_as_one_term(self):
         # Under a hash where every word collides, each passage holds one
@@ -449,7 +453,7 @@ class TestExactMode:
         counts = {}
         pairs = retrieve_candidates_exact(colliding, 50, 1, counts=counts)
         assert {p.key for p in pairs} == {("qa", "xc"), ("qa", "zb"), ("xc", "zb")}
-        assert counts == {"passages": 3, "terms": 1, "pair_visits": 3}
+        assert counts == {"passages": 3, "terms": 1, "pair_visits": 3, "passage_pairs": 3}
 
     def test_counts_record_the_matrix_shape(self, rng, vocab):
         docs = [
@@ -457,13 +461,17 @@ class TestExactMode:
             doc_from_tokens([], doi="b"),
             doc_from_tokens(random_words(rng, 51, vocab), doi="c"),
         ]
+        docs.append(dataclasses.replace(docs[0], doi="d"))
         counts = {}
         retrieve_candidates_exact(docs, 50, 9, counts=counts)
         assert counts == {
-            "passages": 3 + 0 + 2,
+            "passages": 3 + 0 + 2 + 3,
             "terms": len({t for doc in docs for t in doc.tokens}),
             "pair_visits": exact_pair_visits(docs, 50),
+            "passage_pairs": qualifying_passage_pairs(docs, 50, 9),
         }
+        # Each passage of "a" qualifies with its copy in "d".
+        assert counts["passage_pairs"] >= 3
 
 
 def brute_force_ngram_pairs(docs, n):
@@ -496,6 +504,11 @@ WIDE = (
     (3, 131072),
 )
 
+# One join block over lower columns 0 to 32767 of 65536, whose pair keys span
+# exactly the 2**31 values that int32 holds, and one over 0 to 32768.
+SPAN_2_31 = ([0, 0, 0, 1, 1], [0, 32767, 65535, 0, 32767], (2, 65536))
+SPAN_OVER_2_31 = ([0, 0, 0, 1, 1], [0, 32768, 65535, 0, 32768], (2, 65536))
+
 
 class TestCooccurringPairs:
     @settings(max_examples=300, deadline=None)
@@ -517,6 +530,11 @@ class TestCooccurringPairs:
     @example(matrix=WIDE, block=1, min_weight=2)
     @example(matrix=WIDE, block=2**18, min_weight=1)
     @example(matrix=WIDE, block=2**18, min_weight=2)
+    # Block pair keys at both widths, the binary run test among them.
+    @example(matrix=SPAN_2_31, block=2**18, min_weight=1)
+    @example(matrix=SPAN_2_31, block=2**18, min_weight=2)
+    @example(matrix=SPAN_OVER_2_31, block=2**18, min_weight=1)
+    @example(matrix=SPAN_OVER_2_31, block=2**18, min_weight=2)
     def test_matches_the_sparse_product(self, matrix, block, min_weight):
         """Against ``triu(Cᵀ C, 1)`` filtered at ``min_weight``, at block
         sizes that split the visits into many blocks, some smaller than
@@ -541,17 +559,26 @@ class TestCooccurringPairs:
 
 class TestDenseRanks:
     @settings(max_examples=200, deadline=None)
-    @given(values=st.lists(st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1), max_size=40))
-    @example(values=[])
-    @example(values=[7] * 5)
-    @example(values=[2**64 - 1, 0, 2**64 - 1, 0])
-    def test_match_unique_inverse(self, values):
+    @given(
+        values=st.lists(st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1), max_size=40),
+        cuts=st.lists(st.integers(0, 40), max_size=4),
+    )
+    @example(values=[], cuts=[])
+    @example(values=[], cuts=[0, 0])
+    @example(values=[7] * 5, cuts=[])
+    @example(values=[2**64 - 1, 0, 2**64 - 1, 0], cuts=[1, 3])
+    def test_match_unique_inverse(self, values, cuts):
+        """Over the arrays end to end, however they are cut, and without
+        changing any of them."""
         values = np.array(values, dtype=np.uint64)
-        ranks, distinct = _dense_ranks(values)
+        arrays = np.split(values, sorted(min(cut, values.size) for cut in cuts))
+        copies = [array.copy() for array in arrays]
+        ranks, distinct = _dense_ranks(arrays)
         unique, inverse = np.unique(values, return_inverse=True)
         assert ranks.tolist() == inverse.tolist()
         assert distinct == unique.size
         assert ranks.dtype == np.int32
+        assert all(np.array_equal(array, copy) for array, copy in zip(arrays, copies))
 
 
 def traced_peak(call, *args, **kwargs):
@@ -583,16 +610,44 @@ class TestJoinMemory:
         assert peak <= 48 * keys.size
 
     def test_whole_exact_call_bytes_per_token(self, docs):
-        """Hashes, keys and join together: no caller keeps the word hashes
-        once ranked, or the keys once handed to the join. The peak is in
-        ranking the word hashes, about three 8-byte arrays per token. With
-        numpy 2.4 it read 25.9 bytes per token on CPython 3.11, and 26.3
-        with each caller's arguments held through the call, as CPython 3.10
-        holds them; 31.7 when the callers kept their keys."""
+        """Hashes, keys and join together: no caller keeps the keys once
+        handed to the join, and ranking sorts the word hashes' concatenation
+        in place and frees it before any rank exists. The peak is in that
+        ranking, two 8-byte arrays per token and a mask. With numpy 2.4 on
+        CPython 3.11 it read 17.9 bytes per token; 25.9 when ranking built a
+        sorted copy beside the concatenation, and 31.7 when the callers also
+        kept their keys."""
         tokens = sum(doc.token_hashes.size for doc in docs)
         with mock.patch.object(retrieval, "_JOIN_BLOCK", 2**10):
             peak = traced_peak(retrieve_candidates_exact, docs, 50, 9)
-        assert peak <= 28 * tokens
+        assert peak <= 20 * tokens
+
+    def test_whole_exact_call_grows_with_document_pairs(self):
+        """One 400-word paragraph in each of 120 documents, amid up to 200
+        other words: 98,221 passage pairs qualify, over 7,140 document
+        pairs. Each join block is summed per document pair as it comes, so
+        the call holds document pairs, not passage pairs. It read 1.6 MiB,
+        against 8.4 MiB when every qualifying passage pair was held until
+        the join returned."""
+        rng = random.Random(5)
+        vocab = alpha_words("w", 5000)
+        paragraph = random_words(rng, 400, vocab)
+        docs = []
+        for k in range(120):
+            before, after = (random_words(rng, rng.randint(0, 100), vocab) for _ in range(2))
+            docs.append(doc_from_tokens(before + paragraph + after, doi=f"s{k:03d}"))
+        tokens = sum(doc.token_hashes.size for doc in docs)
+        counts = {}
+        with mock.patch.object(retrieval, "_JOIN_BLOCK", 2**10):
+            tracemalloc.start()
+            try:
+                pairs = retrieve_candidates_exact(docs, 50, 9, counts=counts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(pairs) == math.comb(120, 2)
+        assert peak <= 20 * tokens + 100 * len(pairs)
+        assert counts["passage_pairs"] > 10 * len(pairs)
 
     def test_window_join_bytes_per_entry(self, docs):
         hashes = [window_hashes(doc, 3, 2) for doc in docs]
