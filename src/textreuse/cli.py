@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .alignment import case_from_record, case_record
 from .ingest import document_record
-from .jsonl import read_records, write_json, write_jsonl
+from .jsonl import read_lines, read_records, write_json, write_jsonl
 from .pipeline import (
     OUTPUT_MODES,
     RETRIEVAL_MODES,
@@ -200,25 +200,27 @@ def cmd_align(args) -> int:
     return 0
 
 
+def _config_line(line: str) -> tuple[str, object] | None:
+    """One ``key=value`` line of a config file, the value read as JSON when
+    it parses and as a string otherwise; None for a comment."""
+    line = line.strip()
+    if line.startswith("#"):
+        return None
+    if "=" not in line:
+        raise ValueError("expected key=value")
+    key, _, raw = line.partition("=")
+    key = key.strip()
+    if key not in _CONFIG_FIELDS:
+        raise ValueError(f"unknown config key {key!r}")
+    raw = raw.strip()
+    try:
+        return key, json.loads(raw)
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: nested deeper than the parser goes
+        return key, raw
+
+
 def _read_config_file(path: str) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_FIELDS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            raw = raw.strip()
-            try:
-                values[key] = json.loads(raw)
-            except json.JSONDecodeError:
-                values[key] = raw
-    return values
+    return dict(item for item in read_lines(path, _config_line) if item is not None)
 
 
 def cmd_pipeline(args) -> int:

@@ -23,7 +23,7 @@ Normalization takes one path, ``normalize_corpus``, which works on batches
 of about ``_BATCH_CHARS`` characters; ``normalize`` is that path on one
 document. A batch's texts are joined by single spaces, and the batch takes
 one pass each over its code points: encoding, letter classification,
-``lower()``, prefix sum and decoding. A 128-entry table classifies ASCII;
+``lower()``, prefix sum and decoding. Arithmetic classifies ASCII;
 only the distinct non-ASCII code points are classified in Python. Each
 ``Document`` then gets copies of its slices. Word hashes are differences of
 one prefix sum per batch: with ``P[i] = sum(c_k * B**(k + 1) for k < i)``
@@ -53,7 +53,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .jsonl import scan_jsonl
+from .jsonl import json_object, scan_lines
 
 log = logging.getLogger(__name__)
 
@@ -67,9 +67,6 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 _METADATA_LISTS = ("field", "area", "discipline")
-
-# Which ASCII code points are letters.
-_ASCII_LETTERS = np.array([chr(c).isalpha() for c in range(128)])
 
 # Characters normalized in one pass by ``normalize_corpus``. Loading the
 # uniform-exact corpus (seed 7, in-process, best of 15 per run, two runs)
@@ -216,11 +213,11 @@ def raw_token_runs(text: str) -> tuple[np.ndarray, str]:
     """``(runs, spaced)``: one ``[begin, end)`` row per raw token, a maximal
     run of alphabetic characters in ``text``, and ``text`` with each
     non-letter a space and U+0130 "İ" read as "i". ASCII is classified by
-    table and each distinct non-ASCII code point once."""
+    arithmetic and each distinct non-ASCII code point once."""
     codes = _code_points(text)
     mask = np.zeros(codes.size + 2, dtype=bool)
     letter = mask[1:-1]
-    _ASCII_LETTERS.take(codes, out=letter, mode="clip")  # code point 127 is no letter
+    np.less((codes | 32) - 97, 26, out=letter)  # A-Z and a-z; no code point >= 128 passes
     wide = codes >= 128
     if wide.any():
         points, inverse = np.unique(codes[wide], return_inverse=True)
@@ -325,7 +322,6 @@ class LoadReport:
     """What loading a corpus saw; ``digest`` is the sha256 of each file's
     name followed by its bytes, over the files in load order."""
 
-    files: int = 0
     records: int = 0
     malformed: int = 0
     duplicates: int = 0
@@ -370,17 +366,11 @@ def read_corpus(path: str | Path, report: LoadReport) -> Iterator[RawDocument]:
     else:
         files = [path]
 
-    report.files = len(files)
     digest = hashlib.sha256()
     seen: set[str] = set()
     for file in files:
         digest.update(file.name.encode("utf-8"))
-        for lineno, record, error in scan_jsonl(file, digest):
-            if error is None:
-                try:
-                    doc = parse_record(record)
-                except ValueError as exc:
-                    error = str(exc)
+        for lineno, doc, error in scan_lines(file, lambda line: parse_record(json_object(line)), digest):
             if error is not None:
                 report.malformed += 1
                 log.error("%s:%d: skipping malformed record: %s", file, lineno, error)

@@ -17,6 +17,7 @@ from xml.etree import ElementTree
 import numpy as np
 
 from .ingest import Document, RawDocument, normalize, raw_token_runs
+from .jsonl import read_lines
 from .metrics import GoldAnnotation, GoldSpan
 
 log = logging.getLogger(__name__)
@@ -64,20 +65,20 @@ def load_pan_corpus(base: str | Path) -> tuple[list[RawDocument], list[GoldAnnot
     pairs_file = base / "pairs"
     if not pairs_file.exists():
         raise FileNotFoundError(f"{pairs_file} not found")
-    pair_names = []
     seen: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(pairs_file.read_text(encoding="utf-8").splitlines(), 1):
+
+    def parse(line: str) -> tuple[str, str]:
         names = line.split()
-        if not names:
-            continue
         if len(names) != 2:
-            raise ValueError(f"{pairs_file}:{lineno}: expected 2 file names, found {len(names)}")
+            raise ValueError(f"expected 2 file names, found {len(names)}")
         # Documents are keyed by file stem, so a pair is its two stems in order.
         key = tuple(sorted(Path(name).stem for name in names))
         if key in seen:
-            raise ValueError(f"{pairs_file}:{lineno}: pair {key[0]}/{key[1]} listed twice")
+            raise ValueError(f"pair {key[0]}/{key[1]} listed twice")
         seen.add(key)
-        pair_names.append((names[0], names[1]))
+        return names[0], names[1]
+
+    pair_names = read_lines(pairs_file, parse)
 
     documents: dict[str, tuple[RawDocument, Document, np.ndarray]] = {}
 

@@ -22,7 +22,7 @@ from .alignment import (
     AlignmentParams, ReuseCase, align_pair, case_from_record, case_namespace, case_record, window_hashes
 )
 from .ingest import Document, LoadReport, length_filter, normalize_corpus, read_corpus
-from .jsonl import atomic_open, scan_jsonl, write_json, write_jsonl
+from .jsonl import json_object, read_lines, scan_lines, write_json, write_jsonl, write_lines
 from .retrieval import (
     RETRIEVAL_NGRAM_SIZE,
     CandidatePair,
@@ -283,12 +283,17 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     state_path = checkpoint_dir / CHECKPOINT_STATE_FILE if checkpoint_dir else None
     pairs: list[CandidatePair] | None = None
     if checkpoint_dir is not None and state_path.exists() and candidates_path.exists():
-        state = json.loads(state_path.read_text(encoding="utf-8"))
+        state = _read_state(state_path)
         if state.get("fingerprint") != fingerprint:
             raise CheckpointMismatch(
                 "checkpoint was written by a different configuration or corpus; refusing to resume"
             )
         pairs = read_candidates(candidates_path)
+        if len(pairs) != state.get("candidate_pairs"):
+            raise CheckpointMismatch(
+                f"{candidates_path} holds {len(pairs)} candidate pairs but {state_path} records "
+                f"{state.get('candidate_pairs')}; refusing to resume"
+            )
         counts.update(state.get("counts", {}))
         log.info("resumed %d candidate pairs from %s", len(pairs), candidates_path)
 
@@ -303,8 +308,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             state_path.unlink(missing_ok=True)
             write_candidates(candidates_path, pairs)
             state = {"fingerprint": fingerprint, "candidate_pairs": len(pairs), "counts": retrieval_counts}
-            with atomic_open(state_path) as fh:
-                fh.write(json.dumps(state, sort_keys=True) + "\n")
+            write_lines(state_path, [json.dumps(state, sort_keys=True)])
 
     lap("retrieve_s")
 
@@ -340,6 +344,18 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         stats_path=stats_path,
         candidates_path=candidates_path,
     )
+
+
+def _read_state(path: Path) -> dict:
+    """The one record of a checkpoint state file; a file that holds
+    anything else raises ``CheckpointMismatch`` naming it."""
+    try:
+        states = read_lines(path, json_object)
+    except ValueError as exc:
+        raise CheckpointMismatch(f"{exc}; refusing to resume") from None
+    if len(states) != 1:
+        raise CheckpointMismatch(f"{path}: expected 1 state record, found {len(states)}; refusing to resume")
+    return states[0]
 
 
 def case_stats(cases: Iterable[ReuseCase]) -> dict:
@@ -379,12 +395,7 @@ def summarize_cases(path: str | Path) -> dict:
 
     def read() -> Iterator[ReuseCase]:
         nonlocal malformed
-        for lineno, record, error in scan_jsonl(path):
-            if error is None:
-                try:
-                    case = case_from_record(record)
-                except ValueError as exc:
-                    error = str(exc)
+        for lineno, case, error in scan_lines(path, lambda line: case_from_record(json_object(line))):
             if error is not None:
                 malformed += 1
                 log.error("%s:%d: skipping malformed case: %s", path, lineno, error)

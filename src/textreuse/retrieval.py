@@ -56,7 +56,7 @@ if TYPE_CHECKING:
 
 from .alignment import window_hashes
 from .ingest import Document, _mix, _token_hashes
-from .jsonl import atomic_open
+from .jsonl import read_lines, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -637,39 +637,24 @@ def retrieve_candidates_exact(
 
 
 def write_candidates(path: str | Path, pairs: Iterable[CandidatePair]) -> int:
-    """Spill candidate pairs to a tab-separated checkpoint file, sorted.
-
-    The file appears whole or not at all (see ``atomic_open``).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with atomic_open(path) as fh:
-        for pair in sorted(pairs, key=lambda p: p.key):
-            fh.write(f"{pair.doi_a}\t{pair.doi_b}\t{pair.evidence}\n")
-            count += 1
-    return count
+    """Spill candidate pairs to a tab-separated checkpoint file, sorted
+    (``write_lines``)."""
+    return write_lines(path, (f"{p.doi_a}\t{p.doi_b}\t{p.evidence}" for p in sorted(pairs, key=lambda p: p.key)))
 
 
 def read_candidates(path: str | Path) -> list[CandidatePair]:
-    """Candidate pairs in file order; a malformed line or a pair listed
-    twice raises ``ValueError`` naming ``path:lineno``."""
-    pairs = []
+    """Candidate pairs in file order (``read_lines``); a malformed line or a
+    pair listed twice raises ``ValueError`` naming ``path:lineno``."""
     seen: set[tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            try:
-                if len(parts) != 3:
-                    raise ValueError("expected 3 tab-separated fields")
-                pair = CandidatePair(parts[0], parts[1], int(parts[2]))
-                if pair.key in seen:
-                    raise ValueError(f"pair {pair.doi_a}/{pair.doi_b} listed twice")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            seen.add(pair.key)
-            pairs.append(pair)
-    return pairs
+
+    def parse(line: str) -> CandidatePair:
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3:
+            raise ValueError("expected 3 tab-separated fields")
+        pair = CandidatePair(parts[0], parts[1], int(parts[2]))
+        if pair.key in seen:
+            raise ValueError(f"pair {pair.doi_a}/{pair.doi_b} listed twice")
+        seen.add(pair.key)
+        return pair
+
+    return read_lines(path, parse)

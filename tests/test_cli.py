@@ -287,6 +287,12 @@ class TestConfigFile:
         assert err.startswith("error:") and field in err
         assert not out_dir.exists()
 
+    def test_value_nested_too_deep_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("workers = " + "[" * 100_000 + "\n")
+        assert main(["pipeline", "--config", str(config), "--input", "x", "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: workers must be int")
+
     def test_missing_required_options(self, capsys):
         assert main(["pipeline", "--output-dir", "somewhere"]) == 1
         assert "input" in capsys.readouterr().err

@@ -417,15 +417,15 @@ class TestLoadCorpus:
     def test_text_too_long_for_int32_offsets_is_a_malformed_record(self, tmp_path, monkeypatch, caplog):
         path = tmp_path / "corpus.jsonl"
         self._write(path, [json.dumps({"doi": doi, "text": "hello"}) for doi in ("d0", "d1")])
-        scan_jsonl = ingest.scan_jsonl
+        json_object = ingest.json_object
 
-        def scan_with_long_first_text(file, digest):
-            for lineno, record, error in scan_jsonl(file, digest):
-                if lineno == 1:
-                    record["text"] = LongText(record["text"])
-                yield lineno, record, error
+        def long_first_text(line):
+            record = json_object(line)
+            if record["doi"] == "d0":
+                record["text"] = LongText(record["text"])
+            return record
 
-        monkeypatch.setattr(ingest, "scan_jsonl", scan_with_long_first_text)
+        monkeypatch.setattr(ingest, "json_object", long_first_text)
         with caplog.at_level(logging.ERROR):
             docs, report = load_corpus_report(path)
         assert [d.doi for d in docs] == ["d1"]

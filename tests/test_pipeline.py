@@ -281,6 +281,32 @@ class TestRunPipeline:
         with pytest.raises(CheckpointMismatch):
             run_pipeline(config)
 
+    def test_checkpoint_missing_a_candidate_line_refused(self, tmp_path):
+        corpus_path, _, _ = synthetic_corpus_file(tmp_path)
+        checkpoint = tmp_path / "ckpt"
+        config = base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(checkpoint))
+        assert run_pipeline(config).manifest["counts"]["candidate_pairs"] >= 2
+        candidates = checkpoint / "candidates.tsv"
+        candidates.write_text("".join(candidates.read_text().splitlines(keepends=True)[:-1]))
+        names = f"{re.escape(str(candidates))}.*{re.escape(str(checkpoint / CHECKPOINT_STATE_FILE))}"
+        with pytest.raises(CheckpointMismatch, match=names):
+            run_pipeline(config)
+
+    @pytest.mark.parametrize(
+        "state",
+        ["[1]\n", '{"fingerprint": "', "", "{}\n{}\n", "\xff\n"],
+        ids=["not-an-object", "truncated", "empty", "two-records", "undecodable"],
+    )
+    def test_damaged_state_file_refused(self, tmp_path, state):
+        corpus_path, _, _ = synthetic_corpus_file(tmp_path)
+        checkpoint = tmp_path / "ckpt"
+        config = base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(checkpoint))
+        run_pipeline(config)
+        state_path = checkpoint / CHECKPOINT_STATE_FILE
+        state_path.write_bytes(state.encode("latin-1"))
+        with pytest.raises(CheckpointMismatch, match=f"^{re.escape(str(state_path))}"):
+            run_pipeline(config)
+
     def test_candidate_write_dying_partway_is_not_resumed(self, tmp_path, monkeypatch):
         corpus_path, _, _ = synthetic_corpus_file(tmp_path)
         checkpoint = tmp_path / "ckpt"
@@ -316,10 +342,10 @@ class TestRunPipeline:
         (checkpoint / "candidates.tsv").unlink()
 
         # a run under another configuration dies between its candidates and its state file
-        def no_state(path):
+        def no_state(path, lines):
             raise OSError("disk full")
 
-        monkeypatch.setattr(pipeline, "atomic_open", no_state)
+        monkeypatch.setattr(pipeline, "write_lines", no_state)
         with pytest.raises(OSError):
             run_pipeline(
                 base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(checkpoint), min_shared_terms=3)
@@ -762,6 +788,11 @@ class TestCandidateSpill:
         assert path.read_text() == "a\tb\t3\na\tc\t1\nb\tc\t2\n"
         assert read_candidates(path) == pairs[::-1]
 
+    def test_whitespace_only_line_skipped(self, tmp_path):
+        path = tmp_path / "cand.tsv"
+        path.write_bytes(b"a\tb\t3\n \t\r\n\na\tc\t1\n")
+        assert read_candidates(path) == [CandidatePair("a", "b", 3), CandidatePair("a", "c", 1)]
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -806,8 +837,8 @@ class TestStats:
     def test_pipeline_stats_come_from_its_cases_not_the_file(self, tmp_path, monkeypatch, output_mode):
         corpus_path, _, _ = synthetic_corpus_file(tmp_path)
         scanned = []
-        scan = pipeline.scan_jsonl
-        monkeypatch.setattr(pipeline, "scan_jsonl", lambda path, *args: scanned.append(path) or scan(path, *args))
+        scan = pipeline.scan_lines
+        monkeypatch.setattr(pipeline, "scan_lines", lambda path, *args: scanned.append(path) or scan(path, *args))
         result = run_pipeline(base_config(corpus_path, tmp_path / "out", output_mode=output_mode))
         assert scanned == []
         assert json.loads(result.stats_path.read_text())["cases"] > 0
