@@ -14,7 +14,7 @@ reuse still collapses into one case per coherent region.
 from __future__ import annotations
 
 import uuid
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
@@ -28,8 +28,7 @@ _CASE_NAMESPACE_ROOT = uuid.uuid5(uuid.NAMESPACE_URL, "textreuse/case")
 CONTEXT_CHARS = 100
 
 
-@dataclass(frozen=True)
-class NGram:
+class NGram(NamedTuple):
     doi: str
     start_token: int
     char_span: tuple[int, int]
@@ -62,8 +61,7 @@ class AlignmentParams:
             raise ValueError("min_seeds must be >= 1")
 
 
-@dataclass(frozen=True)
-class ReuseCase:
+class ReuseCase(NamedTuple):
     """One detected reuse case; field layout mirrors the emitted record."""
 
     id: str
@@ -322,7 +320,7 @@ def _side_fields(side: str, doc: Document, span: tuple[int, int]) -> dict:
     }
 
 
-_FIELDS = tuple(f.name for f in fields(ReuseCase))
+_FIELDS = ReuseCase._fields
 # Dropped in metadata-only mode; read back as "".
 _TEXT_FIELDS = ("text_a", "before_a", "after_a", "text_b", "before_b", "after_b")
 # Tuples in a case, lists in a record; None and an empty tuple are both [].

@@ -180,9 +180,9 @@ def run_alignment(
     over those hash arrays finds the document pairs that share a window
     hash; only candidate pairs among them reach ``align_pair``, in sorted
     order. ``seed_matches`` seeds only on equal hashes, so a skipped pair
-    has no case. A pair listed twice, or an error while aligning, raises
-    ``PipelineError`` naming the pair. ``counts``, if given, receives
-    ``documents_hashed`` and ``pairs_aligned``.
+    has no case. A bad pair (unknown, out of doi order or listed twice), or
+    an error while aligning, raises ``PipelineError`` naming the pair.
+    ``counts``, if given, receives ``documents_hashed`` and ``pairs_aligned``.
     """
     by_doi = {doc.doi: doc for doc in docs}
     params = config.alignment_params()
@@ -192,6 +192,8 @@ def run_alignment(
     for previous, (doi_a, doi_b) in zip([None, *doi_pairs], doi_pairs):
         if doi_a not in by_doi or doi_b not in by_doi:
             raise PipelineError(f"candidate pair {(doi_a, doi_b)} references unknown documents")
+        if doi_a >= doi_b:
+            raise PipelineError(f"candidate pair {doi_a}/{doi_b} must satisfy doi_a < doi_b")
         if previous == (doi_a, doi_b):
             raise PipelineError(f"candidate pair {doi_a}/{doi_b} listed twice")
 
@@ -256,8 +258,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     do not.
 
     With a checkpoint directory set, a rerun picks the candidate file up and
-    skips retrieval; a checkpoint written under a different configuration or
-    corpus is refused.
+    skips retrieval. The state file vouches for it with the retrieval
+    fingerprint (configuration and corpus) and the candidate file's sha256;
+    a checkpoint that no longer matches either is refused.
     """
     config.validate()
     out_dir = Path(config.output_dir)
@@ -288,12 +291,11 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             raise CheckpointMismatch(
                 "checkpoint was written by a different configuration or corpus; refusing to resume"
             )
-        pairs = read_candidates(candidates_path)
-        if len(pairs) != state.get("candidate_pairs"):
+        if _sha256(candidates_path) != state.get("candidates_sha256"):
             raise CheckpointMismatch(
-                f"{candidates_path} holds {len(pairs)} candidate pairs but {state_path} records "
-                f"{state.get('candidate_pairs')}; refusing to resume"
+                f"{candidates_path} does not have the sha256 that {state_path} records; refusing to resume"
             )
+        pairs = read_candidates(candidates_path)
         counts.update(state.get("counts", {}))
         log.info("resumed %d candidate pairs from %s", len(pairs), candidates_path)
 
@@ -307,7 +309,12 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             checkpoint_dir.mkdir(parents=True, exist_ok=True)
             state_path.unlink(missing_ok=True)
             write_candidates(candidates_path, pairs)
-            state = {"fingerprint": fingerprint, "candidate_pairs": len(pairs), "counts": retrieval_counts}
+            state = {
+                "fingerprint": fingerprint,
+                "candidate_pairs": len(pairs),
+                "candidates_sha256": _sha256(candidates_path),
+                "counts": retrieval_counts,
+            }
             write_lines(state_path, [json.dumps(state, sort_keys=True)])
 
     lap("retrieve_s")
@@ -344,6 +351,15 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         stats_path=stats_path,
         candidates_path=candidates_path,
     )
+
+
+def _sha256(path: Path) -> str:
+    """Hex sha256 of the file's bytes, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(2**20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _read_state(path: Path) -> dict:

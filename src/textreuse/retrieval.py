@@ -47,7 +47,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,23 +85,16 @@ _DOC_PAIR_MERGE = 2**14
 _MINIMA_BLOCK = 2**15
 
 
-@dataclass(frozen=True, slots=True)
-class CandidatePair:
+class CandidatePair(NamedTuple):
     """Unordered document pair with collision evidence (canonical doi_a < doi_b).
 
-    Slotted: a retrieval run builds one per pair, often 10**5 or more, and
-    without an instance dict each takes one allocation instead of two.
+    Retrieval builds one per kept pair, already canonical; pairs from a file
+    or a caller are checked by ``read_candidates`` and ``run_alignment``.
     """
 
     doi_a: str
     doi_b: str
     evidence: int = 1
-
-    def __post_init__(self):
-        if self.doi_a >= self.doi_b:
-            raise ValueError("candidate pair must satisfy doi_a < doi_b")
-        if self.evidence < 1:
-            raise ValueError("evidence must be >= 1")
 
     @property
     def key(self) -> tuple[str, str]:
@@ -652,6 +645,10 @@ def read_candidates(path: str | Path) -> list[CandidatePair]:
         if len(parts) != 3:
             raise ValueError("expected 3 tab-separated fields")
         pair = CandidatePair(parts[0], parts[1], int(parts[2]))
+        if pair.doi_a >= pair.doi_b:
+            raise ValueError("candidate pair must satisfy doi_a < doi_b")
+        if pair.evidence < 1:
+            raise ValueError("evidence must be >= 1")
         if pair.key in seen:
             raise ValueError(f"pair {pair.doi_a}/{pair.doi_b} listed twice")
         seen.add(pair.key)

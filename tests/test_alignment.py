@@ -1,7 +1,6 @@
 import json
 import random
 import time
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -260,6 +259,10 @@ class TestWindowHashes:
     def test_invalid_overlap(self):
         with pytest.raises(ValueError):
             window_hashes(doc_from_tokens(alpha_words("w", 10)), 8, 8)
+
+    def test_invalid_size(self):
+        with pytest.raises(ValueError, match="^ngram_size must be >= 1$"):
+            window_hashes(doc_from_tokens(alpha_words("w", 10)), 0, 0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -544,7 +547,7 @@ any_case = st.builds(
     },
 ).flatmap(
     lambda case: st.builds(
-        replace,
+        ReuseCase._replace,
         st.just(case),
         end_a=st.integers(min_value=case.begin_a + 1),
         end_b=st.integers(min_value=case.begin_b + 1),
@@ -564,7 +567,7 @@ class TestCaseCodec:
     @given(any_case)
     def test_any_case_round_trips_through_json(self, case):
         record = case_record(case)
-        assert list(record) == [f.name for f in fields(ReuseCase)]
+        assert list(record) == list(ReuseCase._fields)
         assert case_from_record(json.loads(json.dumps(record))) == case
 
     @settings(max_examples=100)

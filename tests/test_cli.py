@@ -287,6 +287,12 @@ class TestConfigFile:
         assert err.startswith("error:") and field in err
         assert not out_dir.exists()
 
+    def test_line_without_an_equals_sign_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("# settings\nmin_words 10\n")
+        assert main(["pipeline", "--config", str(config), "--input", "x", "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {config}:2: expected key=value\n"
+
     def test_value_nested_too_deep_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("workers = " + "[" * 100_000 + "\n")
@@ -417,6 +423,11 @@ class TestErrorPaths:
             "--output", str(tmp_path / "cand.tsv"),
         ]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_directory_without_corpus_files(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("not corpus")
+        assert main(["retrieve", "--input", str(tmp_path), "--output", str(tmp_path / "cand.tsv")]) == 1
+        assert capsys.readouterr().err == f"error: no *.jsonl files in {tmp_path}\n"
 
     def test_unreadable_case_file(self, tmp_path, capsys):
         # a directory is an OSError other than FileNotFoundError

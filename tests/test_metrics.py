@@ -169,6 +169,12 @@ class TestCharPrecisionRecall:
         with pytest.raises(ValueError, match="^pair a/b annotated twice$"):
             score(gold, [make_case("a", "b", (0, 100), (0, 100))])
 
+    @pytest.mark.parametrize("score", [char_precision_recall, evaluate_cases])
+    def test_unknown_average_rejected(self, score):
+        gold = [make_gold("a", "b", [((0, 100), (0, 100))])]
+        with pytest.raises(ValueError, match="^average must be 'macro' or 'micro'$"):
+            score(gold, [make_case("a", "b", (0, 100), (0, 100))], average="mean")
+
     def test_micro_pools_characters(self):
         gold = [
             make_gold("a", "b", [((0, 100), (0, 100))]),
@@ -336,6 +342,7 @@ class TestGoldIO:
             ({"spans": [[0, 10, 5, 15]]}, "GoldSpan record is not a JSON object"),
             ({"doi_a": 1}, "pair_id, doi_a and doi_b must be strings"),
             ({"pair_id": "q", "spans": [], "strategy": "no-plagiarism"}, "pair a/b annotated twice"),
+            ({"doi_a": "c"}, "gold annotation must satisfy doi_a < doi_b"),
         ],
     )
     def test_malformed_record_names_its_line(self, tmp_path, change, reason):

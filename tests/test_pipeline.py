@@ -73,6 +73,12 @@ def without_timings(manifest):
     return {key: value for key, value in manifest.items() if key != "timings"}
 
 
+def digest_mismatch(checkpoint):
+    """The refusal of a candidate file whose sha256 its state file does not record."""
+    candidates, state = (re.escape(str(checkpoint / name)) for name in ("candidates.tsv", CHECKPOINT_STATE_FILE))
+    return f"^{candidates} does not have the sha256 that {state} records; refusing to resume$"
+
+
 def base_config(corpus_path, out_dir, **overrides):
     values = dict(
         input=str(corpus_path),
@@ -288,8 +294,30 @@ class TestRunPipeline:
         assert run_pipeline(config).manifest["counts"]["candidate_pairs"] >= 2
         candidates = checkpoint / "candidates.tsv"
         candidates.write_text("".join(candidates.read_text().splitlines(keepends=True)[:-1]))
-        names = f"{re.escape(str(candidates))}.*{re.escape(str(checkpoint / CHECKPOINT_STATE_FILE))}"
-        with pytest.raises(CheckpointMismatch, match=names):
+        with pytest.raises(CheckpointMismatch, match=digest_mismatch(checkpoint)):
+            run_pipeline(config)
+
+    @pytest.mark.parametrize("damage", ["swapped-pair", "digest-missing"])
+    def test_checkpoint_without_a_matching_digest_refused(self, tmp_path, damage):
+        corpus_path, corpus, _ = synthetic_corpus_file(tmp_path)
+        checkpoint = tmp_path / "ckpt"
+        config = base_config(corpus_path, tmp_path / "out", checkpoint_dir=str(checkpoint))
+        first = run_pipeline(config)
+        if damage == "swapped-pair":
+            # A pair with a case gives way to an unlisted pair: as many lines, still sorted.
+            candidates = checkpoint / "candidates.tsv"
+            lines = candidates.read_text().splitlines()
+            case = json.loads(first.cases_path.read_text().splitlines()[0])
+            listed = {tuple(line.split("\t")[:2]) for line in lines}
+            unlisted = next(p for p in itertools.combinations(sorted(d.doi for d in corpus), 2) if p not in listed)
+            lines.remove(next(line for line in lines if line.startswith(f"{case['doi_a']}\t{case['doi_b']}\t")))
+            candidates.write_text("".join(f"{line}\n" for line in sorted([*lines, "\t".join(unlisted) + "\t1"])))
+        else:
+            state_path = checkpoint / CHECKPOINT_STATE_FILE
+            state = json.loads(state_path.read_text())
+            del state["candidates_sha256"]
+            state_path.write_text(json.dumps(state) + "\n")
+        with pytest.raises(CheckpointMismatch, match=digest_mismatch(checkpoint)):
             run_pipeline(config)
 
     @pytest.mark.parametrize(
@@ -359,6 +387,28 @@ class TestRunPipeline:
         corpus_path, _, _ = synthetic_corpus_file(tmp_path)
         with pytest.raises(ValueError):
             run_pipeline(base_config(corpus_path, tmp_path / "out", retrieval_mode="psychic"))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"output_mode": "brief"}, "output_mode must be one of"),
+            ({"min_words": -1}, "word filter range is empty"),
+            ({"min_words": 10, "max_words": 9}, "word filter range is empty"),
+            ({"passage_size": 0}, "retrieval parameters must be >= 1"),
+            ({"num_hashes": 0}, "retrieval parameters must be >= 1"),
+            ({"min_shared_terms": 0}, "retrieval parameters must be >= 1"),
+            ({"df_cap": 0}, "df_cap must be >= 1"),
+            ({"workers": -1}, "workers must be >= 0"),
+            ({"ngram_size": 0, "ngram_overlap": 0}, "ngram_size must be >= 1"),
+            ({"ngram_overlap": 8}, "ngram_overlap must satisfy 0 <= overlap < ngram_size"),
+            ({"ngram_overlap": -1}, "ngram_overlap must satisfy 0 <= overlap < ngram_size"),
+            ({"max_gap": -1}, "max_gap must be >= 0"),
+            ({"min_seeds": 0}, "min_seeds must be >= 1"),
+        ],
+    )
+    def test_value_out_of_range_rejected(self, change, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            RunConfig(input="corpus.jsonl", output_dir="out", **change).validate()
 
     def test_empty_document_survives_unfiltered_run(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
@@ -712,10 +762,20 @@ class TestRunAlignment:
         assert expected
         assert run_alignment(docs, pairs[::-1], config) == expected
 
-    def test_pair_listed_twice_is_refused(self):
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            (CandidatePair("a", "b", 2), "candidate pair a/b listed twice"),
+            (CandidatePair("c", "b"), "candidate pair c/b must satisfy doi_a < doi_b"),
+            (CandidatePair("a", "a"), "candidate pair a/a must satisfy doi_a < doi_b"),
+            (CandidatePair("a", "z"), "candidate pair ('a', 'z') references unknown documents"),
+        ],
+        ids=["listed-twice", "doi-order", "equal-dois", "unknown-document"],
+    )
+    def test_malformed_pair_refused(self, pair, message):
         docs = [doc_from_tokens(alpha_words("w", 20), doi=doi) for doi in ("a", "b", "c")]
-        pairs = [CandidatePair("a", "b"), CandidatePair("b", "c"), CandidatePair("a", "b", 2)]
-        with pytest.raises(PipelineError, match="^candidate pair a/b listed twice$"):
+        pairs = [CandidatePair("a", "b"), CandidatePair("b", "c"), pair]
+        with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
             run_alignment(docs, pairs, alignment_config(workers=1))
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -800,9 +860,10 @@ class TestCandidateSpill:
             ("a\tb\tmany", "invalid literal for int()"),
             ("a\tb\t0", "evidence must be >= 1"),
             ("b\ta\t1", "doi_a < doi_b"),
+            ("a\ta\t1", "doi_a < doi_b"),
             ("a\tc\t2", "pair a/c listed twice"),
         ],
-        ids=["field-count", "non-integer", "zero-evidence", "doi-order", "repeated-pair"],
+        ids=["field-count", "non-integer", "zero-evidence", "doi-order", "equal-dois", "repeated-pair"],
     )
     def test_malformed_line_rejected(self, tmp_path, line, message):
         path = tmp_path / "cand.tsv"

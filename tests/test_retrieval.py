@@ -20,7 +20,6 @@ from textreuse import retrieval
 from textreuse.pipeline import RunConfig, run_retrieval
 from textreuse.retrieval import (
     RETRIEVAL_NGRAM_SIZE,
-    CandidatePair,
     MinHasher,
     _dense_ranks,
     _passage_matrix,
@@ -180,6 +179,18 @@ class TestChunkPassages:
         with pytest.raises(ValueError):
             sketch_corpus([], 0)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: MinHasher(num_hashes=0), "num_hashes must be >= 1"),
+            (lambda: retrieve_candidates_exact([], min_shared_terms=0), "min_shared_terms must be >= 1"),
+        ],
+        ids=["num-hashes", "min-shared-terms"],
+    )
+    def test_parameter_below_one_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
 
 class TestMinHash:
     def test_identical_term_sets_identical_sketches(self, rng, vocab):
@@ -316,12 +327,6 @@ class TestRetrieveCandidates:
         assert {p.key for p in pairs} == {("aa", "mm"), ("aa", "zz"), ("mm", "zz")}
         for p in pairs:
             assert p.doi_a < p.doi_b
-
-    def test_pair_requires_canonical_order(self):
-        with pytest.raises(ValueError):
-            CandidatePair("b", "a")
-        with pytest.raises(ValueError):
-            CandidatePair("a", "a")
 
     @settings(max_examples=200, deadline=None)
     @given(sketches=sketch_lists(), df_cap=st.integers(1, 4))
