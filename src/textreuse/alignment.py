@@ -22,8 +22,10 @@ import numpy as np
 from . import spans as sp
 from .ingest import Document
 
-# Fixed root for deterministic case ids; run namespaces derive from it.
-_CASE_NAMESPACE_ROOT = uuid.uuid5(uuid.NAMESPACE_URL, "textreuse/case")
+# Fixed root for deterministic case ids; run namespaces derive from it. It is
+# uuid5(NAMESPACE_URL, "textreuse/case") written out: uuid5 imports hashlib,
+# and so OpenSSL, which a run then loads only once it derives case ids.
+_CASE_NAMESPACE_ROOT = uuid.UUID("3d4eac75-c7fe-58c3-871c-33f3b1232824")
 
 CONTEXT_CHARS = 100
 

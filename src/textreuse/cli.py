@@ -22,6 +22,7 @@ from .pipeline import (
     PipelineError,
     RunConfig,
     load_documents,
+    peak_rss_mb,
     publication_record,
     run_alignment,
     run_pipeline,
@@ -172,6 +173,7 @@ def cmd_normalize(args) -> int:
         f"documents={counts['documents_loaded']} kept={counts['documents_used']} "
         f"malformed={counts['records_malformed']} duplicates={counts['duplicate_dois']} -> {args.output}"
     )
+    log.info("normalize peak RSS %.1f MB", peak_rss_mb())
     return 0
 
 
@@ -186,6 +188,7 @@ def cmd_retrieve(args) -> int:
         f"documents={counts['documents_used']} candidates={len(pairs)} "
         f"pruning_ratio={ratio:.4f} -> {args.output}"
     )
+    log.info("retrieve peak RSS %.1f MB", peak_rss_mb())
     return 0
 
 
@@ -197,6 +200,7 @@ def cmd_align(args) -> int:
     include_text = config.output_mode == "full"
     write_jsonl(args.output, (case_record(c, include_text) for c in cases))
     print(f"pairs={len(pairs)} cases={len(cases)} -> {args.output}")
+    log.info("align peak RSS %.1f MB", peak_rss_mb())
     return 0
 
 

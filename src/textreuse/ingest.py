@@ -35,6 +35,10 @@ two power tables are built once per load. ``pipeline.load_documents``
 normalizes records as they are read and drops each batch's raw documents
 once it is normalized, so no raw text outlives its batch.
 
+Loading hashes the corpus only when asked (``read_corpus(..., digest=True)``):
+only a checkpointed pipeline run keys its checkpoint on the corpus's sha256,
+so no other run hashes the corpus.
+
 On the 1,000 documents (3.41M characters of text) of the benchmark's
 ``uniform-exact`` corpus at seed 7, ``load_documents`` takes 81-87 ms
 in-process (Python 3.11, numpy 2.4, 2-vCPU host), against 127-131 ms when
@@ -44,7 +48,6 @@ traced peak is 0.9 MB above the documents it returns, against 3.7 MB.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import sys
 from dataclasses import dataclass, fields
@@ -53,7 +56,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .jsonl import json_object, scan_lines
+from .jsonl import json_object, scan_lines, sha256
 
 log = logging.getLogger(__name__)
 
@@ -319,8 +322,10 @@ def length_filter(doc: Document, min_words: int = 1000, max_words: int = 60000) 
 
 @dataclass
 class LoadReport:
-    """What loading a corpus saw; ``digest`` is the sha256 of each file's
-    name followed by its bytes, over the files in load order."""
+    """What loading a corpus saw. ``digest`` is ``""`` unless the load was
+    asked for it (``read_corpus(..., digest=True)``); then it is the hex
+    sha256 of each file's name followed by its bytes, over the files in load
+    order."""
 
     records: int = 0
     malformed: int = 0
@@ -348,15 +353,17 @@ def document_record(doc: RawDocument | Document, text: str | None = None) -> dic
     return record
 
 
-def read_corpus(path: str | Path, report: LoadReport) -> Iterator[RawDocument]:
+def read_corpus(path: str | Path, report: LoadReport, digest: bool = False) -> Iterator[RawDocument]:
     """The well-formed records of a corpus file, or of a directory's
     ``*.jsonl`` files in name order, as raw documents in file order.
 
     Malformed lines are logged with their line number and skipped. A doi
     seen before is logged and yielded again: the consumer keeps the last
     record of each doi. An unreadable file is fatal. ``report`` counts as
-    the records are read and gets its ``digest`` once the last file is read;
-    each file is read once, so the bytes parsed are the bytes hashed.
+    the records are read. With ``digest``, it also gets its ``digest`` once
+    the last file is read; each file is read once, so the bytes parsed are
+    the bytes hashed. Without, nothing is hashed and ``hashlib`` is not
+    imported.
     """
     path = Path(path)
     if path.is_dir():
@@ -366,11 +373,12 @@ def read_corpus(path: str | Path, report: LoadReport) -> Iterator[RawDocument]:
     else:
         files = [path]
 
-    digest = hashlib.sha256()
+    hasher = sha256() if digest else None
     seen: set[str] = set()
     for file in files:
-        digest.update(file.name.encode("utf-8"))
-        for lineno, doc, error in scan_lines(file, lambda line: parse_record(json_object(line)), digest):
+        if hasher is not None:
+            hasher.update(file.name.encode("utf-8"))
+        for lineno, doc, error in scan_lines(file, lambda line: parse_record(json_object(line)), hasher):
             if error is not None:
                 report.malformed += 1
                 log.error("%s:%d: skipping malformed record: %s", file, lineno, error)
@@ -381,12 +389,13 @@ def read_corpus(path: str | Path, report: LoadReport) -> Iterator[RawDocument]:
                 log.warning("%s:%d: duplicate doi %r (last record wins)", file, lineno, doc.doi)
             seen.add(doc.doi)
             yield doc
-    report.digest = digest.hexdigest()
+    if hasher is not None:
+        report.digest = hasher.hexdigest()
 
 
 def load_corpus_report(path: str | Path) -> tuple[list[RawDocument], LoadReport]:
-    """Load raw documents in file order (``read_corpus``); of a doi seen
-    twice, the last record is kept at the place of the first."""
+    """Load raw documents in file order (``read_corpus``, with its digest);
+    of a doi seen twice, the last record is kept at the place of the first."""
     report = LoadReport()
-    by_doi = {doc.doi: doc for doc in read_corpus(path, report)}
+    by_doi = {doc.doi: doc for doc in read_corpus(path, report, digest=True)}
     return list(by_doi.values()), report

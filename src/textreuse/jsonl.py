@@ -14,6 +14,10 @@ error. ``read_lines`` raises the first one as ``path:line: message``.
 Every file is written by ``write_lines``, which creates the parent
 directory and writes through a temporary file renamed over the target, so
 a file appears whole or not at all.
+
+Every digest the program takes is a ``sha256()`` object. ``hashlib``, and
+with it OpenSSL's libcrypto (about 3.7 MB resident on Linux), is imported at
+the first one, so a run that writes no digest never loads it.
 """
 
 from __future__ import annotations
@@ -26,13 +30,20 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 T = TypeVar("T")
 
 
+def sha256(data: bytes = b"") -> Any:
+    """A ``hashlib.sha256`` object over ``data``; ``hashlib`` is imported here, at first use."""
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
 def scan_lines(
     path: str | Path, parse: Callable[[str], T], digest: Any = None
 ) -> Iterator[tuple[int, T | None, str | None]]:
     """Lenient reader yielding ``(lineno, value, error)`` for each line that
     is not whitespace only: ``parse(line)``, or the text of the
     ``ValueError`` that decoding or ``parse`` raised. Line numbers are
-    1-based. ``digest``, if given (a ``hashlib`` object), is updated with
+    1-based. ``digest``, if given (``sha256()``), is updated with
     every byte read, skipped lines included."""
     with open(path, "rb") as fh:
         for lineno, blob in enumerate(fh, 1):

@@ -8,10 +8,10 @@ identical (config, corpus, seed) runs are byte-identical.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
+import sys
 import time
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
@@ -22,7 +22,7 @@ from .alignment import (
     AlignmentParams, ReuseCase, align_pair, case_from_record, case_namespace, case_record, window_hashes
 )
 from .ingest import Document, LoadReport, length_filter, normalize_corpus, read_corpus
-from .jsonl import json_object, read_lines, scan_lines, write_json, write_jsonl, write_lines
+from .jsonl import json_object, read_lines, scan_lines, sha256, write_json, write_jsonl, write_lines
 from .retrieval import (
     RETRIEVAL_NGRAM_SIZE,
     CandidatePair,
@@ -84,7 +84,9 @@ class RunConfig:
             raise ValueError(f"retrieval_mode must be one of {RETRIEVAL_MODES}")
         if self.output_mode not in OUTPUT_MODES:
             raise ValueError(f"output_mode must be one of {OUTPUT_MODES}")
-        if self.min_words < 0 or self.max_words < self.min_words:
+        if self.min_words < 0:
+            raise ValueError("min_words must be >= 0")
+        if self.max_words < self.min_words:
             raise ValueError("word filter range is empty")
         if self.passage_size < 1 or self.num_hashes < 1 or self.min_shared_terms < 1:
             raise ValueError("retrieval parameters must be >= 1")
@@ -116,14 +118,15 @@ def load_documents(config: RunConfig, corpus: dict | None = None) -> tuple[list[
 
     ``counts`` holds, besides the document and record tallies, the tokens
     of the documents used and their ``document_bytes`` (``Document.nbytes``).
-    ``corpus``, if given, receives ``digest``, the hash of the corpus files
-    as read (``LoadReport.digest``), which keys the retrieval checkpoint.
+    ``corpus``, if given, receives ``digest``, the sha256 of the corpus
+    files as read (``LoadReport.digest``), which keys the retrieval
+    checkpoint. Only then is the corpus hashed, and ``hashlib`` imported.
     """
     report = LoadReport()
     # Of a doi read twice, the last record is kept at the place of the
     # first; None marks a document the length filter drops.
     by_doi: dict[str, Document | None] = {}
-    for doc in normalize_corpus(read_corpus(config.input, report)):
+    for doc in normalize_corpus(read_corpus(config.input, report, digest=corpus is not None)):
         by_doi[doc.doi] = doc if length_filter(doc, config.min_words, config.max_words) else None
     if corpus is not None:
         corpus["digest"] = report.digest
@@ -234,7 +237,7 @@ def _retrieval_fingerprint(config: RunConfig, corpus_digest: str) -> str:
     payload = {name: getattr(config, name) for name in _RETRIEVAL_FIELDS}
     payload["corpus"] = corpus_digest
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 def publication_record(doc: Document) -> dict:
@@ -257,10 +260,15 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     not the manifest). They differ between runs; ``config`` and ``counts``
     do not.
 
+    Each stage's log line also gives the process's peak RSS so far
+    (``peak_rss_mb``).
+
     With a checkpoint directory set, a rerun picks the candidate file up and
     skips retrieval. The state file vouches for it with the retrieval
     fingerprint (configuration and corpus) and the candidate file's sha256;
-    a checkpoint that no longer matches either is refused.
+    a checkpoint that no longer matches either is refused. Only such a run
+    hashes the corpus, as it loads it; a run without a checkpoint directory
+    takes no digest.
     """
     config.validate()
     out_dir = Path(config.output_dir)
@@ -273,15 +281,16 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         nonlocal clock
         now = time.perf_counter()
         timings[stage] = round(now - clock, 6)
-        log.info("%s took %.3f s", stage, timings[stage])
+        log.info("%s took %.3f s, peak RSS %.1f MB", stage, timings[stage], peak_rss_mb())
         clock = now
 
-    corpus: dict = {}
+    checkpoint_dir = Path(config.checkpoint_dir) if config.checkpoint_dir else None
+    # Only the checkpoint reads the corpus digest, so only its runs hash the corpus.
+    corpus: dict | None = {} if checkpoint_dir is not None else None
     docs, counts = load_documents(config, corpus)
     lap("load_s")
-    fingerprint = _retrieval_fingerprint(config, corpus["digest"])
+    fingerprint = _retrieval_fingerprint(config, corpus["digest"]) if corpus is not None else None
 
-    checkpoint_dir = Path(config.checkpoint_dir) if config.checkpoint_dir else None
     candidates_path = checkpoint_dir / CANDIDATES_FILE if checkpoint_dir else None
     state_path = checkpoint_dir / CHECKPOINT_STATE_FILE if checkpoint_dir else None
     pairs: list[CandidatePair] | None = None
@@ -355,11 +364,28 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
 def _sha256(path: Path) -> str:
     """Hex sha256 of the file's bytes, read 1 MiB at a time."""
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(2**20), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB of 2**20 bytes:
+    ``VmHWM`` of ``/proc/self/status``, or ``ru_maxrss`` where that file
+    cannot be read."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / 1024  # kB
+    except OSError:
+        pass
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 1024  # bytes on macOS, kB elsewhere
 
 
 def _read_state(path: Path) -> dict:

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import uuid
 from pathlib import Path
 
 import pytest
 
 import textreuse.cli as cli
+from textreuse.alignment import _CASE_NAMESPACE_ROOT
 from textreuse.cli import main
 from textreuse.jsonl import read_jsonl, write_jsonl
 from textreuse.ingest import document_record
@@ -179,12 +181,28 @@ class TestStageCommands:
         assert "pruning_ratio" in capsys.readouterr().out
 
 
+MIXED_SCRIPT = Path(__file__).resolve().parent / "data" / "mixed_script.jsonl"
+
+
+def python_lines(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a fresh interpreter on this checkout's ``src``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    return result.stdout.splitlines()
+
+
 class TestLazyImports:
     def test_cli_loads_neither_evaluation_nor_generation(self):
         """Importing the command line leaves ``metrics`` and ``synthgen``
         unloaded; every name of ``textreuse.__all__`` still resolves, and
         loads them."""
-        src = Path(__file__).resolve().parents[1] / "src"
         code = (
             "import sys, textreuse, textreuse.cli\n"
             "lazy = ('textreuse.metrics', 'textreuse.synthgen')\n"
@@ -192,15 +210,54 @@ class TestLazyImports:
             "for name in textreuse.__all__: getattr(textreuse, name)\n"
             "print(sorted(name for name in lazy if name in sys.modules))\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            check=True,
-            capture_output=True,
-            text=True,
-            timeout=300,
+        assert python_lines(code) == ["[]", "['textreuse.metrics', 'textreuse.synthgen']"]
+
+    def test_retrieve_and_normalize_never_load_openssl(self, tmp_path):
+        """``_hashlib`` (OpenSSL's libcrypto) stays unloaded through importing
+        the command line, a retrieval and a normalization: neither hashes
+        the corpus nor derives a case id."""
+        commands = [
+            ["retrieve", "--output", str(tmp_path / "candidates.tsv"), "--min-words", "0"],
+            ["normalize", "--output", str(tmp_path / "normalized.jsonl")],
+        ]
+        code = (
+            "import sys\n"
+            "from textreuse.cli import main\n"
+            "loaded = ['_hashlib' in sys.modules]\n"
+            f"for command in {commands!r}:\n"
+            f"    assert main([*command, '--input', {str(MIXED_SCRIPT)!r}]) == 0\n"
+            "    loaded.append('_hashlib' in sys.modules)\n"
+            "print(loaded)\n"
         )
-        assert result.stdout.splitlines() == ["[]", "['textreuse.metrics', 'textreuse.synthgen']"]
+        assert python_lines(code)[-1] == "[False, False, False]"
+        assert (tmp_path / "candidates.tsv").read_text().count("\n") > 0
+
+    @pytest.mark.parametrize("checkpoint, loaded", [(True, "[True, True]"), (False, "[False, True]")])
+    def test_only_a_checkpointed_pipeline_loads_openssl_before_retrieval(self, tmp_path, checkpoint, loaded):
+        """Whether ``_hashlib`` is loaded as retrieval starts, and once the
+        run ends: a checkpointed run hashes the corpus as it loads it; any
+        run loads it for its case ids, after retrieval."""
+        command = ["pipeline", "--input", str(MIXED_SCRIPT), "--output-dir", str(tmp_path / "out"), "--min-words", "0"]
+        if checkpoint:
+            command += ["--checkpoint-dir", str(tmp_path / "checkpoint")]
+        code = (
+            "import sys\n"
+            "import textreuse.pipeline as pipeline\n"
+            "from textreuse.cli import main\n"
+            "loaded = []\n"
+            "retrieve = pipeline.run_retrieval\n"
+            "def traced(*args, **kwargs):\n"
+            "    loaded.append('_hashlib' in sys.modules)\n"
+            "    return retrieve(*args, **kwargs)\n"
+            "pipeline.run_retrieval = traced\n"
+            f"assert main({command!r}) == 0\n"
+            "loaded.append('_hashlib' in sys.modules)\n"
+            "print(loaded)\n"
+        )
+        assert python_lines(code)[-1] == loaded
+
+    def test_case_namespace_root_is_its_uuid5(self):
+        assert _CASE_NAMESPACE_ROOT == uuid.uuid5(uuid.NAMESPACE_URL, "textreuse/case")
 
     def test_unknown_name_is_an_attribute_error(self):
         import textreuse

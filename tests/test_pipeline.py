@@ -170,7 +170,20 @@ class TestRunPipeline:
         assert json.loads(result.manifest_path.read_text())["timings"] == timings
         logged = [record.getMessage() for record in caplog.records if record.name == "textreuse.pipeline"]
         for stage, seconds in timings.items():
-            assert f"{stage} took {seconds:.3f} s" in logged
+            (line,) = [message for message in logged if message.startswith(f"{stage} took {seconds:.3f} s, ")]
+            assert re.fullmatch(r".*, peak RSS \d+\.\d MB", line)
+
+    def test_peak_rss_falls_back_to_ru_maxrss(self, monkeypatch):
+        """Where ``/proc/self/status`` cannot be read, ``peak_rss_mb`` gives
+        ``ru_maxrss``, the same peak the kernel counts."""
+
+        def unreadable(*args, **kwargs):
+            raise FileNotFoundError("no /proc")
+
+        from_status = pipeline.peak_rss_mb()
+        monkeypatch.setattr(pipeline, "open", unreadable, raising=False)
+        assert from_status > 1
+        assert pipeline.peak_rss_mb() == pytest.approx(from_status, rel=0.05)
 
     def test_length_filter_wiring(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
@@ -392,8 +405,8 @@ class TestRunPipeline:
         "change, message",
         [
             ({"output_mode": "brief"}, "output_mode must be one of"),
-            ({"min_words": -1}, "word filter range is empty"),
             ({"min_words": 10, "max_words": 9}, "word filter range is empty"),
+            ({"min_words": 0, "max_words": -1}, "word filter range is empty"),
             ({"passage_size": 0}, "retrieval parameters must be >= 1"),
             ({"num_hashes": 0}, "retrieval parameters must be >= 1"),
             ({"min_shared_terms": 0}, "retrieval parameters must be >= 1"),
@@ -404,6 +417,7 @@ class TestRunPipeline:
             ({"ngram_overlap": -1}, "ngram_overlap must satisfy 0 <= overlap < ngram_size"),
             ({"max_gap": -1}, "max_gap must be >= 0"),
             ({"min_seeds": 0}, "min_seeds must be >= 1"),
+            ({"min_words": -1}, "min_words must be >= 0"),
         ],
     )
     def test_value_out_of_range_rejected(self, change, message):
